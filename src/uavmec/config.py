@@ -383,6 +383,13 @@ def config_to_dict(cfg: AppConfig) -> dict:
 
 
 def config_hash(cfg: AppConfig) -> str:
-    """Stable short digest of the fully resolved configuration."""
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True, default=list)
+    """Stable short digest of the result-affecting configuration.
+
+    The output directory and the worker count are left out: runs that differ
+    only in those write the same results, and so carry the same hash.
+    """
+    fields = config_to_dict(cfg)
+    for name in ("out_dir", "workers"):
+        del fields["experiment"][name]
+    blob = json.dumps(fields, sort_keys=True, default=list)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .config import RlConfig
@@ -10,32 +12,92 @@ from .mdp import NetworkSnapshot, Transition, encode_state
 from .nnet import AdamState, MlpNetwork, adam_step, forward, init_mlp, loss_and_grads
 
 
+@dataclass(frozen=True)
+class TransitionBatch:
+    """Transitions stored column-wise: row i of every array is one transition.
+
+    Iterating yields the rows as ``Transition`` objects.
+    """
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    terminals: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.actions)
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield Transition(
+                state=self.states[i],
+                action=int(self.actions[i]),
+                reward=float(self.rewards[i]),
+                next_state=self.next_states[i],
+                terminal=bool(self.terminals[i]),
+            )
+
+
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform sampling."""
+    """Fixed-capacity ring of transitions with uniform sampling.
+
+    Row i of each column array holds the i-th stored transition; once full,
+    each push overwrites the oldest row.  The arrays double as they fill and
+    stop at ``capacity``: allocating all of it up front would cost memory that
+    a short run never uses.
+    """
+
+    initial_rows = 256
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.items: list[Transition] = []
+        self.size = 0
         self.cursor = 0
+        self._allocate(0, 0)
+
+    def _allocate(self, rows: int, state_width: int) -> None:
+        """Fresh columns of ``rows`` rows holding the stored transitions."""
+        n = self.size
+        for name, shape, dtype in (
+            ("states", (rows, state_width), np.float64),
+            ("next_states", (rows, state_width), np.float64),
+            ("actions", rows, np.intp),
+            ("rewards", rows, np.float64),
+            ("terminals", rows, bool),
+        ):
+            column = np.empty(shape, dtype=dtype)
+            if n:
+                column[:n] = getattr(self, name)[:n]
+            setattr(self, name, column)
 
     def push(self, t: Transition) -> None:
-        if len(self.items) < self.capacity:
-            self.items.append(t)
-        else:
-            self.items[self.cursor] = t
-        self.cursor = (self.cursor + 1) % self.capacity
+        row = self.cursor
+        if row == len(self.actions):
+            rows = min(self.capacity, max(self.initial_rows, 2 * row))
+            self._allocate(rows, len(t.state))
+        self.states[row] = t.state
+        self.next_states[row] = t.next_state
+        self.actions[row] = t.action
+        self.rewards[row] = t.reward
+        self.terminals[row] = t.terminal
+        self.size = max(self.size, row + 1)
+        self.cursor = (row + 1) % self.capacity
 
-    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
+    def sample(self, n: int, rng: np.random.Generator) -> TransitionBatch:
         """Uniform sample without replacement."""
-        if n > len(self.items):
-            raise ValueError(f"cannot sample {n} from buffer of {len(self.items)}")
-        idx = rng.choice(len(self.items), size=n, replace=False)
-        return [self.items[i] for i in idx]
+        if n > self.size:
+            raise ValueError(f"cannot sample {n} from buffer of {self.size}")
+        idx = rng.choice(self.size, size=n, replace=False)
+        return TransitionBatch(
+            self.states[idx], self.actions[idx], self.rewards[idx],
+            self.next_states[idx], self.terminals[idx],
+        )
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self.size
 
 
 def dql_act(net: MlpNetwork, state: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
@@ -45,7 +107,7 @@ def dql_act(net: MlpNetwork, state: np.ndarray, epsilon: float, rng: np.random.G
 def train_batch(
     net: MlpNetwork,
     adam: AdamState,
-    batch: list,
+    batch: TransitionBatch,
     gamma: float,
     target_net: MlpNetwork | None = None,
 ) -> float:
@@ -54,17 +116,12 @@ def train_batch(
     Targets: r + gamma * max_a Q(s', a), zero bootstrap on terminals.  The
     bootstrap uses ``target_net`` when given, else the online network.
     """
-    states = np.stack([t.state for t in batch])
-    next_states = np.stack([t.next_state for t in batch])
-    actions = np.array([t.action for t in batch], dtype=np.intp)
-    rewards = np.array([t.reward for t in batch], dtype=np.float64)
-    live = np.array([0.0 if t.terminal else 1.0 for t in batch], dtype=np.float64)
-
+    live = np.where(batch.terminals, 0.0, 1.0)
     bootstrap_net = target_net if target_net is not None else net
-    next_q = forward(bootstrap_net, next_states)
-    targets = rewards + gamma * live * next_q.max(axis=1)
+    next_q = forward(bootstrap_net, batch.next_states)
+    targets = batch.rewards + gamma * live * next_q.max(axis=1)
 
-    loss, grads = loss_and_grads(net, states, actions, targets)
+    loss, grads = loss_and_grads(net, batch.states, batch.actions, targets)
     adam_step(adam, net.parameters(), grads)
     return loss
 

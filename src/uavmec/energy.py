@@ -16,15 +16,16 @@ MEC_BATTERY_SENTINEL = math.inf
 
 
 class EnergyLedger:
-    """Busy-interval log for one UAV.
+    """Busy-time account for one UAV.
 
     ``elapsed`` tracks mission time and is advanced by the simulator; queries
-    integrate the closed intervals plus the still-open one up to ``elapsed``.
+    add the running total of closed busy intervals to the still-open one up to
+    ``elapsed``.
     """
 
     def __init__(self, params: EnergyParams):
         self.params = params
-        self.busy_intervals: list[tuple[float, float]] = []
+        self.busy_total: float = 0.0
         self.open_start: float | None = None
         self.elapsed: float = 0.0
 
@@ -43,18 +44,18 @@ class EnergyLedger:
             raise ValueError("no busy interval open")
         if end < self.open_start:
             raise ValueError("busy interval cannot end before it starts")
-        self.busy_intervals.append((self.open_start, end))
+        self.busy_total += end - self.open_start
         self.open_start = None
 
     def busy_seconds(self) -> float:
-        total = sum(e - s for s, e in self.busy_intervals)
+        total = self.busy_total
         if self.open_start is not None:
             total += max(0.0, self.elapsed - self.open_start)
         return total
 
     def copy(self) -> "EnergyLedger":
         dup = EnergyLedger(self.params)
-        dup.busy_intervals = list(self.busy_intervals)
+        dup.busy_total = self.busy_total
         dup.open_start = self.open_start
         dup.elapsed = self.elapsed
         return dup

@@ -94,32 +94,44 @@ def save_checkpoint(policy: str, agents: list, path, cfg: AppConfig,
         raise ConfigError(f"policy {policy!r} has no checkpoint format")
 
 
-def load_policies(policy: str, cfg: AppConfig, checkpoint, master_seed: int, seed_index: int) -> list:
-    """Policies ready for evaluation; learners are loaded frozen and greedy."""
-    if policy not in LEARNER_POLICIES:
-        return make_policies(policy, cfg, master_seed, seed_index)
+def _read_checkpoint(policy: str, checkpoint) -> tuple[list, dict]:
+    """Parse a learner's checkpoint: (per-agent q-tables or networks, metadata)."""
     if checkpoint is None:
         raise ConfigError(f"policy {policy!r} needs a checkpoint to evaluate")
     path = Path(checkpoint)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    agents = make_policies(policy, cfg, master_seed, seed_index)
     if policy == "qlearning":
-        tables, meta = load_qtable(str(path))
-        if len(tables) != len(agents):
-            raise ValueError(
-                f"checkpoint holds {len(tables)} agents, config expects {len(agents)}"
-            )
-        for agent, table in zip(agents, tables):
+        return load_qtable(str(path))
+    return load_mlp(str(path))
+
+
+def load_policies(policy: str, cfg: AppConfig, checkpoint, master_seed: int, seed_index: int) -> list:
+    """Policies ready for evaluation; learners are loaded frozen and greedy."""
+    if policy not in LEARNER_POLICIES:
+        return make_policies(policy, cfg, master_seed, seed_index)
+    return _frozen_learners(
+        policy, cfg, _read_checkpoint(policy, checkpoint), master_seed, seed_index
+    )
+
+
+def _frozen_learners(policy: str, cfg: AppConfig, parsed: tuple, master_seed: int,
+                     seed_index: int) -> list:
+    """Fresh learners holding a parsed checkpoint's models, frozen and greedy.
+
+    Frozen agents never write to their q-table or network, so agents built
+    from one parse may share its models.
+    """
+    models, meta = parsed
+    agents = make_policies(policy, cfg, master_seed, seed_index)
+    if len(models) != len(agents):
+        raise ValueError(f"checkpoint holds {len(models)} agents, config expects {len(agents)}")
+    if policy == "qlearning":
+        for agent, table in zip(agents, models):
             agent.table = table
     else:
-        nets, meta = load_mlp(str(path))
-        if len(nets) != len(agents):
-            raise ValueError(
-                f"checkpoint holds {len(nets)} agents, config expects {len(agents)}"
-            )
         layout = meta.get("state_layout", cfg.mdp.state_layout)
-        for agent, net in zip(agents, nets):
+        for agent, net in zip(agents, models):
             if net.dims != agent.net.dims:
                 raise ValueError(
                     f"checkpoint network dims {net.dims} do not match config {agent.net.dims}"
@@ -230,16 +242,16 @@ def evaluate_policy(
     checkpoint=None,
 ) -> list:
     """Greedy/frozen evaluation over the given seed indices; one RunMetrics each."""
-    runs = []
-    for seed_index in seed_indices:
-        runs.append(
-            _evaluate_one(cfg, policy, master_seed, seed_index, episodes_per_seed, checkpoint)
-        )
-    return runs
+    jobs = [(policy, master_seed, s, episodes_per_seed, checkpoint) for s in seed_indices]
+    return evaluate_many(cfg, jobs, workers=1)
 
 
-def _evaluate_one(cfg, policy, master_seed, seed_index, episodes_per_seed, checkpoint) -> RunMetrics:
-    policies = load_policies(policy, cfg, checkpoint, master_seed, seed_index)
+def _eval_job(args) -> RunMetrics:
+    cfg, policy, master_seed, seed_index, episodes_per_seed, parsed = args
+    if parsed is None:
+        policies = make_policies(policy, cfg, master_seed, seed_index)
+    else:
+        policies = _frozen_learners(policy, cfg, parsed, master_seed, seed_index)
     seed = arrival_seed(master_seed, seed_index)
     episodes = [
         run_episode(cfg, policies, seed, episode_index=ep, collect_events=False)
@@ -248,19 +260,19 @@ def _evaluate_one(cfg, policy, master_seed, seed_index, episodes_per_seed, check
     return metrics_from_episodes(policy, seed_index, episodes)
 
 
-def _eval_job(args) -> RunMetrics:
-    cfg, policy, master_seed, seed_index, episodes_per_seed, checkpoint = args
-    return _evaluate_one(cfg, policy, master_seed, seed_index, episodes_per_seed, checkpoint)
-
-
 def evaluate_many(cfg: AppConfig, jobs: list, workers: int = 1) -> list:
     """Run (policy, seed, checkpoint) evaluation jobs, optionally in parallel.
 
-    Results come back in job order regardless of worker scheduling, so reports
-    stay deterministic.
+    Each distinct learner checkpoint is parsed once, here, and shared by its
+    jobs.  Results come back in job order regardless of worker scheduling, so
+    reports stay deterministic.
     """
+    parsed: dict = {}
+    for policy, _, _, _, checkpoint in jobs:
+        if policy in LEARNER_POLICIES and (policy, checkpoint) not in parsed:
+            parsed[policy, checkpoint] = _read_checkpoint(policy, checkpoint)
     args = [
-        (cfg, policy, master_seed, seed_index, episodes, checkpoint)
+        (cfg, policy, master_seed, seed_index, episodes, parsed.get((policy, checkpoint)))
         for (policy, master_seed, seed_index, episodes, checkpoint) in jobs
     ]
     if workers <= 1 or len(args) <= 1:

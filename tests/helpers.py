@@ -1,12 +1,21 @@
-"""Independent brute-force replay of an episode's event log.
+"""Independent oracles for the kernel and the deep learner.
 
-Recomputes every completed task's end-to-end latency and every UAV's busy
-seconds from the raw (time, kind, task_id, unit) event tuples alone, without
-touching the kernel's incremental bookkeeping.  Used as the oracle for the
-violation flags and the battery levels.
+The event-log replay recomputes every completed task's end-to-end latency and
+every UAV's busy seconds from the raw (time, kind, task_id, unit) event tuples
+alone, without touching the kernel's incremental bookkeeping.  It is the
+oracle for the violation flags and the battery levels.
+
+``ReplayBuffer`` and ``train_batch`` below are the original object-list
+replay memory and batch step, kept unchanged: a list of ``Transition``
+objects, batches assembled with ``np.stack`` and list comprehensions.  They
+are the oracle for the column-array ring in ``uavmec.deep``.
 """
 
+import numpy as np
+
 from uavmec.config import AppConfig
+from uavmec.mdp import Transition
+from uavmec.nnet import AdamState, MlpNetwork, adam_step, forward, loss_and_grads
 from uavmec.simulation import EpisodeResult, TASK_ARRIVAL, TASK_COMPLETE, TASK_START
 
 
@@ -94,3 +103,58 @@ def assert_fifo_work_conserving(result: EpisodeResult) -> None:
                 prev_finish = finishes[task_id]
             else:
                 break  # still in service at the horizon; nothing follows
+
+
+class ReplayBuffer:
+    """Fixed-capacity ring of transitions with uniform sampling."""
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self.items: list[Transition] = []
+        self.cursor = 0
+
+    def push(self, t: Transition) -> None:
+        if len(self.items) < self.capacity:
+            self.items.append(t)
+        else:
+            self.items[self.cursor] = t
+        self.cursor = (self.cursor + 1) % self.capacity
+
+    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
+        """Uniform sample without replacement."""
+        if n > len(self.items):
+            raise ValueError(f"cannot sample {n} from buffer of {len(self.items)}")
+        idx = rng.choice(len(self.items), size=n, replace=False)
+        return [self.items[i] for i in idx]
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
+def train_batch(
+    net: MlpNetwork,
+    adam: AdamState,
+    batch: list,
+    gamma: float,
+    target_net: MlpNetwork | None = None,
+) -> float:
+    """One gradient step on a batch of transitions; returns the pre-step loss.
+
+    Targets: r + gamma * max_a Q(s', a), zero bootstrap on terminals.  The
+    bootstrap uses ``target_net`` when given, else the online network.
+    """
+    states = np.stack([t.state for t in batch])
+    next_states = np.stack([t.next_state for t in batch])
+    actions = np.array([t.action for t in batch], dtype=np.intp)
+    rewards = np.array([t.reward for t in batch], dtype=np.float64)
+    live = np.array([0.0 if t.terminal else 1.0 for t in batch], dtype=np.float64)
+
+    bootstrap_net = target_net if target_net is not None else net
+    next_q = forward(bootstrap_net, next_states)
+    targets = rewards + gamma * live * next_q.max(axis=1)
+
+    loss, grads = loss_and_grads(net, states, actions, targets)
+    adam_step(adam, net.parameters(), grads)
+    return loss

@@ -257,6 +257,30 @@ def test_compare_reruns_are_byte_identical(tiny_config, tmp_path, monkeypatch):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
 
+def test_compare_summary_does_not_depend_on_out_dir(tiny_config, tmp_path):
+    for name in ("ca", "cb"):
+        assert run([
+            "compare", "--policies", "rr,hef", "--config", tiny_config,
+            "--out", str(tmp_path / name), "--seeds", "1", "--quiet",
+        ]) == 0
+    assert (tmp_path / "ca" / "summary.csv").read_bytes() == (
+        tmp_path / "cb" / "summary.csv").read_bytes()
+
+
+def test_compare_with_two_workers_writes_the_same_bytes(tiny_config, tmp_path, monkeypatch):
+    for workers in ("1", "2"):
+        monkeypatch.setenv("UAVMEC_EXPERIMENT__WORKERS", workers)
+        assert run([
+            "compare", "--policies", "rr,hef,qlearning,dql", "--config", tiny_config,
+            "--out", str(tmp_path / workers), "--seeds", "2", "--quiet",
+        ]) == 0
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    assert "summary.csv" in names and "dql.ckpt" in names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_compare_reuses_checkpoint(tiny_config, tmp_path):
     first = tmp_path / "first"
     assert run([

@@ -277,6 +277,15 @@ def test_config_hash_is_stable_and_sensitive():
     assert config_hash(d) != config_hash(a)
 
 
+def test_config_hash_ignores_output_dir_and_workers():
+    a = load_config(env={})
+    b = load_config(env={})
+    b.experiment.out_dir = "elsewhere"
+    b.experiment.workers = 4
+    assert config_hash(a) == config_hash(b)
+    assert b.experiment.out_dir == "elsewhere"  # hashing leaves the config alone
+
+
 def test_empty_yaml_file_keeps_defaults(tmp_path):
     path = write_yaml(tmp_path, "")
     cfg = load_config(path, env={})

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import helpers as oracle
 from uavmec.config import RlConfig
 from uavmec.deep import DqlAgent, ReplayBuffer, dql_act, train_batch
 from uavmec.mdp import Transition
@@ -24,13 +27,90 @@ def zero_net(dims):
     return MlpNetwork(dims, weights, biases)
 
 
+def batch_of(transitions):
+    """All of ``transitions`` as one training batch, in some order."""
+    buf = ReplayBuffer(capacity=len(transitions))
+    for t in transitions:
+        buf.push(t)
+    return buf.sample(len(transitions), np.random.default_rng(0))
+
+
 def test_ring_overwrites_oldest():
     buf = ReplayBuffer(capacity=3)
     for tag in range(4):
         buf.push(make_transition(tag))
     assert len(buf) == 3
-    tags = sorted(t.state[0] for t in buf.items)
+    tags = sorted(t.state[0] for t in buf.sample(3, np.random.default_rng(0)))
     assert tags == [1.0, 2.0, 3.0]  # transition 0 was overwritten
+
+
+def test_sampled_rows_keep_every_field():
+    buf = ReplayBuffer(capacity=5)
+    buf.push(make_transition(7, action=2, reward=-1.5, terminal=True))
+    [row] = buf.sample(1, np.random.default_rng(0))
+    assert np.array_equal(row.state, np.full(4, 7.0))
+    assert np.array_equal(row.next_state, np.full(4, 7.5))
+    assert (row.action, row.reward, row.terminal) == (2, -1.5, True)
+    assert isinstance(row.action, int) and isinstance(row.terminal, bool)
+
+
+def test_memory_grows_with_contents_not_capacity():
+    tracemalloc.start()
+    try:
+        buf = ReplayBuffer(capacity=1_000_000)
+        for tag in range(10):
+            buf.push(make_transition(tag, state_width=10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A million rows of two 10-wide float64 states alone would be 160 MB.
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("target_network", [False, True])
+def test_ring_matches_object_list_oracle(target_network):
+    """Same ingests, same draws: identical losses, weights and RNG state.
+
+    The ring wraps past its capacity several times and a third of the rows
+    are terminal.
+    """
+    width, actions, capacity, batch_size, gamma = 6, 3, 40, 16, 0.9
+    data_rng = np.random.default_rng(5)
+    init = init_mlp([width, 12, actions], np.random.default_rng(6))
+    nets = [init.copy(), init.copy()]
+    adams = [AdamState(net.parameters()) for net in nets]
+    targets = [init.copy(), init.copy()] if target_network else [None, None]
+    rngs = [np.random.default_rng(7), np.random.default_rng(7)]
+    buffers = [ReplayBuffer(capacity), oracle.ReplayBuffer(capacity)]
+    steps = [train_batch, oracle.train_batch]
+    for _ in range(5 * capacity):
+        state = data_rng.normal(size=width)
+        t = Transition(
+            state=state,
+            action=int(data_rng.integers(actions)),
+            reward=float(data_rng.normal()),
+            next_state=state + data_rng.normal(size=width),
+            terminal=bool(data_rng.random() < 1 / 3),
+        )
+        losses = []
+        for buf, net, adam, target, rng, step in zip(buffers, nets, adams, targets, rngs, steps):
+            buf.push(t)
+            if len(buf) >= batch_size:
+                losses.append(step(net, adam, buf.sample(batch_size, rng), gamma, target))
+        assert len(buffers[0]) == len(buffers[1])
+        assert len(losses) in (0, 2)
+        if losses:
+            assert losses[0] == losses[1]
+        for mine, theirs in zip(nets[0].parameters(), nets[1].parameters()):
+            assert np.array_equal(mine, theirs)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    ring_rows = list(buffers[0].sample(capacity, rngs[0]))
+    list_rows = buffers[1].sample(capacity, rngs[1])
+    for mine, theirs in zip(ring_rows, list_rows):
+        assert np.array_equal(mine.state, theirs.state)
+        assert np.array_equal(mine.next_state, theirs.next_state)
+        assert (mine.action, mine.reward, mine.terminal) == (
+            theirs.action, theirs.reward, theirs.terminal)
 
 
 def test_full_sample_is_a_permutation():
@@ -67,12 +147,12 @@ def test_sampling_is_uniform():
 def test_gamma_zero_targets_are_rewards():
     rng = np.random.default_rng(2)
     net = init_mlp([4, 8, 3], rng)
-    batch = [make_transition(i, action=i % 3, reward=float(i)) for i in range(4)]
-    states = np.stack([t.state for t in batch])
-    actions = np.array([t.action for t in batch])
+    transitions = [make_transition(i, action=i % 3, reward=float(i)) for i in range(4)]
+    states = np.stack([t.state for t in transitions])
+    actions = np.array([t.action for t in transitions])
     before = forward(net, states)[np.arange(4), actions]
-    rewards = np.array([t.reward for t in batch])
-    loss = train_batch(net, AdamState(net.parameters()), batch, gamma=0.0)
+    rewards = np.array([t.reward for t in transitions])
+    loss = train_batch(net, AdamState(net.parameters()), batch_of(transitions), gamma=0.0)
     # Pre-step loss is the MSE against the plain rewards.
     assert loss == pytest.approx(float(np.mean((before - rewards) ** 2)))
 
@@ -82,7 +162,7 @@ def test_terminal_transitions_do_not_bootstrap():
     # terminal flag were ignored.
     net = zero_net([4, 2])
     net.biases[0][:] = 1000.0
-    batch = [make_transition(0, action=0, reward=3.0, terminal=True)]
+    batch = batch_of([make_transition(0, action=0, reward=3.0, terminal=True)])
     loss = train_batch(net, AdamState(net.parameters()), batch, gamma=0.9)
     # prediction 1000 vs target 3: loss = 997^2
     assert loss == pytest.approx(997.0**2)
@@ -91,7 +171,7 @@ def test_terminal_transitions_do_not_bootstrap():
 def test_live_transitions_bootstrap_from_max_next_q():
     net = zero_net([4, 2])
     net.biases[0][:] = [1.0, 5.0]
-    batch = [make_transition(0, action=0, reward=3.0, terminal=False)]
+    batch = batch_of([make_transition(0, action=0, reward=3.0, terminal=False)])
     loss = train_batch(net, AdamState(net.parameters()), batch, gamma=0.5)
     # target = 3 + 0.5 * max(1, 5) = 5.5; prediction = 1.
     assert loss == pytest.approx(4.5**2)
@@ -102,7 +182,7 @@ def test_bootstrap_uses_target_network_when_given():
     net.biases[0][:] = [1.0, 5.0]
     frozen = zero_net([4, 2])
     frozen.biases[0][:] = [0.0, 2.0]
-    batch = [make_transition(0, action=0, reward=3.0, terminal=False)]
+    batch = batch_of([make_transition(0, action=0, reward=3.0, terminal=False)])
     loss = train_batch(net, AdamState(net.parameters()), batch, gamma=0.5, target_net=frozen)
     # target = 3 + 0.5 * max over the FROZEN net = 3 + 1 = 4; prediction = 1.
     assert loss == pytest.approx(3.0**2)

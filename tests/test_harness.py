@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uavmec import harness
 from uavmec.config import ConfigError
 from uavmec.deep import DqlAgent
 from uavmec.harness import (
@@ -8,6 +9,7 @@ from uavmec.harness import (
     arrival_seed,
     checkpoint_kind,
     derive_seed,
+    evaluate_many,
     evaluate_policy,
     inspect_checkpoint,
     load_policies,
@@ -16,6 +18,7 @@ from uavmec.harness import (
     train_policy,
 )
 from uavmec.heuristics import HefPolicy, QhefPolicy, RoundRobinPolicy
+from uavmec.metrics import metrics_from_episodes
 from uavmec.simulation import run_episode
 from uavmec.tabular import QlAgent
 
@@ -165,3 +168,41 @@ def test_evaluation_leaves_learners_frozen(desk_cfg, tmp_path):
         assert set(agent.table) == set(before)
         for k in before:
             assert np.array_equal(agent.table[k], before[k])
+
+
+def test_evaluation_parses_each_checkpoint_once(desk_cfg, tmp_path, monkeypatch):
+    agents, _ = train_policy(desk_cfg, "qlearning", 2, master_seed=1)
+    path = tmp_path / "q.ckpt"
+    save_checkpoint("qlearning", agents, path, desk_cfg, 1, 2)
+    parses = []
+    original = harness.load_qtable
+
+    def counting_load(p):
+        parses.append(p)
+        return original(p)
+
+    monkeypatch.setattr(harness, "load_qtable", counting_load)
+    runs = evaluate_policy(desk_cfg, "qlearning", 1, range(3), checkpoint=str(path))
+    assert len(parses) == 1
+    jobs = [(p, 1, s, 1, str(path) if p == "qlearning" else None)
+            for p in ("qlearning", "rr") for s in range(2)]
+    assert evaluate_many(desk_cfg, jobs)[:2] == runs[:2]
+    assert len(parses) == 2
+    # The same results as loading the checkpoint afresh for every seed.
+    for seed_index, run in enumerate(runs):
+        policies = load_policies("qlearning", desk_cfg, str(path), 1, seed_index)
+        episode = run_episode(desk_cfg, policies, arrival_seed(1, seed_index), collect_events=False)
+        assert run == metrics_from_episodes("qlearning", seed_index, [episode])
+
+
+def test_evaluation_reads_a_rewritten_checkpoint(desk_cfg, tmp_path):
+    path = tmp_path / "q.ckpt"
+    runs = []
+    for master in (1, 2):
+        agents, _ = train_policy(desk_cfg, "qlearning", 3, master_seed=master)
+        save_checkpoint("qlearning", agents, path, desk_cfg, master, 3)
+        runs.append(evaluate_policy(desk_cfg, "qlearning", 1, range(2), checkpoint=str(path)))
+    assert runs[0] != runs[1]  # the two checkpoints act differently
+    copy = tmp_path / "copy.ckpt"
+    copy.write_bytes(path.read_bytes())
+    assert runs[1] == evaluate_policy(desk_cfg, "qlearning", 1, range(2), checkpoint=str(copy))
