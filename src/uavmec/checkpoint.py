@@ -1,0 +1,62 @@
+"""Checkpoint container: the text layout shared by every learner checkpoint.
+
+    <magic line>            names the format, e.g. ``uavmec-qtable v1``
+    meta <key>=<value>      one line per metadata entry, sorted by key
+    agents <N>
+    agent <i> <header>      N blocks: a header line, then the block's body lines
+
+A format is its magic line plus what its agent headers and bodies hold;
+``tabular`` and ``nnet`` read and write those.  No body line may begin with
+``agent ``, since that starts the next block.
+"""
+
+from __future__ import annotations
+
+
+def write_checkpoint(path, magic: str, metadata: dict | None, blocks: list) -> None:
+    """Write ``blocks``, one ``(header, body lines)`` pair per agent."""
+    lines = [magic]
+    lines.extend(f"meta {k}={v}" for k, v in sorted((metadata or {}).items()))
+    lines.append(f"agents {len(blocks)}")
+    for i, (header, body) in enumerate(blocks):
+        lines.append(f"agent {i} {header}")
+        lines.extend(body)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_magic(path) -> str:
+    """The first line of a file, which names a checkpoint's format."""
+    with open(path) as fh:
+        return fh.readline().strip()
+
+
+def read_checkpoint(path, magic: str) -> tuple[dict, list]:
+    """(metadata, one ``(header, body lines)`` pair per agent) of a ``magic`` file."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != magic:
+        raise ValueError(f"not a {magic} checkpoint: {path}")
+    meta: dict = {}
+    i = 1
+    while i < len(lines) and lines[i].startswith("meta "):
+        k, v = lines[i][5:].split("=", 1)
+        meta[k] = v
+        i += 1
+    if i >= len(lines) or not lines[i].startswith("agents "):
+        raise ValueError(f"malformed checkpoint, no agent count: {path}")
+    num_agents = int(lines[i].split()[1])
+    blocks: list = []
+    for line in lines[i + 1:]:
+        if line.startswith("agent "):
+            _, index, header = line.split(" ", 2)
+            if int(index) != len(blocks):
+                raise ValueError(f"malformed checkpoint, agent {index} out of order: {path}")
+            blocks.append((header, []))
+        elif blocks:
+            blocks[-1][1].append(line)
+        else:
+            raise ValueError(f"malformed checkpoint, body before any agent: {path}")
+    if len(blocks) != num_agents:
+        raise ValueError(f"checkpoint declares {num_agents} agents, holds {len(blocks)}: {path}")
+    return meta, blocks

@@ -24,7 +24,6 @@ from .config import (
 from .harness import (
     arrival_seed,
     evaluate_many,
-    evaluate_policy,
     inspect_checkpoint,
     load_policies,
     save_checkpoint,
@@ -118,6 +117,52 @@ def _base_meta(cfg: AppConfig) -> dict:
     return {"config_hash": config_hash(cfg), "master_seed": cfg.sim.seed}
 
 
+def _train(cfg: AppConfig, policy: str, episodes: int, out: Path, curve_name: str,
+           quiet: bool) -> tuple[Path, int | None]:
+    """Train ``policy``, save ``<policy>.ckpt`` and write the convergence curve
+    to ``curve_name``; returns (checkpoint path, convergence episode)."""
+    agents, rewards = train_policy(
+        cfg, policy, episodes, cfg.sim.seed, checkpoint_dir=out,
+        log_every=0 if quiet else max(1, episodes // 10),
+    )
+    ckpt = out / f"{policy}.ckpt"
+    save_checkpoint(policy, agents, ckpt, cfg, cfg.sim.seed, episodes)
+    exp = cfg.experiment
+    conv = convergence_summary(
+        rewards, exp.smoothing_window, exp.convergence_threshold, exp.convergence_patience
+    )
+    meta = _base_meta(cfg)
+    meta.update({
+        "policy": policy,
+        "episodes": episodes,
+        "convergence_episode": "none" if conv is None else conv,
+        "convergence_threshold": exp.convergence_threshold,
+    })
+    write_convergence_csv(out / curve_name, meta, rewards, exp.smoothing_window)
+    return ckpt, conv
+
+
+def _evaluate(cfg: AppConfig, out: Path, policies: list, seeds: int, episodes: int,
+              checkpoints: dict, label: dict) -> dict:
+    """Evaluate every policy over ``seeds`` seeds and write the battery,
+    violations and summary reports; returns the reports' metadata."""
+    jobs = [
+        (policy, cfg.sim.seed, seed_index, episodes, checkpoints.get(policy))
+        for policy in policies
+        for seed_index in range(seeds)
+    ]
+    runs = evaluate_many(cfg, jobs, workers=cfg.experiment.workers)
+    unit_names = [cfg.sim.unit_name(u) for u in range(cfg.sim.num_units)]
+    meta = _base_meta(cfg)
+    meta.update({**label, "eval_seeds": seeds, "episodes_per_seed": episodes})
+    write_battery_csv(out / "battery.csv", meta, runs, unit_names)
+    write_violations_csv(out / "violations.csv", meta, runs, unit_names)
+    write_summary_csv(
+        out / "summary.csv", meta, runs, cfg.sim.objective_weight_w, cfg.sim.violation_scale_theta
+    )
+    return meta
+
+
 def cmd_train(args, parser) -> int:
     cfg = _resolve_config(args)
     if args.policy not in LEARNER_POLICIES:
@@ -126,27 +171,10 @@ def cmd_train(args, parser) -> int:
     if episodes < 1:
         parser.error("--episodes must be >= 1")
     out = _out_dir(cfg)
-    log_every = 0 if args.quiet else max(1, episodes // 10)
-    agents, rewards = train_policy(
-        cfg, args.policy, episodes, cfg.sim.seed, checkpoint_dir=out, log_every=log_every
-    )
-    ckpt = out / f"{args.policy}.ckpt"
-    save_checkpoint(args.policy, agents, ckpt, cfg, cfg.sim.seed, episodes)
-    exp = cfg.experiment
-    conv = convergence_summary(
-        rewards, exp.smoothing_window, exp.convergence_threshold, exp.convergence_patience
-    )
-    meta = _base_meta(cfg)
-    meta.update({
-        "policy": args.policy,
-        "episodes": episodes,
-        "convergence_episode": "none" if conv is None else conv,
-        "convergence_threshold": exp.convergence_threshold,
-    })
-    write_convergence_csv(out / "convergence.csv", meta, rewards, exp.smoothing_window)
+    ckpt, conv = _train(cfg, args.policy, episodes, out, "convergence.csv", args.quiet)
     print(f"trained {args.policy} for {episodes} episodes")
     print(
-        f"convergence episode at smoothed reward >= {exp.convergence_threshold:g}: "
+        f"convergence episode at smoothed reward >= {cfg.experiment.convergence_threshold:g}: "
         f"{'none' if conv is None else conv}"
     )
     print(f"checkpoint: {ckpt}")
@@ -165,20 +193,14 @@ def cmd_evaluate(args, parser) -> int:
     if seeds < 1 or episodes < 1:
         parser.error("--seeds and --episodes must be >= 1")
     out = _out_dir(cfg)
-    runs = evaluate_policy(
-        cfg, args.policy, cfg.sim.seed, range(seeds), episodes, checkpoint=args.checkpoint
-    )
-    unit_names = [cfg.sim.unit_name(u) for u in range(cfg.sim.num_units)]
-    meta = _base_meta(cfg)
-    meta.update({"policy": args.policy, "eval_seeds": seeds, "episodes_per_seed": episodes})
-    write_battery_csv(out / "battery.csv", meta, runs, unit_names)
-    write_violations_csv(out / "violations.csv", meta, runs, unit_names)
-    write_summary_csv(
-        out / "summary.csv", meta, runs, cfg.sim.objective_weight_w, cfg.sim.violation_scale_theta
+    meta = _evaluate(
+        cfg, out, [args.policy], seeds, episodes, {args.policy: args.checkpoint},
+        {"policy": args.policy},
     )
     if args.placements:
         policies = load_policies(args.policy, cfg, args.checkpoint, cfg.sim.seed, 0)
         result = run_episode(cfg, policies, arrival_seed(cfg.sim.seed, 0), episode_index=0)
+        unit_names = [cfg.sim.unit_name(u) for u in range(cfg.sim.num_units)]
         write_placements_csv(out / "placements.csv", meta, result, unit_names)
     print(f"evaluated {args.policy} over {seeds} seeds ({episodes} episode(s) each)")
     print(f"reports: {out / 'battery.csv'}, {out / 'violations.csv'}, {out / 'summary.csv'}")
@@ -216,55 +238,18 @@ def cmd_compare(args, parser) -> int:
         parser.error("--seeds must be >= 1")
     checkpoints = _parse_checkpoint_args(args.checkpoint, parser)
     out = _out_dir(cfg)
-    master = cfg.sim.seed
-    log_every_base = 0 if args.quiet else 1
-
     # Train whatever is missing first; convergence curves and checkpoints are
     # per-policy artifacts and appear as each training run finishes.
     for policy in policies:
-        if policy not in LEARNER_POLICIES or policy in checkpoints:
-            continue
-        episodes = cfg.experiment.train_episodes(policy)
-        log_every = max(1, episodes // 10) if log_every_base else 0
-        agents, rewards = train_policy(
-            cfg, policy, episodes, master, checkpoint_dir=out, log_every=log_every
-        )
-        ckpt = out / f"{policy}.ckpt"
-        save_checkpoint(policy, agents, ckpt, cfg, master, episodes)
-        exp = cfg.experiment
-        conv = convergence_summary(
-            rewards, exp.smoothing_window, exp.convergence_threshold, exp.convergence_patience
-        )
-        meta = _base_meta(cfg)
-        meta.update({
-            "policy": policy,
-            "episodes": episodes,
-            "convergence_episode": "none" if conv is None else conv,
-            "convergence_threshold": exp.convergence_threshold,
-        })
-        write_convergence_csv(
-            out / f"convergence_{policy}.csv", meta, rewards, exp.smoothing_window
-        )
-        checkpoints[policy] = str(ckpt)
-
-    jobs = [
-        (policy, master, seed_index, cfg.experiment.eval_episodes, checkpoints.get(policy))
-        for policy in policies
-        for seed_index in range(seeds)
-    ]
-    runs = evaluate_many(cfg, jobs, workers=cfg.experiment.workers)
-
-    unit_names = [cfg.sim.unit_name(u) for u in range(cfg.sim.num_units)]
-    meta = _base_meta(cfg)
-    meta.update({
-        "policies": ",".join(policies),
-        "eval_seeds": seeds,
-        "episodes_per_seed": cfg.experiment.eval_episodes,
-    })
-    write_battery_csv(out / "battery.csv", meta, runs, unit_names)
-    write_violations_csv(out / "violations.csv", meta, runs, unit_names)
-    write_summary_csv(
-        out / "summary.csv", meta, runs, cfg.sim.objective_weight_w, cfg.sim.violation_scale_theta
+        if policy in LEARNER_POLICIES and policy not in checkpoints:
+            ckpt, _ = _train(
+                cfg, policy, cfg.experiment.train_episodes(policy), out,
+                f"convergence_{policy}.csv", args.quiet,
+            )
+            checkpoints[policy] = str(ckpt)
+    _evaluate(
+        cfg, out, policies, seeds, cfg.experiment.eval_episodes, checkpoints,
+        {"policies": ",".join(policies)},
     )
     print(f"compared {', '.join(policies)} over {seeds} seeds")
     print(f"ranked summary: {out / 'summary.csv'}")

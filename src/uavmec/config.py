@@ -223,14 +223,28 @@ _SECTIONS = {
 
 _TUPLE_FIELDS = {"hidden_sizes", "tier_values", "policies"}
 
+# Field annotation -> the value types it accepts.  An int is a valid float and
+# is stored as given, so a file that writes ``60`` keeps its config hash.
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "tuple": tuple}
+
+
+def _check_type(where: str, f: dataclasses.Field, value) -> None:
+    """Reject a value of the wrong type; ``object`` fields are left to validate_config."""
+    if f.type == "object":
+        return
+    # A bool is an int to Python, but never a valid count or quantity here.
+    if not isinstance(value, _FIELD_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+        raise ConfigError(f"{where} must be of type {f.type}, got {value!r}")
+
 
 def _apply_section(obj, section: str, data: dict) -> None:
-    names = {f.name for f in dataclasses.fields(obj)}
+    fields = {f.name: f for f in dataclasses.fields(obj)}
     for key, value in data.items():
-        if key not in names:
+        if key not in fields:
             raise ConfigError(f"unknown config key: {section}.{key}")
         if key in _TUPLE_FIELDS and isinstance(value, list):
             value = tuple(value)
+        _check_type(f"{section}.{key}", fields[key], value)
         setattr(obj, key, value)
 
 
@@ -238,7 +252,8 @@ def _parse_tasks(raw) -> list[TaskTypeSpec]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("tasks must be a non-empty list of task type mappings")
     specs = []
-    names = {f.name for f in dataclasses.fields(TaskTypeSpec)}
+    fields = dataclasses.fields(TaskTypeSpec)
+    names = {f.name for f in fields}
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ConfigError(f"tasks[{i}] must be a mapping")
@@ -248,6 +263,8 @@ def _parse_tasks(raw) -> list[TaskTypeSpec]:
         missing = names - set(entry)
         if missing:
             raise ConfigError(f"tasks[{i}] missing key: {sorted(missing)[0]}")
+        for f in fields:
+            _check_type(f"tasks[{i}].{f.name}", f, entry[f.name])
         specs.append(TaskTypeSpec(**entry))
     return specs
 
@@ -302,8 +319,6 @@ def validate_config(cfg: AppConfig) -> None:
         raise ConfigError("mdp.tier_values must have exactly 3 entries")
     if mdp.state_layout not in STATE_LAYOUTS:
         raise ConfigError(f"mdp.state_layout must be one of {STATE_LAYOUTS}")
-    if mdp.deferred_reward not in (True, False):
-        raise ConfigError("mdp.deferred_reward must be a boolean")
     if not 0 < rl.learning_rate_tabular <= 1:
         raise ConfigError("rl.learning_rate_tabular must be in (0, 1]")
     if not 0 <= rl.discount < 1:

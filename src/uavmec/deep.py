@@ -100,10 +100,6 @@ class ReplayBuffer:
         return self.size
 
 
-def dql_act(net: MlpNetwork, state: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-    return epsilon_greedy(forward(net, state), epsilon, rng)
-
-
 def train_batch(
     net: MlpNetwork,
     adam: AdamState,
@@ -163,7 +159,7 @@ class DqlAgent:
 
     def select(self, snap: NetworkSnapshot) -> int:
         state = encode_state(snap, self.state_layout)
-        return dql_act(self.net, state, self.epsilon, self.rng)
+        return epsilon_greedy(forward(self.net, state), self.epsilon, self.rng)
 
     def ingest(self, t: Transition) -> None:
         self.buffer.push(t)

@@ -53,13 +53,6 @@ class EnergyLedger:
             total += max(0.0, self.elapsed - self.open_start)
         return total
 
-    def copy(self) -> "EnergyLedger":
-        dup = EnergyLedger(self.params)
-        dup.busy_total = self.busy_total
-        dup.open_start = self.open_start
-        dup.elapsed = self.elapsed
-        return dup
-
 
 def remaining_battery(ledger: EnergyLedger) -> float:
     """Remaining charge in Wh at the ledger's elapsed time (may go negative)."""
@@ -73,14 +66,3 @@ def remaining_battery(ledger: EnergyLedger) -> float:
 def remaining_battery_fraction(ledger: EnergyLedger) -> float:
     return remaining_battery(ledger) / ledger.params.battery_capacity_wh
 
-
-def hypothetical_battery_after(ledger: EnergyLedger, extra_busy_seconds: float) -> float:
-    """Remaining Wh if the unit additionally served ``extra_busy_seconds`` of CPU time.
-
-    Elapsed time is left untouched: only the CPU surcharge of the extra work is
-    charged, which is exact because drain is linear in busy seconds regardless
-    of where the interval sits.
-    """
-    if extra_busy_seconds < 0:
-        raise ValueError("extra busy time must be >= 0")
-    return remaining_battery(ledger) - ledger.params.busy_extra_power_w * extra_busy_seconds / 3600.0

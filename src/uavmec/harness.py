@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import read_magic
 from .config import AppConfig, ConfigError, LEARNER_POLICIES, POLICY_NAMES, config_hash
 from .deep import DqlAgent
 from .exploration import epsilon_schedule
@@ -127,7 +128,18 @@ def _frozen_learners(policy: str, cfg: AppConfig, parsed: tuple, master_seed: in
     if len(models) != len(agents):
         raise ValueError(f"checkpoint holds {len(models)} agents, config expects {len(agents)}")
     if policy == "qlearning":
+        # A key holds one entry per base-layout state entry.
+        key_width = state_width(cfg.sim.num_uavs, cfg.sim.num_mecs)
         for agent, table in zip(agents, models):
+            # load_qtable holds every row to the stored action count, and one
+            # grid made every key of a table, so the first entry stands for all.
+            for key, row in table.items():
+                if row.size != agent.num_actions or len(key) != key_width:
+                    raise ValueError(
+                        f"checkpoint q-table has {row.size} actions and {len(key)}-entry keys, "
+                        f"config expects {agent.num_actions} and {key_width}"
+                    )
+                break
             agent.table = table
     else:
         layout = meta.get("state_layout", cfg.mdp.state_layout)
@@ -145,11 +157,10 @@ def _frozen_learners(policy: str, cfg: AppConfig, parsed: tuple, master_seed: in
 
 
 def checkpoint_kind(path) -> str:
-    with open(path) as fh:
-        first = fh.readline().strip()
-    if first == QTABLE_MAGIC:
+    magic = read_magic(path)
+    if magic == QTABLE_MAGIC:
         return "qlearning"
-    if first == MLP_MAGIC:
+    if magic == MLP_MAGIC:
         return "dql"
     raise ValueError(f"unrecognized checkpoint format: {path}")
 
@@ -231,19 +242,6 @@ def train_policy(
 
 
 # --- evaluation ------------------------------------------------------------
-
-
-def evaluate_policy(
-    cfg: AppConfig,
-    policy: str,
-    master_seed: int,
-    seed_indices,
-    episodes_per_seed: int = 1,
-    checkpoint=None,
-) -> list:
-    """Greedy/frozen evaluation over the given seed indices; one RunMetrics each."""
-    jobs = [(policy, master_seed, s, episodes_per_seed, checkpoint) for s in seed_indices]
-    return evaluate_many(cfg, jobs, workers=1)
 
 
 def _eval_job(args) -> RunMetrics:

@@ -7,7 +7,6 @@ them directly without running the kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,22 +155,3 @@ def assemble_reward(tier: float, violated: bool, penalty: float) -> float:
     v = 1.0 if violated else 0.0
     return (tier - 1.0) + (1.0 - v) + penalty * v
 
-
-def compute_reward(action: int, snap: NetworkSnapshot, cfg: MdpConfig) -> float:
-    """Shaped reward: battery-tier term plus violation term, in [-41, 2] at defaults."""
-    tier, v_hat, penalty = compute_reward_parts(action, snap, cfg)
-    return assemble_reward(tier, v_hat, penalty)
-
-
-def snapshot_is_sane(snap: NetworkSnapshot) -> bool:
-    """Cheap structural check used by property tests and the kernel in debug runs."""
-    n = snap.num_units
-    if not (len(snap.unit_batteries) == len(snap.transfer_delays) == len(snap.proc_times) == n):
-        return False
-    if not 0 <= snap.deciding_uav < snap.num_uavs <= n:
-        return False
-    if snap.transfer_delays[snap.deciding_uav] != 0.0:
-        return False
-    if any(d < 0 for d in snap.unit_delays):
-        return False
-    return all(math.isinf(snap.unit_batteries[u]) for u in range(snap.num_uavs, n))

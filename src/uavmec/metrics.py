@@ -121,17 +121,6 @@ def convergence_episode(smoothed, threshold: float, patience: int) -> int | None
     return None
 
 
-def plateau_threshold(smoothed, fraction: float = 0.9, tail_fraction: float = 0.1) -> float:
-    """Threshold at ``fraction`` of the climb from the initial level to the
-    final plateau (mean of the last ``tail_fraction`` of points)."""
-    if not smoothed:
-        raise ValueError("empty series")
-    tail = max(1, int(len(smoothed) * tail_fraction))
-    plateau = float(np.mean(smoothed[-tail:]))
-    start = float(smoothed[0])
-    return start + fraction * (plateau - start)
-
-
 def convergence_summary(per_agent_rewards, window: int, threshold: float, patience: int):
     """Convergence episode of the agent-mean smoothed curve at an absolute
     threshold; None when the curve never holds the threshold."""

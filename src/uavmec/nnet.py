@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import read_checkpoint, write_checkpoint
+
 CHECKPOINT_MAGIC = "uavmec-mlp v1"
 
 
@@ -135,10 +137,10 @@ def adam_step(adam: AdamState, params: list, grads: list) -> None:
         p -= adam.lr * (m / bias1) / (np.sqrt(v / bias2) + adam.eps)
 
 
-def _write_tensor(lines: list, name: str, tensor: np.ndarray) -> None:
+def _tensor_line(name: str, tensor: np.ndarray) -> str:
     shape = "x".join(str(s) for s in tensor.shape)
     values = " ".join(format(v, ".17g") for v in tensor.reshape(-1))
-    lines.append(f"tensor {name} {shape} {values}")
+    return f"tensor {name} {shape} {values}"
 
 
 def _read_tensor(line: str):
@@ -149,55 +151,36 @@ def _read_tensor(line: str):
 
 
 def save_mlp(nets: list, path: str, metadata: dict | None = None) -> None:
-    """Write one or more networks as self-describing text: dims header, then
-    row-major tensors, full float64 precision."""
-    lines = [CHECKPOINT_MAGIC]
-    for k, v in sorted((metadata or {}).items()):
-        lines.append(f"meta {k}={v}")
-    lines.append(f"agents {len(nets)}")
-    for i, net in enumerate(nets):
-        dims = " ".join(str(d) for d in net.dims)
-        lines.append(f"agent {i} dims {dims}")
+    """Write one or more networks as self-describing text: each agent block
+    holds its dims, then row-major tensors at full float64 precision."""
+    blocks = []
+    for net in nets:
+        body = []
         for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-            _write_tensor(lines, f"w{layer}", w)
-            _write_tensor(lines, f"b{layer}", b)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            body.append(_tensor_line(f"w{layer}", w))
+            body.append(_tensor_line(f"b{layer}", b))
+        blocks.append(("dims " + " ".join(str(d) for d in net.dims), body))
+    write_checkpoint(path, CHECKPOINT_MAGIC, metadata, blocks)
 
 
 def load_mlp(path: str) -> tuple[list, dict]:
     """Read networks saved by save_mlp; returns (networks, metadata)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ValueError(f"not an mlp checkpoint: {path}")
-    meta: dict = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("meta "):
-        k, v = lines[i][5:].split("=", 1)
-        meta[k] = v
-        i += 1
-    if i >= len(lines) or not lines[i].startswith("agents "):
-        raise ValueError(f"malformed mlp checkpoint: {path}")
-    num_agents = int(lines[i].split()[1])
-    i += 1
+    meta, blocks = read_checkpoint(path, CHECKPOINT_MAGIC)
     nets = []
-    for _ in range(num_agents):
-        header = lines[i].split()
-        if header[0] != "agent" or header[2] != "dims":
+    for header, body in blocks:
+        kind, *dims_txt = header.split()
+        dims = [int(d) for d in dims_txt]
+        if kind != "dims" or len(body) != 2 * (len(dims) - 1):
             raise ValueError(f"malformed mlp checkpoint: {path}")
-        dims = [int(d) for d in header[3:]]
-        i += 1
         weights, biases = [], []
         for layer in range(len(dims) - 1):
-            name_w, w = _read_tensor(lines[i])
-            name_b, b = _read_tensor(lines[i + 1])
+            name_w, w = _read_tensor(body[2 * layer])
+            name_b, b = _read_tensor(body[2 * layer + 1])
             if name_w != f"w{layer}" or name_b != f"b{layer}":
                 raise ValueError(f"malformed mlp checkpoint: {path}")
             if w.shape != (dims[layer], dims[layer + 1]) or b.shape != (dims[layer + 1],):
                 raise ValueError(f"tensor shape mismatch in {path}")
             weights.append(w)
             biases.append(b)
-            i += 2
         nets.append(MlpNetwork(dims, weights, biases))
     return nets, meta

@@ -73,15 +73,6 @@ class UnitQueue:
         self.pending.append((task, now, service_time))
         self.free_at = max(self.free_at, now) + service_time
 
-    def pop_next(self) -> tuple | None:
-        if not self.pending:
-            return None
-        return self.pending.popleft()
-
-    @property
-    def idle(self) -> bool:
-        return self.in_service is None
-
     def backlog(self, now: float) -> float:
         """Seconds of work committed ahead of a new arrival at ``now``."""
         return max(self.free_at - now, 0.0)

@@ -68,17 +68,15 @@ class _AgentPipeline:
     resolve.  Transitions are released strictly in decision order.
     """
 
-    def __init__(self, policy, mdp_cfg, terminal_on_end: bool, keep: bool):
+    def __init__(self, policy, mdp_cfg, terminal_on_end: bool):
         self.policy = policy
         self.cfg = mdp_cfg
         self.terminal_on_end = terminal_on_end
-        self.keep = keep
         self.learner = bool(getattr(policy, "wants_transitions", False))
         self.layout = getattr(policy, "state_layout", mdp_cfg.state_layout)
         self.pending: deque = deque()
         self.by_task: dict[int, _Pending] = {}
         self.cumulative_reward = 0.0
-        self.kept: list[Transition] = []
 
     def on_decision(self, snap: NetworkSnapshot, action: int, task_id: int) -> None:
         tier, v_hat, penalty = compute_reward_parts(action, snap, self.cfg)
@@ -131,8 +129,6 @@ class _AgentPipeline:
             if self.learner:
                 t = Transition(head.state, head.action, head.reward, head.next_state, head.terminal)
                 self.policy.ingest(t)
-                if self.keep:
-                    self.kept.append(t)
 
 
 @dataclass
@@ -156,7 +152,6 @@ class EpisodeResult:
     cumulative_reward: list
     placements: list
     events: list | None = None
-    transitions: list | None = None
 
 
 def run_episode(
@@ -165,7 +160,6 @@ def run_episode(
     arrival_seed: int,
     episode_index: int = 0,
     collect_events: bool = True,
-    keep_transitions: bool = False,
 ) -> EpisodeResult:
     """Simulate one episode and return its accounting.
 
@@ -182,10 +176,7 @@ def run_episode(
     tasks = build_task_table(sim, cfg.tasks, arrival_seed, episode_index)
     queues = [UnitQueue(u, sim.unit_is_mec(u)) for u in range(num_units)]
     ledgers = [EnergyLedger(energy_params) for _ in range(num_uavs)]
-    pipelines = [
-        _AgentPipeline(p, cfg.mdp, cfg.rl.terminal_on_episode_end, keep_transitions)
-        for p in policies
-    ]
+    pipelines = [_AgentPipeline(p, cfg.mdp, cfg.rl.terminal_on_episode_end) for p in policies]
     records: dict[int, PlacementRecord] = {}
     events: list | None = [] if collect_events else None
     num_types = len(cfg.tasks)
@@ -356,5 +347,4 @@ def run_episode(
         cumulative_reward=[pipe.cumulative_reward for pipe in pipelines],
         placements=placements,
         events=events,
-        transitions=[pipe.kept for pipe in pipelines] if keep_transitions else None,
     )

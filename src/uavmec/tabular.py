@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RlConfig
 from .exploration import epsilon_greedy
 from .mdp import NetworkSnapshot, Transition, encode_state
@@ -134,51 +135,38 @@ class QlAgent:
 
 def dump_qtable(agents: list[QlAgent], path: str, metadata: dict | None = None) -> None:
     """Write all agents' tables as sorted text: one state key and its Q-row per line."""
-    lines = [QTABLE_MAGIC]
-    for k, v in sorted((metadata or {}).items()):
-        lines.append(f"meta {k}={v}")
-    lines.append(f"agents {len(agents)}")
-    for i, agent in enumerate(agents):
-        lines.append(f"agent {i} actions {agent.num_actions} states {len(agent.table)}")
-        for key in sorted(agent.table):
-            key_txt = ",".join(str(x) for x in key)
-            q_txt = " ".join(format(x, ".17g") for x in agent.table[key])
-            lines.append(f"{key_txt} | {q_txt}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    blocks = []
+    for agent in agents:
+        body = [
+            ",".join(str(x) for x in key) + " | "
+            + " ".join(format(x, ".17g") for x in agent.table[key])
+            for key in sorted(agent.table)
+        ]
+        blocks.append((f"actions {agent.num_actions} states {len(agent.table)}", body))
+    write_checkpoint(path, QTABLE_MAGIC, metadata, blocks)
 
 
 def load_qtable(path: str) -> tuple[list[dict], dict]:
-    """Read a table dump; returns (per-agent dicts, metadata)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != QTABLE_MAGIC:
-        raise ValueError(f"not a q-table checkpoint: {path}")
-    meta: dict = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("meta "):
-        k, v = lines[i][5:].split("=", 1)
-        meta[k] = v
-        i += 1
-    if i >= len(lines) or not lines[i].startswith("agents "):
-        raise ValueError(f"malformed q-table checkpoint: {path}")
-    num_agents = int(lines[i].split()[1])
-    i += 1
+    """Read a table dump; returns (per-agent dicts, metadata).
+
+    Every row of a table holds the agent's stored action count.
+    """
+    meta, blocks = read_checkpoint(path, QTABLE_MAGIC)
     tables: list[dict] = []
-    for _ in range(num_agents):
-        header = lines[i].split()
-        if header[0] != "agent":
+    for header, body in blocks:
+        fields = header.split()
+        if len(fields) != 4 or fields[0] != "actions" or fields[2] != "states":
             raise ValueError(f"malformed q-table checkpoint: {path}")
-        num_actions, num_states = int(header[3]), int(header[5])
-        i += 1
+        num_actions, num_states = int(fields[1]), int(fields[3])
+        if len(body) != num_states:
+            raise ValueError(f"q-table declares {num_states} states, holds {len(body)}: {path}")
         table: dict = {}
-        for _ in range(num_states):
-            key_txt, q_txt = lines[i].split(" | ")
+        for line in body:
+            key_txt, q_txt = line.split(" | ")
             key = tuple(int(x) for x in key_txt.split(","))
             row = np.array([float(x) for x in q_txt.split()], dtype=np.float64)
             if row.size != num_actions:
                 raise ValueError(f"malformed q-table row in {path}")
             table[key] = row
-            i += 1
         tables.append(table)
     return tables, meta

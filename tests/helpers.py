@@ -9,12 +9,17 @@ oracle for the violation flags and the battery levels.
 replay memory and batch step, kept unchanged: a list of ``Transition``
 objects, batches assembled with ``np.stack`` and list comprehensions.  They
 are the oracle for the column-array ring in ``uavmec.deep``.
+
+``snapshot_is_sane`` and ``plateau_threshold`` are structural and
+convergence oracles that only tests use.
 """
+
+import math
 
 import numpy as np
 
 from uavmec.config import AppConfig
-from uavmec.mdp import Transition
+from uavmec.mdp import NetworkSnapshot, Transition
 from uavmec.nnet import AdamState, MlpNetwork, adam_step, forward, loss_and_grads
 from uavmec.simulation import EpisodeResult, TASK_ARRIVAL, TASK_COMPLETE, TASK_START
 
@@ -158,3 +163,30 @@ def train_batch(
     loss, grads = loss_and_grads(net, states, actions, targets)
     adam_step(adam, net.parameters(), grads)
     return loss
+
+
+def snapshot_is_sane(snap: NetworkSnapshot) -> bool:
+    """Structural check of a decision snapshot: per-unit tuples agree in
+    length, the deciding UAV is a UAV with no transfer delay to itself, delays
+    are non-negative and every MEC carries the infinite battery sentinel."""
+    n = snap.num_units
+    if not (len(snap.unit_batteries) == len(snap.transfer_delays) == len(snap.proc_times) == n):
+        return False
+    if not 0 <= snap.deciding_uav < snap.num_uavs <= n:
+        return False
+    if snap.transfer_delays[snap.deciding_uav] != 0.0:
+        return False
+    if any(d < 0 for d in snap.unit_delays):
+        return False
+    return all(math.isinf(snap.unit_batteries[u]) for u in range(snap.num_uavs, n))
+
+
+def plateau_threshold(smoothed, fraction: float = 0.9, tail_fraction: float = 0.1) -> float:
+    """Threshold at ``fraction`` of the climb from the initial level to the
+    final plateau (mean of the last ``tail_fraction`` of points)."""
+    if not smoothed:
+        raise ValueError("empty series")
+    tail = max(1, int(len(smoothed) * tail_fraction))
+    plateau = float(np.mean(smoothed[-tail:]))
+    start = float(smoothed[0])
+    return start + fraction * (plateau - start)

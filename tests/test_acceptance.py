@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from helpers import replay_battery, replay_delays
+from helpers import plateau_threshold, replay_battery, replay_delays
 from test_nnet import draw_clear_batch, numerical_grads
 
 from uavmec.arrivals import arrival_rng, generate_arrivals
@@ -25,12 +25,11 @@ from uavmec.config import load_config
 from uavmec.energy import MEC_BATTERY_SENTINEL
 from uavmec.exploration import epsilon_greedy
 from uavmec.harness import arrival_seed, make_policies, train_policy
-from uavmec.mdp import NetworkSnapshot, compute_reward
+from uavmec.mdp import NetworkSnapshot, assemble_reward, compute_reward_parts
 from uavmec.metrics import (
     convergence_episode,
     metrics_from_episodes,
     moving_average,
-    plateau_threshold,
 )
 from uavmec.nnet import init_mlp, loss_and_grads
 from uavmec.queues import check_violation
@@ -136,13 +135,14 @@ def test_reward_covers_every_tier_and_penalty_branch():
             expected = (tier_value - 1.0) + (0.0 if violated else 1.0)
             if violated:
                 expected += penalty
-            got = compute_reward(action, snap(batteries, delays), mdp_cfg)
+            got = assemble_reward(*compute_reward_parts(action, snap(batteries, delays), mdp_cfg))
             assert got == expected, (tier_name, case_name, got, expected)
             checked += 1
     assert checked == 15
 
     # Offloading to the grid-powered unit always earns the top tier.
-    mec_pick = compute_reward(3, snap([0.2, 0.9, 0.9], (0.2, 0.2, 0.2, 0.2)), mdp_cfg)
+    mec_snap = snap([0.2, 0.9, 0.9], (0.2, 0.2, 0.2, 0.2))
+    mec_pick = assemble_reward(*compute_reward_parts(3, mec_snap, mdp_cfg))
     assert mec_pick == 2.0
     assert time.monotonic() - t0 < 1.0
 

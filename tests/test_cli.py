@@ -3,6 +3,9 @@ import csv
 import pytest
 
 from uavmec.cli import main
+from uavmec.config import load_config
+from uavmec.harness import load_policies
+from uavmec.nnet import load_mlp
 
 # A deliberately tiny experiment so every CLI path runs in well under a
 # second: short episodes, small fleet, small network, minimal budgets.
@@ -103,6 +106,21 @@ def test_train_is_deterministic(tiny_config, tmp_path, monkeypatch):
     assert (outs[0] / "dql.ckpt").read_bytes() == (outs[1] / "dql.ckpt").read_bytes()
 
 
+def test_train_writes_periodic_checkpoints(tiny_config, tmp_path, monkeypatch):
+    monkeypatch.setenv("UAVMEC_EXPERIMENT__CHECKPOINT_EVERY", "2")
+    out = tmp_path / "out"
+    assert run([
+        "train", "--policy", "dql", "--config", tiny_config, "--out", str(out),
+        "--episodes", "5", "--quiet",
+    ]) == 0
+    assert sorted(p.name for p in out.glob("*.ckpt")) == ["dql.ckpt", "dql_ep2.ckpt", "dql_ep4.ckpt"]
+    cfg = load_config(tiny_config)
+    for episodes in (2, 4):
+        path = str(out / f"dql_ep{episodes}.ckpt")
+        assert len(load_policies("dql", cfg, path, 1, 0)) == cfg.sim.num_uavs
+        assert load_mlp(path)[1]["episodes_trained"] == str(episodes)
+
+
 def test_train_rejects_heuristic_policy(tiny_config, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["train", "--policy", "rr", "--config", tiny_config, "--out", str(tmp_path / "o")])
@@ -175,6 +193,21 @@ def test_evaluate_trained_learner(tiny_config, tmp_path):
     assert rc == 0
     meta, _, rows = read_report(out / "summary.csv")
     assert rows[0][0] == "qlearning"
+
+
+def test_evaluate_refuses_a_qtable_of_another_network(tiny_config, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert run([
+        "train", "--policy", "qlearning", "--config", tiny_config, "--out", str(out), "--quiet"
+    ]) == 0
+    # Same UAVs, one more MEC: every stored row and key is one entry short.
+    monkeypatch.setenv("UAVMEC_SIM__NUM_MECS", "2")
+    rc = run([
+        "evaluate", "--policy", "qlearning", "--config", tiny_config,
+        "--out", str(tmp_path / "eval"), "--checkpoint", str(out / "qlearning.ckpt"), "--seeds", "1",
+    ])
+    assert rc == 1
+    assert "checkpoint q-table has 3 actions" in capsys.readouterr().err
 
 
 def test_evaluate_placements_log(tiny_config, tmp_path):
@@ -270,15 +303,24 @@ def test_compare_summary_does_not_depend_on_out_dir(tiny_config, tmp_path):
 def test_compare_with_two_workers_writes_the_same_bytes(tiny_config, tmp_path, monkeypatch):
     for workers in ("1", "2"):
         monkeypatch.setenv("UAVMEC_EXPERIMENT__WORKERS", workers)
+        out = tmp_path / workers
         assert run([
             "compare", "--policies", "rr,hef,qlearning,dql", "--config", tiny_config,
-            "--out", str(tmp_path / workers), "--seeds", "2", "--quiet",
+            "--out", str(out), "--seeds", "2", "--quiet",
         ]) == 0
-    names = sorted(p.name for p in (tmp_path / "1").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
-    assert "summary.csv" in names and "dql.ckpt" in names
-    for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+        # evaluate runs its seeds through the same worker pool.
+        assert run([
+            "evaluate", "--policy", "qlearning", "--config", tiny_config, "--out",
+            str(out / "evaluate"), "--checkpoint", str(out / "qlearning.ckpt"), "--seeds", "3",
+        ]) == 0
+    one, two = (
+        {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        for root in (tmp_path / "1", tmp_path / "2")
+    )
+    assert {"summary.csv", "dql.ckpt", "evaluate/summary.csv"} <= set(one)
+    assert sorted(one) == sorted(two)
+    for name in one:
+        assert one[name] == two[name], name
 
 
 def test_compare_reuses_checkpoint(tiny_config, tmp_path):
@@ -353,6 +395,20 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     rc = run(["evaluate", "--policy", "rr", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, value", [
+    ("UAVMEC_SIM__SEED", "abc"),
+    ("UAVMEC_SIM__NUM_UAVS", "abc"),
+    ("UAVMEC_RL__HIDDEN_SIZES", "32"),
+    ("UAVMEC_RL__TARGET_NETWORK", "abc"),
+    ("UAVMEC_SIM__NUM_UAVS", "true"),
+])
+def test_badly_typed_config_value_exits_2(tiny_config, tmp_path, monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    rc = run(["evaluate", "--policy", "rr", "--config", tiny_config, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "must be of type" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

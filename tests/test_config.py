@@ -132,9 +132,12 @@ def test_env_values_parse_as_yaml_scalars():
         "UAVMEC_MDP__DEFERRED_REWARD": "true",
         "UAVMEC_SIM__EPISODE_DURATION": "5.5",
         "UAVMEC_EXPERIMENT__OUT_DIR": "elsewhere",
+        "UAVMEC_ENERGY__POWER_SCALE": "2",
     }
     cfg = load_config(env=env)
     assert cfg.mdp.deferred_reward is True
+    # An int is a valid float and is kept as given.
+    assert cfg.energy.power_scale == 2 and type(cfg.energy.power_scale) is int
     assert cfg.sim.episode_duration == 5.5
     assert cfg.experiment.out_dir == "elsewhere"
 
@@ -197,6 +200,19 @@ tasks:
 """,
     )
     with pytest.raises(ConfigError, match=r"unknown config key: tasks\[0\]\.color"):
+        load_config(path, env={})
+    path = write_yaml(
+        tmp_path,
+        """
+tasks:
+  - name: broken
+    mean_interarrival: 1.0
+    deadline: soon
+    proc_time_uav: 0.5
+    proc_time_mec: 0.2
+""",
+    )
+    with pytest.raises(ConfigError, match=r"tasks\[0\]\.deadline must be of type float"):
         load_config(path, env={})
 
 

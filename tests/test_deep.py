@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 import helpers as oracle
 from uavmec.config import RlConfig
-from uavmec.deep import DqlAgent, ReplayBuffer, dql_act, train_batch
-from uavmec.mdp import Transition
+from uavmec.deep import DqlAgent, ReplayBuffer, train_batch
+from uavmec.mdp import NetworkSnapshot, Transition, encode_state, type_code
 from uavmec.nnet import AdamState, MlpNetwork, forward, init_mlp
 
 
@@ -188,22 +189,44 @@ def test_bootstrap_uses_target_network_when_given():
     assert loss == pytest.approx(3.0**2)
 
 
+def make_snapshot():
+    """A fire-task decision of uav0 in a 4-UAV + 1-MEC network (10-wide state)."""
+    return NetworkSnapshot(
+        deciding_uav=0,
+        task_type=0,
+        type_code=type_code(0, 3),
+        unit_delays=(0.1, 0.1, 0.1, 0.1, 0.05),
+        unit_batteries=(1.0, 1.0, 1.0, 1.0, math.inf),
+        transfer_delays=(0.0, 0.015, 0.015, 0.015, 0.015),
+        proc_times=(0.1, 0.1, 0.1, 0.1, 0.05),
+        iot_delay=0.01,
+        deadline=0.3,
+        busy_frac_per_sec=0.0042105,
+        num_uavs=4,
+    )
+
+
+def agent_acting_with(net, epsilon, seed):
+    agent = DqlAgent(net.dims[0], net.dims[-1], small_rl(), np.random.default_rng(seed))
+    agent.net = net
+    agent.epsilon = epsilon
+    return agent
+
+
 def test_dql_act_examples():
-    net = zero_net([5, 5])
+    net = zero_net([10, 5])
     net.biases[0][:] = [0.1, 0.9, 0.2, 0.0, 0.3]
-    rng = np.random.default_rng(0)
-    assert dql_act(net, np.zeros(5), 0.0, rng) == 1
-    all_zero = zero_net([5, 5])
-    assert dql_act(all_zero, np.zeros(5), 0.0, rng) == 0
+    assert agent_acting_with(net, 0.0, 0).select(make_snapshot()) == 1
+    assert agent_acting_with(zero_net([10, 5]), 0.0, 0).select(make_snapshot()) == 0
 
 
 def test_dql_act_fixed_seed_reproducible():
-    rng_a = np.random.default_rng(11)
-    rng_b = np.random.default_rng(11)
-    net = zero_net([3, 4])
-    picks_a = [dql_act(net, np.zeros(3), 0.7, rng_a) for _ in range(50)]
-    picks_b = [dql_act(net, np.zeros(3), 0.7, rng_b) for _ in range(50)]
+    agent_a = agent_acting_with(zero_net([10, 4]), 0.7, 11)
+    agent_b = agent_acting_with(zero_net([10, 4]), 0.7, 11)
+    picks_a = [agent_a.select(make_snapshot()) for _ in range(50)]
+    picks_b = [agent_b.select(make_snapshot()) for _ in range(50)]
     assert picks_a == picks_b
+    assert len(set(picks_a)) > 1  # exploration drew more than the greedy pick
 
 
 def small_rl(batch_size=4, target_network=False, target_sync_every=3):
@@ -262,27 +285,9 @@ def test_agent_without_target_network_has_none():
 
 
 def test_agent_select_uses_current_network():
-    rl = small_rl()
-    agent = DqlAgent(10, 5, rl, np.random.default_rng(3))
-    from uavmec.mdp import NetworkSnapshot, type_code
-    import math
-
-    snap = NetworkSnapshot(
-        deciding_uav=0,
-        task_type=0,
-        type_code=type_code(0, 3),
-        unit_delays=(0.1, 0.1, 0.1, 0.1, 0.05),
-        unit_batteries=(1.0, 1.0, 1.0, 1.0, math.inf),
-        transfer_delays=(0.0, 0.015, 0.015, 0.015, 0.015),
-        proc_times=(0.1, 0.1, 0.1, 0.1, 0.05),
-        iot_delay=0.01,
-        deadline=0.3,
-        busy_frac_per_sec=0.0042105,
-        num_uavs=4,
-    )
+    agent = DqlAgent(10, 5, small_rl(), np.random.default_rng(3))
     agent.epsilon = 0.0
+    snap = make_snapshot()
     choice = agent.select(snap)
-    from uavmec.mdp import encode_state
-
     q = forward(agent.net, encode_state(snap))
     assert choice == int(np.argmax(q))

@@ -7,7 +7,6 @@ from uavmec.config import EnergyParams
 from uavmec.energy import (
     MEC_BATTERY_SENTINEL,
     EnergyLedger,
-    hypothetical_battery_after,
     remaining_battery,
     remaining_battery_fraction,
 )
@@ -54,21 +53,15 @@ def test_depleted_battery_reports_negative():
     assert remaining_battery_fraction(ledger) < 0
 
 
-def test_hypothetical_zero_extra_changes_nothing():
-    ledger = make_ledger(elapsed=200.0, busy=[(0.0, 30.0)])
-    assert hypothetical_battery_after(ledger, 0.0) == remaining_battery(ledger)
-
-
-def test_hypothetical_matches_realized_busy_interval():
-    # Charging 36 s hypothetically must equal having logged the interval.
-    idle = make_ledger(elapsed=360.0)
-    assert hypothetical_battery_after(idle, 36.0) == pytest.approx(28.8, rel=1e-12)
-    assert remaining_battery(idle) == pytest.approx(115.2, rel=1e-12)  # unmodified
-
-
-def test_hypothetical_rejects_negative_extra():
-    with pytest.raises(ValueError):
-        hypothetical_battery_after(make_ledger(), -1.0)
+def test_busy_interval_logged_after_the_fact_charges_only_its_surcharge():
+    # An interval logged once elapsed time has passed it leaves the elapsed
+    # drain alone and adds its CPU surcharge: 115.2 - 8640 * 0.01 h.
+    ledger = make_ledger(elapsed=360.0)
+    assert remaining_battery(ledger) == pytest.approx(115.2, rel=1e-12)
+    ledger.open_busy(100.0)
+    ledger.close_busy(136.0)
+    assert ledger.elapsed == 360.0
+    assert remaining_battery(ledger) == pytest.approx(28.8, rel=1e-12)
 
 
 def test_mec_sentinel_is_positive_infinity():
@@ -98,18 +91,6 @@ def test_ledger_guards():
     ledger.close_busy(6.0)
     with pytest.raises(ValueError):
         ledger.close_busy(7.0)
-
-
-def test_copy_is_independent():
-    ledger = make_ledger(elapsed=100.0, busy=[(0.0, 10.0)])
-    dup = ledger.copy()
-    dup.open_busy(50.0)
-    dup.close_busy(60.0)
-    dup.advance(200.0)
-    assert remaining_battery(ledger) == pytest.approx(
-        570.0 - ((211 + 17 + 4320) * 100.0 + (12960 - 4320) * 10.0) / 3600.0
-    )
-    assert remaining_battery(dup) < remaining_battery(ledger)
 
 
 def test_monotone_in_elapsed_and_busy_time():

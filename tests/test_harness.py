@@ -10,7 +10,6 @@ from uavmec.harness import (
     checkpoint_kind,
     derive_seed,
     evaluate_many,
-    evaluate_policy,
     inspect_checkpoint,
     load_policies,
     make_policies,
@@ -21,6 +20,11 @@ from uavmec.heuristics import HefPolicy, QhefPolicy, RoundRobinPolicy
 from uavmec.metrics import metrics_from_episodes
 from uavmec.simulation import run_episode
 from uavmec.tabular import QlAgent
+
+
+def evaluate(cfg, policy, seed_indices, checkpoint=None):
+    """One policy's greedy evaluation under master seed 1, one episode per seed."""
+    return evaluate_many(cfg, [(policy, 1, s, 1, checkpoint) for s in seed_indices])
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -125,6 +129,17 @@ def test_checkpoint_agent_count_mismatch(desk_cfg, tmp_path):
         load_policies("qlearning", desk_cfg, str(path), 1, 0)
 
 
+def test_truncated_checkpoint_is_refused(desk_cfg, tmp_path):
+    for policy in ("qlearning", "dql"):
+        agents, _ = train_policy(desk_cfg, policy, 2, master_seed=1)
+        path = tmp_path / f"{policy}.ckpt"
+        save_checkpoint(policy, agents, path, desk_cfg, 1, 2)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError):
+            load_policies(policy, desk_cfg, str(path), 1, 0)
+
+
 def test_checkpoint_kind_rejects_other_files(tmp_path):
     path = tmp_path / "nonsense.ckpt"
     path.write_text("hello\n")
@@ -144,15 +159,15 @@ def test_inspect_checkpoint_summarizes(desk_cfg, tmp_path):
 
 
 def test_evaluate_policy_is_deterministic_and_paired(desk_cfg):
-    runs_a = evaluate_policy(desk_cfg, "rr", 1, range(3))
-    runs_b = evaluate_policy(desk_cfg, "rr", 1, range(3))
+    runs_a = evaluate(desk_cfg, "rr", range(3))
+    runs_b = evaluate(desk_cfg, "rr", range(3))
     assert len(runs_a) == 3
     for a, b in zip(runs_a, runs_b):
         assert a.battery_fraction == b.battery_fraction
         assert a.violations_by_unit == b.violations_by_unit
         assert a.total_tasks == b.total_tasks
     # Identical workloads across policies: same generated task counts per seed.
-    runs_c = evaluate_policy(desk_cfg, "qhef", 1, range(3))
+    runs_c = evaluate(desk_cfg, "qhef", range(3))
     for a, c in zip(runs_a, runs_c):
         assert a.total_tasks == c.total_tasks
 
@@ -182,7 +197,7 @@ def test_evaluation_parses_each_checkpoint_once(desk_cfg, tmp_path, monkeypatch)
         return original(p)
 
     monkeypatch.setattr(harness, "load_qtable", counting_load)
-    runs = evaluate_policy(desk_cfg, "qlearning", 1, range(3), checkpoint=str(path))
+    runs = evaluate(desk_cfg, "qlearning", range(3), checkpoint=str(path))
     assert len(parses) == 1
     jobs = [(p, 1, s, 1, str(path) if p == "qlearning" else None)
             for p in ("qlearning", "rr") for s in range(2)]
@@ -201,8 +216,8 @@ def test_evaluation_reads_a_rewritten_checkpoint(desk_cfg, tmp_path):
     for master in (1, 2):
         agents, _ = train_policy(desk_cfg, "qlearning", 3, master_seed=master)
         save_checkpoint("qlearning", agents, path, desk_cfg, master, 3)
-        runs.append(evaluate_policy(desk_cfg, "qlearning", 1, range(2), checkpoint=str(path)))
+        runs.append(evaluate(desk_cfg, "qlearning", range(2), checkpoint=str(path)))
     assert runs[0] != runs[1]  # the two checkpoints act differently
     copy = tmp_path / "copy.ckpt"
     copy.write_bytes(path.read_bytes())
-    assert runs[1] == evaluate_policy(desk_cfg, "qlearning", 1, range(2), checkpoint=str(copy))
+    assert runs[1] == evaluate(desk_cfg, "qlearning", range(2), checkpoint=str(copy))

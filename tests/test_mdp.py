@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from uavmec.config import MdpConfig
+from helpers import snapshot_is_sane
 from uavmec.mdp import (
     NetworkSnapshot,
     assemble_reward,
     battery_tier,
-    compute_reward,
     compute_reward_parts,
     counterfactual_violation,
     encode_state,
-    snapshot_is_sane,
     state_width,
     type_code,
     violation_penalty,
@@ -59,6 +58,11 @@ def make_snapshot(
 
 
 CFG = MdpConfig()
+
+
+def reward(action, snap):
+    """The shaped reward of one decision, as the kernel assembles it."""
+    return assemble_reward(*compute_reward_parts(action, snap, CFG))
 
 
 def test_type_code_values():
@@ -131,7 +135,7 @@ def test_reward_clean_local_on_full_battery():
     snap = make_snapshot()
     # Local placement, everyone at 1.0: expected battery dips only by the
     # service surcharge, within the threshold, so top tier; no violation.
-    assert compute_reward(0, snap, CFG) == pytest.approx(2.0)
+    assert reward(0, snap) == pytest.approx(2.0)
 
 
 def test_reward_mec_clean_but_violated_choice():
@@ -140,7 +144,7 @@ def test_reward_mec_clean_but_violated_choice():
     tier, v_hat, penalty = compute_reward_parts(1, snap, CFG)
     assert v_hat is True
     assert penalty == -40.0
-    got = compute_reward(1, snap, CFG)
+    got = reward(1, snap)
     assert got == assemble_reward(tier, v_hat, penalty)
     # tier is top (all batteries equal): (2-1) + 0 + (-40) = -39
     assert got == pytest.approx(-39.0)
@@ -157,7 +161,7 @@ def test_reward_unavoidable_miss_on_lowest_battery():
     assert tier == 0.0
     assert v_hat is True
     assert penalty == -1.0
-    assert compute_reward(0, snap, CFG) == pytest.approx(-2.0)
+    assert reward(0, snap) == pytest.approx(-2.0)
 
 
 def test_reward_range_under_random_snapshots():
@@ -172,7 +176,7 @@ def test_reward_range_under_random_snapshots():
             batteries=tuple(float(rng.uniform(0, 1)) for _ in range(4)),
         )
         for action in range(5):
-            r = compute_reward(action, snap, CFG)
+            r = reward(action, snap)
             assert lo <= r <= hi
 
 
@@ -191,7 +195,7 @@ def test_penalty_branches_are_exclusive_and_gated():
         # The penalty only enters the reward when the placement is predicted
         # to violate.
         if not v_hat:
-            assert compute_reward(action, snap, CFG) == pytest.approx(tier)
+            assert reward(action, snap) == pytest.approx(tier)
         # Exactly one ladder branch fires: rebuild it independently.
         mec_clean = any(
             not counterfactual_violation(snap, u) for u in range(4, 5)
@@ -217,10 +221,10 @@ def test_mec_action_never_rewarded_below_clean_local():
     # the MEC always earns the top tier.
     for batteries in [(1.0, 1.0, 1.0, 1.0), (0.3, 0.9, 0.5, 0.7)]:
         snap = make_snapshot(batteries=batteries)
-        r_mec = compute_reward(4, snap, CFG)
+        r_mec = reward(4, snap)
         assert r_mec == pytest.approx(2.0)
         for action in range(4):
-            assert compute_reward(action, snap, CFG) <= r_mec + 1e-12
+            assert reward(action, snap) <= r_mec + 1e-12
 
 
 def test_battery_tier_default_threshold_regions():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import plateau_threshold
 from uavmec.metrics import (
     RunMetrics,
     convergence_episode,
@@ -8,7 +9,6 @@ from uavmec.metrics import (
     metrics_from_episodes,
     moving_average,
     objective_value,
-    plateau_threshold,
     run_objective,
     violation_distribution,
     write_battery_csv,
@@ -171,7 +171,6 @@ def test_metrics_from_episodes_aggregates():
             cumulative_reward=list(reward),
             placements=[],
             events=[],
-            transitions=[],
         )
 
     eps = [

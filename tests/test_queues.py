@@ -35,7 +35,7 @@ def make_record(**overrides):
 def test_idle_unit_has_zero_backlog():
     q = UnitQueue(unit_id=0, is_mec=False)
     assert q.backlog(now=5.0) == 0.0
-    assert q.idle
+    assert q.in_service is None
 
 
 def test_backlog_counts_committed_service():
@@ -139,13 +139,7 @@ def test_fifo_pop_order():
     q = UnitQueue(unit_id=0, is_mec=False)
     for i in range(3):
         q.enqueue(make_task(task_id=i), now=float(i), service_time=0.1)
-    ids = []
-    while True:
-        item = q.pop_next()
-        if item is None:
-            break
-        ids.append(item[0].task_id)
-    assert ids == [0, 1, 2]
+    assert [task.task_id for task, _, _ in q.pending] == [0, 1, 2]
 
 
 def test_free_at_never_runs_backwards():

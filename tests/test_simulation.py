@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import assert_fifo_work_conserving, replay_battery, replay_delays
+from helpers import assert_fifo_work_conserving, replay_battery, replay_delays, snapshot_is_sane
 from uavmec.heuristics import HefPolicy, RoundRobinPolicy
-from uavmec.mdp import (
-    assemble_reward,
-    compute_reward_parts,
-    snapshot_is_sane,
-)
+from uavmec.mdp import assemble_reward, compute_reward_parts
 from uavmec.simulation import (
     EPISODE_END,
     TASK_ARRIVAL,
@@ -249,13 +245,12 @@ def test_numpy_integer_actions_accepted(cfg):
 
 def test_learner_transitions_chain_and_sum_to_reward(desk_cfg):
     learners = [CollectingLearner() for _ in range(desk_cfg.sim.num_uavs)]
-    r = run_episode(desk_cfg, learners, arrival_seed=13, keep_transitions=True)
+    r = run_episode(desk_cfg, learners, arrival_seed=13)
     decisions = [0] * desk_cfg.sim.num_uavs
     for rec in r.placements:
         decisions[rec.origin_uav] += 1
     for uav, learner in enumerate(learners):
-        kept = r.transitions[uav]
-        assert [t.reward for t in kept] == [t.reward for t in learner.ingested]
+        kept = learner.ingested
         # Default mode keeps every decision, marking the last one terminal.
         assert len(kept) == decisions[uav]
         for t_now, t_next in zip(kept, kept[1:]):
@@ -269,12 +264,12 @@ def test_learner_transitions_chain_and_sum_to_reward(desk_cfg):
 def test_tail_transition_dropped_without_terminal_flag(desk_cfg):
     desk_cfg.rl.terminal_on_episode_end = False
     learners = [CollectingLearner() for _ in range(desk_cfg.sim.num_uavs)]
-    r = run_episode(desk_cfg, learners, arrival_seed=13, keep_transitions=True)
+    r = run_episode(desk_cfg, learners, arrival_seed=13)
     decisions = [0] * desk_cfg.sim.num_uavs
     for rec in r.placements:
         decisions[rec.origin_uav] += 1
-    for uav in range(desk_cfg.sim.num_uavs):
-        kept = r.transitions[uav]
+    for uav, learner in enumerate(learners):
+        kept = learner.ingested
         assert len(kept) == decisions[uav] - 1
         assert all(not t.terminal for t in kept)
         # The dropped decision's reward still counted.
@@ -324,5 +319,4 @@ def test_decision_snapshots_are_sane(cfg):
 def test_event_collection_is_optional(cfg):
     r = run_episode(cfg, rr_policies(cfg), arrival_seed=17, collect_events=False)
     assert r.events is None
-    assert r.transitions is None
     assert r.tasks_generated > 0
