@@ -20,13 +20,19 @@ def arrival_rng(seed: int, episode: int, uav: int, type_id: int) -> np.random.Ge
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskInstance:
-    """One sensed task travelling through the network.
+    """One sensed task and, once the kernel has run it, its whole lifecycle.
 
     ``emission_time`` is when the IoT sensor produced it; it reaches its origin
-    UAV ``iot_delay`` later.  ``deadline_abs`` is absolute: emission plus the
-    class deadline.
+    UAV at ``arrival_time``.  ``deadline_abs`` is emission plus the class
+    deadline.  Times are absolute simulation seconds, delays relative.  The
+    other fields stay None until set: ``chosen_unit``, ``transfer_delay`` to it
+    and ``predicted_delay`` (its queue + service estimate) at the decision;
+    ``enqueue_time`` and ``service_time`` at the enqueue, so a task still
+    queued at the horizon carries its service time; ``start_time`` and
+    ``queue_wait`` at the start; ``finish_time`` at the completion; and
+    ``violated`` then, or at the horizon by the censoring rule.
     """
 
     task_id: int
@@ -35,6 +41,19 @@ class TaskInstance:
     emission_time: float
     arrival_time: float
     deadline_abs: float
+    chosen_unit: int | None = None
+    transfer_delay: float | None = None
+    predicted_delay: float | None = None
+    enqueue_time: float | None = None
+    start_time: float | None = None
+    finish_time: float | None = None
+    queue_wait: float | None = None
+    service_time: float | None = None
+    violated: bool | None = None
+
+    @property
+    def completed(self) -> bool:
+        return self.finish_time is not None
 
     def __post_init__(self):
         if self.deadline_abs <= self.emission_time:

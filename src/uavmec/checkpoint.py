@@ -7,7 +7,8 @@
 
 A format is its magic line plus what its agent headers and bodies hold;
 ``tabular`` and ``nnet`` read and write those.  No body line may begin with
-``agent ``, since that starts the next block.
+``agent ``, since that starts the next block.  The file always ends with a
+newline, so a file cut inside its last line is refused as truncated.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ def read_magic(path) -> str:
 def read_checkpoint(path, magic: str) -> tuple[dict, list]:
     """(metadata, one ``(header, body lines)`` pair per agent) of a ``magic`` file."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     if not lines or lines[0] != magic:
         raise ValueError(f"not a {magic} checkpoint: {path}")
+    if not text.endswith("\n"):
+        raise ValueError(f"truncated checkpoint, no final newline: {path}")
     meta: dict = {}
     i = 1
     while i < len(lines) and lines[i].startswith("meta "):

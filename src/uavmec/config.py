@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 import yaml
@@ -221,20 +222,32 @@ _SECTIONS = {
     "experiment": ExperimentConfig,
 }
 
-_TUPLE_FIELDS = {"hidden_sizes", "tier_values", "policies"}
+# Tuple field -> the annotation every one of its entries must satisfy.
+_TUPLE_ENTRY_TYPES = {"hidden_sizes": "int", "tier_values": "float", "policies": "str"}
 
 # Field annotation -> the value types it accepts.  An int is a valid float and
 # is stored as given, so a file that writes ``60`` keeps its config hash.
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "tuple": tuple}
 
 
+def _check_value(where: str, kind: str, value) -> None:
+    # A bool is an int to Python, but never a valid count or quantity here.
+    if not isinstance(value, _FIELD_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+        raise ConfigError(f"{where} must be of type {kind}, got {value!r}")
+    # Also false for NaN, and for an int beyond the float range.
+    if kind == "float" and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
 def _check_type(where: str, f: dataclasses.Field, value) -> None:
-    """Reject a value of the wrong type; ``object`` fields are left to validate_config."""
+    """Reject a value of the wrong type, a non-finite float or a mistyped tuple
+    entry; ``object`` fields are left to validate_config."""
     if f.type == "object":
         return
-    # A bool is an int to Python, but never a valid count or quantity here.
-    if not isinstance(value, _FIELD_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
-        raise ConfigError(f"{where} must be of type {f.type}, got {value!r}")
+    _check_value(where, f.type, value)
+    if f.name in _TUPLE_ENTRY_TYPES:
+        for i, entry in enumerate(value):
+            _check_value(f"{where}[{i}]", _TUPLE_ENTRY_TYPES[f.name], entry)
 
 
 def _apply_section(obj, section: str, data: dict) -> None:
@@ -242,7 +255,7 @@ def _apply_section(obj, section: str, data: dict) -> None:
     for key, value in data.items():
         if key not in fields:
             raise ConfigError(f"unknown config key: {section}.{key}")
-        if key in _TUPLE_FIELDS and isinstance(value, list):
+        if key in _TUPLE_ENTRY_TYPES and isinstance(value, list):
             value = tuple(value)
         _check_type(f"{section}.{key}", fields[key], value)
         setattr(obj, key, value)
@@ -297,8 +310,9 @@ def validate_config(cfg: AppConfig) -> None:
     if not 0.0 <= sim.objective_weight_w <= 1.0:
         raise ConfigError("sim.objective_weight_w must be in [0, 1]")
     theta = sim.violation_scale_theta
-    if theta != "total_tasks" and not (isinstance(theta, (int, float)) and theta > 0):
-        raise ConfigError("sim.violation_scale_theta must be 'total_tasks' or a positive number")
+    # type() rather than isinstance(): a bool is no scale.
+    if theta != "total_tasks" and not (type(theta) in (int, float) and 0 < theta <= sys.float_info.max):
+        raise ConfigError("sim.violation_scale_theta must be 'total_tasks' or a finite number > 0")
     if en.battery_capacity_wh <= 0:
         raise ConfigError("energy.battery_capacity_wh must be > 0")
     if en.cpu_idle_power_w < 0 or en.cpu_busy_power_w < en.cpu_idle_power_w:

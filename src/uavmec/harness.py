@@ -78,6 +78,15 @@ def make_policies(policy: str, cfg: AppConfig, master_seed: int, seed_index: int
 # --- checkpoints -----------------------------------------------------------
 
 
+def _input_meta(policy: str, agents: list) -> dict:
+    """What a learner's models were fitted to: the state layout, and for a
+    q-table the discretization grid."""
+    meta = {"state_layout": agents[0].state_layout}
+    if policy == "qlearning":
+        meta.update(agents[0].grid.meta)
+    return meta
+
+
 def save_checkpoint(policy: str, agents: list, path, cfg: AppConfig,
                     master_seed: int, episodes: int) -> None:
     meta = {
@@ -85,7 +94,7 @@ def save_checkpoint(policy: str, agents: list, path, cfg: AppConfig,
         "config_hash": config_hash(cfg),
         "master_seed": master_seed,
         "episodes_trained": episodes,
-        "state_layout": getattr(agents[0], "state_layout", cfg.mdp.state_layout),
+        **_input_meta(policy, agents),
     }
     if policy == "qlearning":
         dump_qtable(agents, str(path), meta)
@@ -125,6 +134,11 @@ def _frozen_learners(policy: str, cfg: AppConfig, parsed: tuple, master_seed: in
     """
     models, meta = parsed
     agents = make_policies(policy, cfg, master_seed, seed_index)
+    for key, value in _input_meta(policy, agents).items():
+        if meta.get(key) != str(value):
+            raise ValueError(
+                f"checkpoint {key} is {meta.get(key, 'missing')}, config expects {value}"
+            )
     if len(models) != len(agents):
         raise ValueError(f"checkpoint holds {len(models)} agents, config expects {len(agents)}")
     if policy == "qlearning":
@@ -142,14 +156,12 @@ def _frozen_learners(policy: str, cfg: AppConfig, parsed: tuple, master_seed: in
                 break
             agent.table = table
     else:
-        layout = meta.get("state_layout", cfg.mdp.state_layout)
         for agent, net in zip(agents, models):
             if net.dims != agent.net.dims:
                 raise ValueError(
                     f"checkpoint network dims {net.dims} do not match config {agent.net.dims}"
                 )
             agent.net = net
-            agent.state_layout = layout
     for agent in agents:
         agent.epsilon = 0.0
         agent.wants_transitions = False  # frozen: no updates during evaluation
@@ -168,31 +180,24 @@ def checkpoint_kind(path) -> str:
 def inspect_checkpoint(path) -> str:
     """Human-readable summary of a checkpoint file."""
     kind = checkpoint_kind(path)
+    models, meta = _read_checkpoint(kind, path)
     lines = [f"checkpoint: {path}", f"kind: {kind}"]
-    if kind == "qlearning":
-        tables, meta = load_qtable(str(path))
-        for k, v in sorted(meta.items()):
-            lines.append(f"{k}: {v}")
-        lines.append(f"agents: {len(tables)}")
-        for i, table in enumerate(tables):
-            if table:
-                allq = np.concatenate([row for row in table.values()])
-                stats = f"q min {allq.min():.4f} max {allq.max():.4f} mean {allq.mean():.4f}"
-            else:
-                stats = "empty"
-            lines.append(f"agent {i}: {len(table)} states, {stats}")
-    else:
-        nets, meta = load_mlp(str(path))
-        for k, v in sorted(meta.items()):
-            lines.append(f"{k}: {v}")
-        lines.append(f"agents: {len(nets)}")
-        for i, net in enumerate(nets):
-            n_params = sum(p.size for p in net.parameters())
-            flat = np.concatenate([p.reshape(-1) for p in net.parameters()])
+    lines.extend(f"{k}: {v}" for k, v in sorted(meta.items()))
+    lines.append(f"agents: {len(models)}")
+    for i, model in enumerate(models):
+        if kind == "dql":
+            n_params = sum(p.size for p in model.parameters())
+            flat = np.concatenate([p.reshape(-1) for p in model.parameters()])
             lines.append(
-                f"agent {i}: dims {'x'.join(map(str, net.dims))}, {n_params} params, "
+                f"agent {i}: dims {'x'.join(map(str, model.dims))}, {n_params} params, "
                 f"weight min {flat.min():.4f} max {flat.max():.4f} mean {flat.mean():.4f}"
             )
+        else:
+            stats = "empty"
+            if model:
+                allq = np.concatenate([row for row in model.values()])
+                stats = f"q min {allq.min():.4f} max {allq.max():.4f} mean {allq.mean():.4f}"
+            lines.append(f"agent {i}: {len(model)} states, {stats}")
     return "\n".join(lines)
 
 

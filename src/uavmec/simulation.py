@@ -1,9 +1,15 @@
 """Event-driven simulation kernel: one episode of task offloading.
 
-Continuous time, four event kinds, deterministic ordering.  At equal
-timestamps completions free servers before service starts, starts precede
-fresh arrivals, and the horizon marker runs last; remaining ties break on
-task id, then insertion order.
+Continuous time, three heap events (arrival, completion, horizon),
+deterministic ordering.  At equal timestamps completions free servers before
+arrivals are admitted, and the horizon marker runs last; remaining ties break
+on task id, then insertion order.
+
+A unit starts its head task as soon as it is idle with pending work, inside
+the handler of the enqueue that fed it or of the completion that freed it, and
+logs the start right after that event.  No later event of equal time could see
+the difference: an arrival runs after every equal-time event that touches its
+unit, and the other completions of equal time touch only their own units.
 """
 
 from __future__ import annotations
@@ -30,14 +36,14 @@ from .mdp import (
     encode_state,
     type_code,
 )
-from .queues import PlacementRecord, UnitQueue, check_violation, predicted_unit_delay
+from .queues import UnitQueue, check_violation, predicted_unit_delay
 
 TASK_COMPLETE = "complete"
-TASK_START = "start"
+TASK_START = "start"  # logged only; starts are not heap events
 TASK_ARRIVAL = "arrival"
 EPISODE_END = "end"
 
-_PRIORITY = {TASK_COMPLETE: 0, TASK_START: 1, TASK_ARRIVAL: 2, EPISODE_END: 3}
+_PRIORITY = {TASK_COMPLETE: 0, TASK_ARRIVAL: 1, EPISODE_END: 2}
 
 
 class SimulationError(RuntimeError):
@@ -137,7 +143,8 @@ class EpisodeResult:
 
     ``tasks_in_queue`` includes tasks still propagating to their chosen unit
     at the horizon (committed but not yet enqueued), so generated ==
-    completed + in_queue + in_service always holds.
+    completed + in_queue + in_service always holds.  ``placements`` is the
+    episode's task list in id order, every task decided.
     """
 
     duration: float
@@ -177,7 +184,6 @@ def run_episode(
     queues = [UnitQueue(u, sim.unit_is_mec(u)) for u in range(num_units)]
     ledgers = [EnergyLedger(energy_params) for _ in range(num_uavs)]
     pipelines = [_AgentPipeline(p, cfg.mdp, cfg.rl.terminal_on_episode_end) for p in policies]
-    records: dict[int, PlacementRecord] = {}
     events: list | None = [] if collect_events else None
     num_types = len(cfg.tasks)
 
@@ -195,14 +201,21 @@ def run_episode(
             events.append((time, kind, task.task_id if task is not None else -1, unit))
 
     def kick(unit, now):
+        """Start the head task of ``unit`` if it is idle with pending work."""
         q = queues[unit]
-        if q.in_service is None and q.pending and not q.start_scheduled:
-            q.start_scheduled = True
-            push(now, TASK_START, q.pending[0][0], unit)
+        if q.in_service is not None or not q.pending:
+            return
+        task = q.pending.popleft()
+        q.in_service = task
+        task.start_time = now
+        task.queue_wait = now - task.enqueue_time
+        if not q.is_mec:
+            ledgers[unit].advance(now)
+            ledgers[unit].open_busy(now)
+        log(now, TASK_START, task, unit)
+        push(now + task.service_time, TASK_COMPLETE, task, unit)
 
     def enqueue(task, unit, now):
-        rec = records[task.task_id]
-        rec.enqueue_time = now
         svc = cfg.tasks[task.type_id].proc_time(sim.unit_is_mec(unit))
         queues[unit].enqueue(task, now, svc)
         kick(unit, now)
@@ -238,19 +251,9 @@ def run_episode(
         if not isinstance(action, (int, np.integer)) or not 0 <= action < num_units:
             raise SimulationError(f"policy for uav{uav} chose nonexistent unit {action!r}")
         action = int(action)
-        records[task.task_id] = PlacementRecord(
-            task_id=task.task_id,
-            type_id=task.type_id,
-            origin_uav=uav,
-            chosen_unit=action,
-            emission_time=task.emission_time,
-            arrival_time=task.arrival_time,
-            deadline_abs=task.deadline_abs,
-            iot_delay=sim.iot_to_uav_delay,
-            transfer_delay=transfers[action],
-            predicted_delay=delays[action],
-            enqueue_time=None,
-        )
+        task.chosen_unit = action
+        task.transfer_delay = transfers[action]
+        task.predicted_delay = delays[action]
         pipelines[uav].on_decision(snap, action, task.task_id)
         if action == uav:
             enqueue(task, uav, now)
@@ -268,41 +271,25 @@ def run_episode(
             break
         if kind == TASK_ARRIVAL:
             log(now, kind, task, unit)
-            if task.task_id not in records:
+            if task.chosen_unit is None:
                 decide(task, now)
             else:
                 enqueue(task, unit, now)
-        elif kind == TASK_START:
-            q = queues[unit]
-            q.start_scheduled = False
-            if q.in_service is not None or not q.pending:
-                continue
-            tsk, enq_t, svc = q.pending.popleft()
-            q.in_service = (tsk, now, now + svc)
-            rec = records[tsk.task_id]
-            rec.start_time = now
-            rec.queue_wait = now - enq_t
-            rec.service_time = svc
-            if not q.is_mec:
-                ledgers[unit].advance(now)
-                ledgers[unit].open_busy(now)
-            log(now, kind, tsk, unit)
-            push(now + svc, TASK_COMPLETE, tsk, unit)
         elif kind == TASK_COMPLETE:
             q = queues[unit]
-            if q.in_service is None or q.in_service[0].task_id != task.task_id:
+            if q.in_service is not task:
                 raise SimulationError(f"completion for task {task.task_id} without matching service")
             q.in_service = None
             if not q.is_mec:
                 ledgers[unit].advance(now)
                 ledgers[unit].close_busy(now)
-            rec = records[task.task_id]
-            rec.finish_time = now
-            rec.completed = True
-            rec.violated = check_violation(rec, cfg.tasks[task.type_id].deadline)
+            task.finish_time = now
+            task.violated = check_violation(
+                task, cfg.tasks[task.type_id].deadline, sim.iot_to_uav_delay
+            )
             log(now, kind, task, unit)
             if cfg.mdp.deferred_reward:
-                pipelines[rec.origin_uav].on_task_resolved(task.task_id, rec.violated)
+                pipelines[task.origin_uav].on_task_resolved(task.task_id, task.violated)
             kick(unit, now)
 
     end_time = sim.episode_duration
@@ -311,33 +298,27 @@ def run_episode(
 
     in_service = 0
     in_queue = 0
-    for tid in sorted(records):
-        rec = records[tid]
-        if rec.completed:
-            continue
-        if rec.start_time is not None:
-            in_service += 1
-            # Finish is already committed; compare it against the deadline.
-            rec.violated = rec.start_time + rec.service_time > rec.deadline_abs
-        else:
-            in_queue += 1
-            # Still queued or in transit: violated iff the deadline has passed.
-            rec.violated = rec.deadline_abs <= end_time
-        if cfg.mdp.deferred_reward:
-            pipelines[rec.origin_uav].on_task_resolved(tid, rec.violated)
+    violations_by_unit = [0] * num_units
+    for task in tasks:
+        if not task.completed:
+            if task.start_time is not None:
+                in_service += 1
+                # Finish is already committed; compare it against the deadline.
+                task.violated = task.start_time + task.service_time > task.deadline_abs
+            else:
+                in_queue += 1
+                # Still queued or in transit: violated iff the deadline has passed.
+                task.violated = task.deadline_abs <= end_time
+            if cfg.mdp.deferred_reward:
+                pipelines[task.origin_uav].on_task_resolved(task.task_id, task.violated)
+        violations_by_unit[task.chosen_unit] += task.violated
     for pipe in pipelines:
         pipe.finish()
-
-    placements = [records[tid] for tid in sorted(records)]
-    violations_by_unit = [0] * num_units
-    for rec in placements:
-        if rec.violated:
-            violations_by_unit[rec.chosen_unit] += 1
 
     return EpisodeResult(
         duration=end_time,
         tasks_generated=len(tasks),
-        tasks_completed=sum(1 for r in placements if r.completed),
+        tasks_completed=sum(1 for task in tasks if task.completed),
         tasks_in_queue=in_queue,
         tasks_in_service=in_service,
         battery_wh=[remaining_battery(ledger) for ledger in ledgers],
@@ -345,6 +326,6 @@ def run_episode(
         violations_by_unit=violations_by_unit,
         violations_total=sum(violations_by_unit),
         cumulative_reward=[pipe.cumulative_reward for pipe in pipelines],
-        placements=placements,
+        placements=tasks,
         events=events,
     )

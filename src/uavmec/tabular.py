@@ -38,6 +38,9 @@ class DiscretizationGrid:
         self.num_types = num_types
         self.delay_bins = delay_bins
         self.battery_bins = battery_bins
+        # Every key depends on these alone; checkpoints record them.
+        self.meta = dict(delay_bins=delay_bins, delay_bin_floor=float(delay_floor),
+                         battery_bins=battery_bins, max_deadline=float(max_deadline))
         # Edges span (floor, 2 * max deadline]; anything above the last edge
         # lands in the top bin, anything below the floor in bin 0.
         self.delay_edges = np.geomspace(delay_floor, 2.0 * max_deadline, delay_bins - 1)

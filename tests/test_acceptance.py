@@ -73,7 +73,9 @@ def test_violation_and_battery_match_brute_force_replay():
             assert rec.service_time == pytest.approx(service, rel=1e-9)
             assert rec.transfer_delay == transfer
             assert rec.violated == violated
-            assert check_violation(rec, cfg.tasks[rec.type_id].deadline) == violated
+            assert check_violation(
+                rec, cfg.tasks[rec.type_id].deadline, cfg.sim.iot_to_uav_delay
+            ) == violated
             completed += 1
         oracle = replay_battery(cfg, result)
         for uav in range(cfg.sim.num_uavs):

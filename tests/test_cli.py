@@ -210,6 +210,35 @@ def test_evaluate_refuses_a_qtable_of_another_network(tiny_config, tmp_path, mon
     assert "checkpoint q-table has 3 actions" in capsys.readouterr().err
 
 
+def test_evaluate_refuses_a_qtable_of_another_grid(tiny_config, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    monkeypatch.setenv("UAVMEC_RL__DELAY_BINS", "48")
+    assert run([
+        "train", "--policy", "qlearning", "--config", tiny_config, "--out", str(out), "--quiet"
+    ]) == 0
+    monkeypatch.setenv("UAVMEC_RL__DELAY_BINS", "8")
+    rc = run([
+        "evaluate", "--policy", "qlearning", "--config", tiny_config,
+        "--out", str(tmp_path / "eval"), "--checkpoint", str(out / "qlearning.ckpt"), "--seeds", "1",
+    ])
+    assert rc == 1
+    assert "checkpoint delay_bins is 48, config expects 8" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_a_network_of_another_state_layout(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([
+        "train", "--policy", "dql", "--config", tiny_config, "--out", str(out), "--quiet",
+        "--state-layout", "extended",
+    ]) == 0
+    rc = run([
+        "evaluate", "--policy", "dql", "--config", tiny_config,
+        "--out", str(tmp_path / "eval"), "--checkpoint", str(out / "dql.ckpt"), "--seeds", "1",
+    ])
+    assert rc == 1
+    assert "checkpoint state_layout is extended, config expects paper10" in capsys.readouterr().err
+
+
 def test_evaluate_placements_log(tiny_config, tmp_path):
     out = tmp_path / "out"
     rc = run([
@@ -403,6 +432,7 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     ("UAVMEC_RL__HIDDEN_SIZES", "32"),
     ("UAVMEC_RL__TARGET_NETWORK", "abc"),
     ("UAVMEC_SIM__NUM_UAVS", "true"),
+    ("UAVMEC_MDP__TIER_VALUES", "[a, b, c]"),
 ])
 def test_badly_typed_config_value_exits_2(tiny_config, tmp_path, monkeypatch, capsys, name, value):
     monkeypatch.setenv(name, value)

@@ -1,4 +1,11 @@
+import dataclasses
+import math
+from pathlib import Path
+
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavmec.config import (
     AppConfig,
@@ -7,6 +14,9 @@ from uavmec.config import (
     load_config,
     validate_config,
 )
+
+DESK_YAML = str(Path(__file__).resolve().parent.parent / "configs" / "desk.yaml")
+SECTIONS = ("sim", "energy", "mdp", "rl", "experiment")
 
 
 def write_yaml(tmp_path, text):
@@ -314,3 +324,90 @@ def test_empty_yaml_file_keeps_defaults(tmp_path):
 def test_missing_config_file_raises():
     with pytest.raises(FileNotFoundError):
         load_config("/nonexistent/config.yaml", env={})
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("UAVMEC_SIM__EPISODE_DURATION", ".nan", "sim.episode_duration must be a finite number"),
+    ("UAVMEC_SIM__EPISODE_DURATION", ".inf", "sim.episode_duration must be a finite number"),
+    ("UAVMEC_SIM__EPISODE_DURATION", "1.0e+400", "sim.episode_duration must be a finite number"),
+    ("UAVMEC_SIM__IOT_TO_UAV_DELAY", "-.inf", "sim.iot_to_uav_delay must be a finite number"),
+    ("UAVMEC_ENERGY__BATTERY_CAPACITY_WH", ".nan", "battery_capacity_wh must be a finite number"),
+    ("UAVMEC_MDP__TIER_VALUES", "[2, .nan, 1]", r"mdp.tier_values\[1\] must be a finite number"),
+    ("UAVMEC_MDP__TIER_VALUES", "[a, b, c]", r"mdp.tier_values\[0\] must be of type float"),
+    ("UAVMEC_MDP__TIER_VALUES", "[2, true, 1]", r"mdp.tier_values\[1\] must be of type float"),
+    ("UAVMEC_EXPERIMENT__POLICIES", "[rr, 1]", r"experiment.policies\[1\] must be of type str"),
+    ("UAVMEC_RL__HIDDEN_SIZES", "[32, 1.5]", r"rl.hidden_sizes\[1\] must be of type int"),
+    ("UAVMEC_SIM__VIOLATION_SCALE_THETA", ".inf", "violation_scale_theta"),
+    ("UAVMEC_SIM__VIOLATION_SCALE_THETA", ".nan", "violation_scale_theta"),
+    ("UAVMEC_SIM__VIOLATION_SCALE_THETA", "true", "violation_scale_theta"),
+])
+def test_non_finite_and_mistyped_values_are_refused(name, value, message):
+    # Checked at load time: a non-finite horizon would make arrival
+    # generation run forever.
+    with pytest.raises(ConfigError, match=message):
+        load_config(DESK_YAML, env={name: value})
+
+
+def test_numeric_theta_and_int_tier_values_are_kept():
+    cfg = load_config(DESK_YAML, env={
+        "UAVMEC_SIM__VIOLATION_SCALE_THETA": "250",
+        "UAVMEC_MDP__TIER_VALUES": "[2, 0, 1.5]",
+    })
+    assert cfg.sim.violation_scale_theta == 250
+    assert cfg.mdp.tier_values == (2, 0, 1.5)
+
+
+def _well_typed(kind: str, value) -> bool:
+    if kind == "float":
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is {"int": int, "bool": bool, "str": str}[kind]
+
+
+def assert_well_typed(cfg: AppConfig) -> None:
+    entry_kinds = {"hidden_sizes": "int", "tier_values": "float", "policies": "str"}
+    for section in SECTIONS:
+        obj = getattr(cfg, section)
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            where = f"{section}.{f.name} = {value!r}"
+            if f.type == "tuple":
+                assert type(value) is tuple, where
+                assert all(_well_typed(entry_kinds[f.name], v) for v in value), where
+            elif f.type == "object":
+                assert value == "total_tasks" or (_well_typed("float", value) and value > 0), where
+            else:
+                assert _well_typed(f.type, value), where
+    for spec in cfg.tasks:
+        for f in dataclasses.fields(spec):
+            assert _well_typed(f.type, getattr(spec, f.name)), spec
+
+
+FIELDS = [
+    (section, f.name)
+    for section in SECTIONS
+    for f in dataclasses.fields(getattr(AppConfig(), section))
+]
+YAML_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+)
+ENV_VALUES = st.one_of(
+    st.one_of(YAML_SCALARS, st.lists(YAML_SCALARS, max_size=3)).map(
+        lambda v: yaml.safe_dump(v, default_flow_style=True)
+    ),
+    st.sampled_from([".nan", ".NaN", ".inf", "-.inf", "1.0e+400", "[.nan, 1, 2]", "[a, b, c]", "~"]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(field=st.sampled_from(FIELDS), raw=ENV_VALUES)
+@example(field=("mdp", "tier_values"), raw="[a, b, c]")
+@example(field=("rl", "hidden_sizes"), raw="[true, 8]")
+@example(field=("experiment", "policies"), raw="[rr, 1]")
+@example(field=("sim", "violation_scale_theta"), raw="true")
+def test_any_env_value_is_refused_or_well_typed(field, raw):
+    section, name = field
+    try:
+        cfg = load_config(DESK_YAML, env={f"UAVMEC_{section.upper()}__{name.upper()}": raw})
+    except ConfigError:
+        return
+    assert_well_typed(cfg)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavmec import harness
-from uavmec.config import ConfigError
+from uavmec.config import ConfigError, load_config
 from uavmec.deep import DqlAgent
 from uavmec.harness import (
     agent_rng,
@@ -18,8 +20,9 @@ from uavmec.harness import (
 )
 from uavmec.heuristics import HefPolicy, QhefPolicy, RoundRobinPolicy
 from uavmec.metrics import metrics_from_episodes
+from uavmec.nnet import load_mlp
 from uavmec.simulation import run_episode
-from uavmec.tabular import QlAgent
+from uavmec.tabular import QlAgent, load_qtable
 
 
 def evaluate(cfg, policy, seed_indices, checkpoint=None):
@@ -138,6 +141,78 @@ def test_truncated_checkpoint_is_refused(desk_cfg, tmp_path):
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError):
             load_policies(policy, desk_cfg, str(path), 1, 0)
+
+
+def test_checkpoint_cut_inside_its_last_number_is_refused(desk_cfg, tmp_path):
+    agents, _ = train_policy(desk_cfg, "qlearning", 2, master_seed=1)
+    last = agents[-1]
+    last.table[max(last.table)][-1] = -3.1415926535897931  # the file's last value
+    path = tmp_path / "q.ckpt"
+    save_checkpoint("qlearning", agents, path, desk_cfg, 1, 2)
+    text = path.read_text()
+    assert text.endswith(" -3.1415926535897931\n")
+    path.write_text(text[:-6])  # still a number: -3.14159265358
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        load_policies("qlearning", desk_cfg, str(path), 1, 0)
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoints(tmp_path_factory):
+    """Text of a trained q-table and of a trained dql checkpoint, and a directory."""
+    cfg = load_config(env={})
+    cfg.sim.num_uavs, cfg.sim.episode_duration = 2, 5.0
+    cfg.rl.batch_size, cfg.rl.hidden_sizes = 16, (8, 8)
+    directory = tmp_path_factory.mktemp("checkpoints")
+    texts = {}
+    for policy in ("qlearning", "dql"):
+        agents, _ = train_policy(cfg, policy, 2, master_seed=1)
+        save_checkpoint(policy, agents, directory / policy, cfg, 1, 2)
+        texts[policy] = (directory / policy).read_text()
+    return texts, directory
+
+
+@pytest.mark.parametrize("policy, load", [("qlearning", load_qtable), ("dql", load_mlp)])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_proper_prefix_of_a_checkpoint_is_refused(trained_checkpoints, policy, load, data):
+    texts, directory = trained_checkpoints
+    text = texts[policy]
+    line_ends = [i + 1 for i, ch in enumerate(text[:-1]) if ch == "\n"]
+    cut = data.draw(st.one_of(
+        st.integers(0, len(text) - 1),
+        st.sampled_from(line_ends),
+        st.integers(len(text) - 40, len(text) - 1),  # inside the last line's numbers
+    ))
+    path = directory / f"{policy}-prefix"
+    path.write_text(text[:cut])
+    with pytest.raises(ValueError):
+        load(str(path))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda cfg: setattr(cfg.rl, "delay_bins", 8), "checkpoint delay_bins is 48, config expects 8"),
+    (lambda cfg: setattr(cfg.rl, "battery_bins", 10), "battery_bins is 16, config expects 10"),
+    (lambda cfg: setattr(cfg.rl, "delay_bin_floor", 0.02), "delay_bin_floor is 0.01, config expects 0.02"),
+    (lambda cfg: setattr(cfg.tasks[2], "deadline", 6), "max_deadline is 5.0, config expects 6.0"),
+])
+def test_qtable_of_another_grid_is_refused(desk_cfg, tmp_path, change, message):
+    agents, _ = train_policy(desk_cfg, "qlearning", 2, master_seed=1)
+    path = tmp_path / "q.ckpt"
+    save_checkpoint("qlearning", agents, path, desk_cfg, 1, 2)
+    change(desk_cfg)
+    with pytest.raises(ValueError, match=message):
+        load_policies("qlearning", desk_cfg, str(path), 1, 0)
+
+
+def test_qtable_without_its_grid_is_refused(desk_cfg, tmp_path):
+    agents, _ = train_policy(desk_cfg, "qlearning", 2, master_seed=1)
+    path = tmp_path / "q.ckpt"
+    save_checkpoint("qlearning", agents, path, desk_cfg, 1, 2)
+    lines = path.read_text().splitlines(keepends=True)
+    assert "meta delay_bins=48\n" in lines
+    path.write_text("".join(line for line in lines if not line.startswith("meta delay_bins=")))
+    with pytest.raises(ValueError, match="checkpoint delay_bins is missing, config expects 48"):
+        load_policies("qlearning", desk_cfg, str(path), 1, 0)
 
 
 def test_checkpoint_kind_rejects_other_files(tmp_path):

@@ -1,7 +1,9 @@
 import pytest
 
 from uavmec.arrivals import TaskInstance
-from uavmec.queues import PlacementRecord, UnitQueue, check_violation, predicted_unit_delay
+from uavmec.queues import UnitQueue, check_violation, predicted_unit_delay
+
+IOT = 0.01
 
 
 def make_task(task_id=0, type_id=0, uav=0, emission=0.0, iot=0.01, deadline=0.3):
@@ -16,20 +18,20 @@ def make_task(task_id=0, type_id=0, uav=0, emission=0.0, iot=0.01, deadline=0.3)
 
 
 def make_record(**overrides):
+    """A decided task; ``overrides`` set its identity and placement fields."""
     base = dict(
         task_id=0,
         type_id=0,
         origin_uav=0,
-        chosen_unit=0,
         emission_time=0.0,
         arrival_time=0.01,
         deadline_abs=0.3,
-        iot_delay=0.01,
+        chosen_unit=0,
         transfer_delay=0.0,
         predicted_delay=0.0,
     )
     base.update(overrides)
-    return PlacementRecord(**base)
+    return TaskInstance(**base)
 
 
 def test_idle_unit_has_zero_backlog():
@@ -84,7 +86,7 @@ def test_predicted_delay_with_residual_and_pending_work():
 def test_local_fire_task_within_deadline():
     rec = make_record(queue_wait=0.0, service_time=0.1)
     # 0.01 + 0 + 0 + 0.1 = 0.11 <= 0.3
-    assert check_violation(rec, deadline=0.3) is False
+    assert check_violation(rec, deadline=0.3, iot_delay=IOT) is False
 
 
 def test_offloaded_pest_task_misses_deadline():
@@ -96,7 +98,7 @@ def test_offloaded_pest_task_misses_deadline():
         service_time=0.5,
     )
     # 0.01 + 0.015 + 0.4 + 0.5 = 0.925 > 0.8
-    assert check_violation(rec, deadline=0.8) is True
+    assert check_violation(rec, deadline=0.8, iot_delay=IOT) is True
 
 
 def test_growth_task_with_loose_deadline():
@@ -108,38 +110,60 @@ def test_growth_task_with_loose_deadline():
         service_time=2.0,
     )
     # 0.01 + 0.02 + 1.5 + 2.0 = 3.53 <= 5.0
-    assert check_violation(rec, deadline=5.0) is False
+    assert check_violation(rec, deadline=5.0, iot_delay=IOT) is False
 
 
 def test_exactly_meeting_the_deadline_is_not_a_violation():
     # Power-of-two components keep the sum exact: 0.25 + (0.25 + 0.5) = 1.0.
-    rec = make_record(iot_delay=0.25, transfer_delay=0.0, queue_wait=0.25, service_time=0.5)
-    assert check_violation(rec, deadline=1.0) is False
-    assert check_violation(rec, deadline=0.9999) is True
+    rec = make_record(transfer_delay=0.0, queue_wait=0.25, service_time=0.5)
+    assert check_violation(rec, deadline=1.0, iot_delay=0.25) is False
+    assert check_violation(rec, deadline=0.9999, iot_delay=0.25) is True
 
 
 def test_unfinished_task_cannot_be_judged():
     rec = make_record(queue_wait=None, service_time=None)
     with pytest.raises(ValueError):
-        check_violation(rec, deadline=0.3)
+        check_violation(rec, deadline=0.3, iot_delay=IOT)
     half = make_record(queue_wait=0.1, service_time=None)
     with pytest.raises(ValueError):
-        check_violation(half, deadline=0.3)
+        check_violation(half, deadline=0.3, iot_delay=IOT)
+
+
+def test_enqueue_stamps_the_task():
+    q = UnitQueue(unit_id=0, is_mec=False)
+    task = make_task(task_id=7)
+    q.enqueue(task, now=0.5, service_time=0.1)
+    assert (task.enqueue_time, task.service_time) == (0.5, 0.1)
+    assert (task.start_time, task.queue_wait, task.finish_time) == (None, None, None)
+    assert not task.completed
 
 
 def test_duplicate_enqueue_rejected():
     q = UnitQueue(unit_id=0, is_mec=False)
     task = make_task(task_id=7)
     q.enqueue(task, now=0.0, service_time=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="task 7 enqueued twice"):
         q.enqueue(task, now=0.5, service_time=0.1)
+    assert list(q.pending) == [task]
+    assert task.enqueue_time == 0.0
+
+
+def test_enqueue_at_a_second_unit_rejected():
+    first = UnitQueue(unit_id=0, is_mec=False)
+    second = UnitQueue(unit_id=4, is_mec=True)
+    task = make_task(task_id=3)
+    first.enqueue(task, now=0.0, service_time=0.1)
+    with pytest.raises(ValueError, match="unit 4"):
+        second.enqueue(task, now=0.02, service_time=0.05)
+    assert not second.pending
+    assert second.free_at == 0.0
 
 
 def test_fifo_pop_order():
     q = UnitQueue(unit_id=0, is_mec=False)
     for i in range(3):
         q.enqueue(make_task(task_id=i), now=float(i), service_time=0.1)
-    assert [task.task_id for task, _, _ in q.pending] == [0, 1, 2]
+    assert [task.task_id for task in q.pending] == [0, 1, 2]
 
 
 def test_free_at_never_runs_backwards():
