@@ -8,9 +8,8 @@ import numpy as np
 
 from .config import SimConfig, TaskTypeSpec
 
-# Tags keep the substream families (arrivals vs agents) disjoint under one seed.
+# Part of every arrival stream's seed sequence; changing it changes every workload.
 ARRIVAL_STREAM_TAG = 101
-AGENT_STREAM_TAG = 202
 
 
 def arrival_rng(seed: int, episode: int, uav: int, type_id: int) -> np.random.Generator:

@@ -9,9 +9,27 @@ A format is its magic line plus what its agent headers and bodies hold;
 ``tabular`` and ``nnet`` read and write those.  No body line may begin with
 ``agent ``, since that starts the next block.  The file always ends with a
 newline, so a file cut inside its last line is refused as truncated.
+Checkpoints and reports are written whole or not at all (``write_atomic``).
 """
 
 from __future__ import annotations
+
+import os
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` (newlines as given) to a temporary file in the same
+    directory, then move it over ``path``; a failed write removes it and
+    leaves any earlier file as it was."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def write_checkpoint(path, magic: str, metadata: dict | None, blocks: list) -> None:
@@ -22,8 +40,7 @@ def write_checkpoint(path, magic: str, metadata: dict | None, blocks: list) -> N
     for i, (header, body) in enumerate(blocks):
         lines.append(f"agent {i} {header}")
         lines.extend(body)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_magic(path) -> str:

@@ -282,6 +282,13 @@ def _parse_tasks(raw) -> list[TaskTypeSpec]:
     return specs
 
 
+def _load_yaml(source, where: str):
+    try:
+        return yaml.safe_load(source)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{where} is not valid YAML: {exc}") from None
+
+
 def _env_overrides(env) -> dict:
     """Collect UAVMEC_SECTION__FIELD=value pairs into a nested dict."""
     out: dict = {}
@@ -292,7 +299,7 @@ def _env_overrides(env) -> dict:
         if "__" not in body:
             raise ConfigError(f"malformed override variable: {name}")
         section, key = body.split("__", 1)
-        out.setdefault(section, {})[key] = yaml.safe_load(raw)
+        out.setdefault(section, {})[key] = _load_yaml(raw, name)
     return out
 
 
@@ -374,7 +381,7 @@ def load_config(path: str | None = None, env=None) -> AppConfig:
     merged: dict = {}
     if path is not None:
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = _load_yaml(fh, path) or {}
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a mapping of sections")
         merged = raw

@@ -141,6 +141,8 @@ class DqlAgent:
         state_layout: str = "paper10",
     ):
         self.state_layout = state_layout
+        # What the network is fitted to; a checkpoint records it.
+        self.input_meta = {"state_layout": state_layout}
         self.rng = rng
         self.gamma = rl.discount
         self.batch_size = rl.batch_size
@@ -157,8 +159,11 @@ class DqlAgent:
         self.epsilon = 0.0
         self.last_loss: float | None = None
 
-    def select(self, snap: NetworkSnapshot) -> int:
-        state = encode_state(snap, self.state_layout)
+    def encode(self, snap: NetworkSnapshot) -> np.ndarray:
+        """The decision's state: its vector in this agent's layout."""
+        return encode_state(snap, self.state_layout)
+
+    def select(self, state: np.ndarray) -> int:
         return epsilon_greedy(forward(self.net, state), self.epsilon, self.rng)
 
     def ingest(self, t: Transition) -> None:

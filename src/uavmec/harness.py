@@ -78,15 +78,6 @@ def make_policies(policy: str, cfg: AppConfig, master_seed: int, seed_index: int
 # --- checkpoints -----------------------------------------------------------
 
 
-def _input_meta(policy: str, agents: list) -> dict:
-    """What a learner's models were fitted to: the state layout, and for a
-    q-table the discretization grid."""
-    meta = {"state_layout": agents[0].state_layout}
-    if policy == "qlearning":
-        meta.update(agents[0].grid.meta)
-    return meta
-
-
 def save_checkpoint(policy: str, agents: list, path, cfg: AppConfig,
                     master_seed: int, episodes: int) -> None:
     meta = {
@@ -94,7 +85,7 @@ def save_checkpoint(policy: str, agents: list, path, cfg: AppConfig,
         "config_hash": config_hash(cfg),
         "master_seed": master_seed,
         "episodes_trained": episodes,
-        **_input_meta(policy, agents),
+        **agents[0].input_meta,
     }
     if policy == "qlearning":
         dump_qtable(agents, str(path), meta)
@@ -134,7 +125,7 @@ def _frozen_learners(policy: str, cfg: AppConfig, parsed: tuple, master_seed: in
     """
     models, meta = parsed
     agents = make_policies(policy, cfg, master_seed, seed_index)
-    for key, value in _input_meta(policy, agents).items():
+    for key, value in agents[0].input_meta.items():
         if meta.get(key) != str(value):
             raise ValueError(
                 f"checkpoint {key} is {meta.get(key, 'missing')}, config expects {value}"
@@ -234,7 +225,7 @@ def train_policy(
         )
         for agent in agents:
             agent.epsilon = eps
-        result = run_episode(cfg, agents, seed, episode_index=ep, collect_events=False)
+        result = run_episode(cfg, agents, seed, episode_index=ep)
         for i, r in enumerate(result.cumulative_reward):
             rewards[i].append(r)
         if log_every and (ep + 1) % log_every == 0:
@@ -257,8 +248,7 @@ def _eval_job(args) -> RunMetrics:
         policies = _frozen_learners(policy, cfg, parsed, master_seed, seed_index)
     seed = arrival_seed(master_seed, seed_index)
     episodes = [
-        run_episode(cfg, policies, seed, episode_index=ep, collect_events=False)
-        for ep in range(episodes_per_seed)
+        run_episode(cfg, policies, seed, episode_index=ep) for ep in range(episodes_per_seed)
     ]
     return metrics_from_episodes(policy, seed_index, episodes)
 

@@ -47,12 +47,16 @@ class NetworkSnapshot:
 
 @dataclass
 class Transition:
-    """One learner experience: decision state, action, shaped reward, successor."""
+    """One learner experience: decision state, action, shaped reward, successor.
 
-    state: np.ndarray
+    A state is the learner's own, what its ``encode`` returned: a key tuple
+    for the tabular agent, a vector for the deep one.
+    """
+
+    state: tuple | np.ndarray
     action: int
     reward: float
-    next_state: np.ndarray
+    next_state: tuple | np.ndarray
     terminal: bool
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from .checkpoint import write_atomic
 from .simulation import EpisodeResult
 
 
@@ -141,7 +142,7 @@ def metadata_block(meta: dict) -> list:
     return lines
 
 
-def _render_csv(meta: dict, header: list, rows: list) -> str:
+def write_csv(path, meta: dict, header: list, rows: list) -> None:
     buf = io.StringIO()
     for line in metadata_block(meta):
         buf.write(line + "\n")
@@ -149,13 +150,7 @@ def _render_csv(meta: dict, header: list, rows: list) -> str:
     writer.writerow(header)
     for row in rows:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
-
-
-def write_csv(path, meta: dict, header: list, rows: list) -> None:
-    content = _render_csv(meta, header, rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(content)
+    write_atomic(path, buf.getvalue())
 
 
 def write_convergence_csv(path, meta: dict, per_agent_rewards: list, window: int) -> None:

@@ -33,7 +33,7 @@ from .mdp import (
     Transition,
     assemble_reward,
     compute_reward_parts,
-    encode_state,
+    encode_state,  # noqa: F401  unused here; bench/tracing.py wraps it under this name
     type_code,
 )
 from .queues import UnitQueue, check_violation, predicted_unit_delay
@@ -50,28 +50,15 @@ class SimulationError(RuntimeError):
     """A policy or kernel invariant was broken during an episode."""
 
 
-class _Pending:
-    """One decision awaiting its reward and/or successor state."""
-
-    __slots__ = ("task_id", "state", "action", "tier", "penalty", "reward", "next_state", "terminal")
-
-    def __init__(self, task_id, state, action, tier, penalty):
-        self.task_id = task_id
-        self.state = state
-        self.action = action
-        self.tier = tier
-        self.penalty = penalty
-        self.reward = None
-        self.next_state = None
-        self.terminal = False
-
-
 class _AgentPipeline:
     """Turns one UAV's decision stream into ordered learner transitions.
 
-    A decision's successor state is the state of the same agent's next
-    decision; in deferred mode its reward additionally waits for the task to
-    resolve.  Transitions are released strictly in decision order.
+    A decision's state is the policy's own, what its ``encode`` returned; the
+    pipeline never looks inside it.  A learner's decision is queued once, as
+    the ``Transition`` it will ingest.  Its successor state is the state of
+    the same agent's next decision; its reward is known at once, or in
+    deferred mode when the task resolves.  Transitions are released strictly
+    in decision order.
     """
 
     def __init__(self, policy, mdp_cfg, terminal_on_end: bool):
@@ -79,62 +66,48 @@ class _AgentPipeline:
         self.cfg = mdp_cfg
         self.terminal_on_end = terminal_on_end
         self.learner = bool(getattr(policy, "wants_transitions", False))
-        self.layout = getattr(policy, "state_layout", mdp_cfg.state_layout)
         self.pending: deque = deque()
-        self.by_task: dict[int, _Pending] = {}
+        self.by_task: dict[int, tuple] = {}
         self.cumulative_reward = 0.0
 
-    def on_decision(self, snap: NetworkSnapshot, action: int, task_id: int) -> None:
+    def on_decision(self, snap: NetworkSnapshot, state, action: int, task_id: int) -> None:
         tier, v_hat, penalty = compute_reward_parts(action, snap, self.cfg)
-        state = encode_state(snap, self.layout) if self.learner else None
-        entry = _Pending(task_id, state, action, tier, penalty)
-        if self.learner and self.pending:
-            tail = self.pending[-1]
-            if tail.next_state is None:
-                tail.next_state = state
+        t = Transition(state, action, None, None, False)
         if self.cfg.deferred_reward:
-            self.by_task[task_id] = entry
+            self.by_task[task_id] = (t, tier, penalty)
         else:
-            entry.reward = assemble_reward(tier, v_hat, penalty)
-            self.cumulative_reward += entry.reward
-        self.pending.append(entry)
-        self._flush()
+            t.reward = assemble_reward(tier, v_hat, penalty)
+            self.cumulative_reward += t.reward
+        if self.learner:
+            if self.pending and self.pending[-1].next_state is None:
+                self.pending[-1].next_state = state
+            self.pending.append(t)
+            self._flush()
 
     def on_task_resolved(self, task_id: int, violated: bool) -> None:
-        entry = self.by_task.pop(task_id, None)
-        if entry is None:
-            return
-        entry.reward = assemble_reward(entry.tier, violated, entry.penalty)
-        self.cumulative_reward += entry.reward
+        t, tier, penalty = self.by_task.pop(task_id)
+        t.reward = assemble_reward(tier, violated, penalty)
+        self.cumulative_reward += t.reward
         self._flush()
 
     def finish(self) -> None:
         if self.by_task:
             raise SimulationError("unresolved deferred rewards at episode end")
-        if self.pending and self.learner:
+        if self.pending and self.pending[-1].next_state is None:
             tail = self.pending[-1]
-            if tail.next_state is None:
-                if self.terminal_on_end:
-                    tail.next_state = tail.state
-                    tail.terminal = True
-                else:
-                    # No successor to bootstrap from; the reward already
-                    # counted, the experience is dropped.
-                    self.pending.pop()
+            if self.terminal_on_end:
+                tail.next_state = tail.state
+                tail.terminal = True
+            else:
+                # No successor to bootstrap from; the reward already
+                # counted, the experience is dropped.
+                self.pending.pop()
         self._flush()
-        self.pending.clear()
 
     def _flush(self) -> None:
-        while self.pending:
-            head = self.pending[0]
-            if head.reward is None:
-                break
-            if self.learner and head.next_state is None:
-                break
-            self.pending.popleft()
-            if self.learner:
-                t = Transition(head.state, head.action, head.reward, head.next_state, head.terminal)
-                self.policy.ingest(t)
+        pending = self.pending
+        while pending and pending[0].reward is not None and pending[0].next_state is not None:
+            self.policy.ingest(pending.popleft())
 
 
 @dataclass
@@ -166,14 +139,15 @@ def run_episode(
     policies: list,
     arrival_seed: int,
     episode_index: int = 0,
-    collect_events: bool = True,
+    collect_events: bool = False,
 ) -> EpisodeResult:
     """Simulate one episode and return its accounting.
 
-    ``policies`` holds one decision object per UAV (``select(snapshot)`` plus
-    optional learner hooks).  Arrival streams depend only on
-    (arrival_seed, episode_index), so different policies can be compared on
-    identical workloads.
+    ``policies`` holds one decision object per UAV.  Each decision's state is
+    ``encode(snapshot)`` for a policy that has one, else the snapshot; it goes
+    to ``select`` and into the learner's transitions.  Arrival streams depend
+    only on (arrival_seed, episode_index), so different policies can be
+    compared on identical workloads.
     """
     sim, energy_params = cfg.sim, cfg.energy
     num_uavs, num_units = sim.num_uavs, sim.num_units
@@ -184,6 +158,7 @@ def run_episode(
     queues = [UnitQueue(u, sim.unit_is_mec(u)) for u in range(num_units)]
     ledgers = [EnergyLedger(energy_params) for _ in range(num_uavs)]
     pipelines = [_AgentPipeline(p, cfg.mdp, cfg.rl.terminal_on_episode_end) for p in policies]
+    encoders = [getattr(p, "encode", None) for p in policies]
     events: list | None = [] if collect_events else None
     num_types = len(cfg.tasks)
 
@@ -247,14 +222,16 @@ def run_episode(
             busy_frac_per_sec=energy_params.busy_frac_per_sec,
             num_uavs=num_uavs,
         )
-        action = policies[uav].select(snap)
+        encode = encoders[uav]
+        state = snap if encode is None else encode(snap)
+        action = policies[uav].select(state)
         if not isinstance(action, (int, np.integer)) or not 0 <= action < num_units:
             raise SimulationError(f"policy for uav{uav} chose nonexistent unit {action!r}")
         action = int(action)
         task.chosen_unit = action
         task.transfer_delay = transfers[action]
         task.predicted_delay = delays[action]
-        pipelines[uav].on_decision(snap, action, task.task_id)
+        pipelines[uav].on_decision(snap, state, action, task.task_id)
         if action == uav:
             enqueue(task, uav, now)
         else:

@@ -113,22 +113,27 @@ class QlAgent:
         self.rng = rng
         self.epsilon = 0.0
         self.table: dict[tuple, np.ndarray] = {}
+        # What the table is fitted to; a checkpoint records it.
+        self.input_meta = {"state_layout": self.state_layout, **grid.meta}
 
     def q_values(self, key: tuple) -> np.ndarray:
         row = self.table.get(key)
         return row if row is not None else np.zeros(self.num_actions, dtype=np.float64)
 
-    def select(self, snap: NetworkSnapshot) -> int:
-        key = self.grid.key(encode_state(snap, self.state_layout))
+    def encode(self, snap: NetworkSnapshot) -> tuple:
+        """The decision's state: its discretized key."""
+        return self.grid.key(encode_state(snap, self.state_layout))
+
+    def select(self, key: tuple) -> int:
         return epsilon_greedy(self.q_values(key), self.epsilon, self.rng)
 
     def ingest(self, t: Transition) -> None:
         q_update(
             self.table,
-            self.grid.key(t.state),
+            t.state,
             t.action,
             t.reward,
-            self.grid.key(t.next_state),
+            t.next_state,
             self.num_actions,
             self.alpha,
             self.gamma,

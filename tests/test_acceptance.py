@@ -64,7 +64,7 @@ def test_violation_and_battery_match_brute_force_replay():
     completed = 0
     for policy_name, seed_index in (("rr", 0), ("hef", 1)):
         policies = make_policies(policy_name, cfg, 7, seed_index)
-        result = run_episode(cfg, policies, arrival_seed(7, seed_index))
+        result = run_episode(cfg, policies, arrival_seed(7, seed_index), collect_events=True)
         by_task = {r.task_id: r for r in result.placements}
         replayed = replay_delays(cfg, result)
         for task_id, (wait, service, transfer, violated) in replayed.items():
@@ -205,7 +205,7 @@ def _pooled_eval(cfg, policies, name):
     for idx in EVAL_INDICES:
         seed = arrival_seed(MASTER_SEED, idx)
         episodes = [
-            run_episode(cfg, policies, seed, episode_index=ep, collect_events=False)
+            run_episode(cfg, policies, seed, episode_index=ep)
             for ep in range(EVAL_EPISODES)
         ]
         runs.append(metrics_from_episodes(name, idx, episodes))

@@ -433,12 +433,23 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     ("UAVMEC_RL__TARGET_NETWORK", "abc"),
     ("UAVMEC_SIM__NUM_UAVS", "true"),
     ("UAVMEC_MDP__TIER_VALUES", "[a, b, c]"),
+    ("UAVMEC_SIM__SEED", "["),
 ])
 def test_badly_typed_config_value_exits_2(tiny_config, tmp_path, monkeypatch, capsys, name, value):
     monkeypatch.setenv(name, value)
     rc = run(["evaluate", "--policy", "rr", "--config", tiny_config, "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "must be of type" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert (f"{name} is not valid YAML" if value == "[" else "must be of type") in err
+
+
+def test_unparsable_config_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("sim: [\n")
+    rc = run(["evaluate", "--policy", "rr", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {bad} is not valid YAML")
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

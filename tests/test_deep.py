@@ -216,15 +216,17 @@ def agent_acting_with(net, epsilon, seed):
 def test_dql_act_examples():
     net = zero_net([10, 5])
     net.biases[0][:] = [0.1, 0.9, 0.2, 0.0, 0.3]
-    assert agent_acting_with(net, 0.0, 0).select(make_snapshot()) == 1
-    assert agent_acting_with(zero_net([10, 5]), 0.0, 0).select(make_snapshot()) == 0
+    greedy = agent_acting_with(net, 0.0, 0)
+    assert greedy.select(greedy.encode(make_snapshot())) == 1
+    tied = agent_acting_with(zero_net([10, 5]), 0.0, 0)
+    assert tied.select(tied.encode(make_snapshot())) == 0
 
 
 def test_dql_act_fixed_seed_reproducible():
     agent_a = agent_acting_with(zero_net([10, 4]), 0.7, 11)
     agent_b = agent_acting_with(zero_net([10, 4]), 0.7, 11)
-    picks_a = [agent_a.select(make_snapshot()) for _ in range(50)]
-    picks_b = [agent_b.select(make_snapshot()) for _ in range(50)]
+    picks_a = [agent_a.select(agent_a.encode(make_snapshot())) for _ in range(50)]
+    picks_b = [agent_b.select(agent_b.encode(make_snapshot())) for _ in range(50)]
     assert picks_a == picks_b
     assert len(set(picks_a)) > 1  # exploration drew more than the greedy pick
 
@@ -288,6 +290,8 @@ def test_agent_select_uses_current_network():
     agent = DqlAgent(10, 5, small_rl(), np.random.default_rng(3))
     agent.epsilon = 0.0
     snap = make_snapshot()
-    choice = agent.select(snap)
-    q = forward(agent.net, encode_state(snap))
+    state = agent.encode(snap)
+    assert np.array_equal(state, encode_state(snap))
+    choice = agent.select(state)
+    q = forward(agent.net, state)
     assert choice == int(np.argmax(q))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavmec import harness
+from uavmec import deep, harness, simulation, tabular
 from uavmec.config import ConfigError, load_config
 from uavmec.deep import DqlAgent
 from uavmec.harness import (
@@ -82,6 +82,40 @@ def test_train_policy_reward_series_shape(desk_cfg):
         train_policy(desk_cfg, "rr", episodes=1, master_seed=1)
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Replace ``owner.name`` by a wrapper that appends each call's result."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("policy", ["qlearning", "dql"])
+def test_training_encodes_and_keys_each_decision_once(desk_cfg, monkeypatch, policy):
+    episodes = count_calls(monkeypatch, harness, "run_episode")
+    kernel_encodes = count_calls(monkeypatch, simulation, "encode_state")
+    if policy == "qlearning":
+        encodes = count_calls(monkeypatch, tabular, "encode_state")
+        keys = count_calls(monkeypatch, tabular.DiscretizationGrid, "key")
+    else:
+        encodes = count_calls(monkeypatch, deep, "encode_state")
+    agents, _ = train_policy(desk_cfg, policy, episodes=1, master_seed=1)
+    decisions = len(episodes[0].placements)
+    assert decisions > 100
+    assert len(encodes) == decisions
+    if policy == "qlearning":
+        assert len(keys) == decisions
+        assert sum(len(a.table) for a in agents) > 0
+    else:
+        assert sum(a.train_steps for a in agents) > 0
+    assert kernel_encodes == []
+
+
 def test_training_is_reproducible(desk_cfg):
     _, r1 = train_policy(desk_cfg, "qlearning", episodes=3, master_seed=1)
     _, r2 = train_policy(desk_cfg, "qlearning", episodes=3, master_seed=1)
@@ -106,8 +140,8 @@ def test_checkpoint_roundtrip_preserves_greedy_behavior(desk_cfg, tmp_path):
             agent.epsilon = 0.0
             agent.wants_transitions = False
         seed = arrival_seed(1, 500)
-        direct = run_episode(desk_cfg, agents, seed, collect_events=False)
-        reloaded = run_episode(desk_cfg, loaded, seed, collect_events=False)
+        direct = run_episode(desk_cfg, agents, seed)
+        reloaded = run_episode(desk_cfg, loaded, seed)
         assert direct.cumulative_reward == reloaded.cumulative_reward
         assert direct.battery_wh == reloaded.battery_wh
         assert direct.violations_by_unit == reloaded.violations_by_unit
@@ -253,7 +287,7 @@ def test_evaluation_leaves_learners_frozen(desk_cfg, tmp_path):
     save_checkpoint("qlearning", agents, path, desk_cfg, 1, 2)
     loaded = load_policies("qlearning", desk_cfg, str(path), 1, 0)
     tables_before = [{k: v.copy() for k, v in a.table.items()} for a in loaded]
-    run_episode(desk_cfg, loaded, arrival_seed(1, 1000), collect_events=False)
+    run_episode(desk_cfg, loaded, arrival_seed(1, 1000))
     for agent, before in zip(loaded, tables_before):
         assert set(agent.table) == set(before)
         for k in before:
@@ -281,7 +315,7 @@ def test_evaluation_parses_each_checkpoint_once(desk_cfg, tmp_path, monkeypatch)
     # The same results as loading the checkpoint afresh for every seed.
     for seed_index, run in enumerate(runs):
         policies = load_policies("qlearning", desk_cfg, str(path), 1, seed_index)
-        episode = run_episode(desk_cfg, policies, arrival_seed(1, seed_index), collect_events=False)
+        episode = run_episode(desk_cfg, policies, arrival_seed(1, seed_index))
         assert run == metrics_from_episodes("qlearning", seed_index, [episode])
 
 

@@ -1,7 +1,11 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
 from helpers import plateau_threshold
+from uavmec import checkpoint
 from uavmec.metrics import (
     RunMetrics,
     convergence_episode,
@@ -212,6 +216,45 @@ def test_write_csv_is_deterministic(tmp_path):
     write_csv(str(p1), {"seed": 1}, ["k", "v"], rows)
     write_csv(str(p2), {"seed": 1}, ["k", "v"], rows)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, tag: write_csv(path, {"tag": tag}, ["k", "v"], [["a", 0.5]] * 50),
+    lambda path, tag: checkpoint.write_checkpoint(path, "m v1", {"tag": tag}, [("h", ["1"] * 50)]),
+], ids=["csv", "checkpoint"])
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "out.txt"
+    write(path, "earlier")
+    earlier = path.read_bytes()
+
+    class DiskFull:
+        """A file that takes half of what it is given, then runs out of space."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write(path, "later")
+    assert path.read_bytes() == earlier
+    assert os.listdir(tmp_path) == ["out.txt"]
+    monkeypatch.undo()
+    write(path, "later")
+    assert b"later" in path.read_bytes()
+    assert os.listdir(tmp_path) == ["out.txt"]
+    # The mode a plain open gives a new file, not a private temporary's.
+    (tmp_path / "plain.txt").write_text("")
+    assert os.stat(path).st_mode == os.stat(tmp_path / "plain.txt").st_mode
 
 
 def test_convergence_csv_rows(tmp_path):

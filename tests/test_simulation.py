@@ -5,7 +5,7 @@ import pytest
 
 from helpers import assert_fifo_work_conserving, replay_battery, replay_delays, snapshot_is_sane
 from uavmec.heuristics import HefPolicy, RoundRobinPolicy
-from uavmec.mdp import assemble_reward, compute_reward_parts
+from uavmec.mdp import assemble_reward, compute_reward_parts, encode_state
 from uavmec.simulation import (
     EPISODE_END,
     TASK_ARRIVAL,
@@ -37,16 +37,24 @@ class RecordingPolicy(AlwaysLocalPolicy):
 
 
 class CollectingLearner:
-    """Learner stub: fixed local action, remembers ingested transitions."""
+    """Learner stub: keeps every task local, remembers ingested transitions.
+
+    Its state is the snapshot's vector, which does not hold the deciding UAV,
+    so ``encode`` notes that UAV for the ``select`` that follows.
+    """
 
     wants_transitions = True
-    state_layout = "paper10"
 
     def __init__(self):
         self.ingested = []
 
-    def select(self, snap):
-        return snap.deciding_uav
+    def encode(self, snap):
+        self.uav = snap.deciding_uav
+        return encode_state(snap)
+
+    def select(self, state):
+        assert isinstance(state, np.ndarray)
+        return self.uav
 
     def ingest(self, t):
         self.ingested.append(t)
@@ -61,8 +69,8 @@ def rr_policies(cfg):
 
 
 def test_identical_runs_are_bit_identical(cfg):
-    a = run_episode(cfg, hef_policies(cfg), arrival_seed=5)
-    b = run_episode(cfg, hef_policies(cfg), arrival_seed=5)
+    a = run_episode(cfg, hef_policies(cfg), arrival_seed=5, collect_events=True)
+    b = run_episode(cfg, hef_policies(cfg), arrival_seed=5, collect_events=True)
     assert a.events == b.events
     assert a.battery_wh == b.battery_wh
     assert a.cumulative_reward == b.cumulative_reward
@@ -78,14 +86,14 @@ def test_identical_runs_are_bit_identical(cfg):
 
 
 def test_different_seeds_differ(cfg):
-    a = run_episode(cfg, hef_policies(cfg), arrival_seed=5)
-    b = run_episode(cfg, hef_policies(cfg), arrival_seed=6)
+    a = run_episode(cfg, hef_policies(cfg), arrival_seed=5, collect_events=True)
+    b = run_episode(cfg, hef_policies(cfg), arrival_seed=6, collect_events=True)
     assert a.events != b.events
 
 
 def test_zero_duration_episode_is_empty(cfg):
     cfg.sim.episode_duration = 0.0
-    result = run_episode(cfg, rr_policies(cfg), arrival_seed=1)
+    result = run_episode(cfg, rr_policies(cfg), arrival_seed=1, collect_events=True)
     assert result.tasks_generated == 0
     assert result.tasks_completed == 0
     assert result.tasks_in_queue == 0
@@ -105,7 +113,7 @@ def test_task_conservation(cfg):
 
 
 def test_event_times_monotone_and_ordered(cfg):
-    r = run_episode(cfg, hef_policies(cfg), arrival_seed=3)
+    r = run_episode(cfg, hef_policies(cfg), arrival_seed=3, collect_events=True)
     times = [e[0] for e in r.events]
     assert times == sorted(times)
     # At equal timestamps a completion frees its server before any arrival is
@@ -119,7 +127,7 @@ def test_event_times_monotone_and_ordered(cfg):
 
 
 def test_tasks_transfer_at_most_once(cfg):
-    r = run_episode(cfg, hef_policies(cfg), arrival_seed=4)
+    r = run_episode(cfg, hef_policies(cfg), arrival_seed=4, collect_events=True)
     arrivals = {}
     for time, kind, task_id, unit in r.events:
         if kind == TASK_ARRIVAL:
@@ -152,12 +160,12 @@ def test_round_robin_placement_cycles(cfg):
 
 
 def test_queues_serve_fifo_without_idling(cfg):
-    r = run_episode(cfg, hef_policies(cfg), arrival_seed=8)
+    r = run_episode(cfg, hef_policies(cfg), arrival_seed=8, collect_events=True)
     assert_fifo_work_conserving(r)
 
 
 def test_latency_components_match_event_replay(cfg):
-    r = run_episode(cfg, hef_policies(cfg), arrival_seed=9)
+    r = run_episode(cfg, hef_policies(cfg), arrival_seed=9, collect_events=True)
     oracle = replay_delays(cfg, r)
     completed = [rec for rec in r.placements if rec.completed]
     assert len(completed) == len(oracle) > 500
@@ -170,7 +178,7 @@ def test_latency_components_match_event_replay(cfg):
 
 
 def test_battery_matches_event_replay(cfg):
-    r = run_episode(cfg, hef_policies(cfg), arrival_seed=10)
+    r = run_episode(cfg, hef_policies(cfg), arrival_seed=10, collect_events=True)
     oracle = replay_battery(cfg, r)
     for got, expected in zip(r.battery_wh, oracle):
         assert got == pytest.approx(expected, rel=1e-12)
@@ -294,9 +302,13 @@ def test_deferred_rewards_use_realized_outcomes(desk_cfg):
 def test_deferred_and_immediate_rewards_differ_when_predictions_miss(desk_cfg):
     # The predicted violation flags are not the realized ones under load, so
     # the two reward modes disagree on the same workload.
-    immediate = run_episode(desk_cfg, [AlwaysLocalPolicy() for _ in range(2)], arrival_seed=15)
+    immediate = run_episode(
+        desk_cfg, [AlwaysLocalPolicy() for _ in range(2)], arrival_seed=15, collect_events=True
+    )
     desk_cfg.mdp.deferred_reward = True
-    deferred = run_episode(desk_cfg, [AlwaysLocalPolicy() for _ in range(2)], arrival_seed=15)
+    deferred = run_episode(
+        desk_cfg, [AlwaysLocalPolicy() for _ in range(2)], arrival_seed=15, collect_events=True
+    )
     assert immediate.events == deferred.events  # same physics
     assert immediate.cumulative_reward != deferred.cumulative_reward
 
@@ -317,6 +329,10 @@ def test_decision_snapshots_are_sane(cfg):
 
 
 def test_event_collection_is_optional(cfg):
-    r = run_episode(cfg, rr_policies(cfg), arrival_seed=17, collect_events=False)
+    # Off by default: production runs never read the log.
+    r = run_episode(cfg, rr_policies(cfg), arrival_seed=17)
     assert r.events is None
     assert r.tasks_generated > 0
+    logged = run_episode(cfg, rr_policies(cfg), arrival_seed=17, collect_events=True)
+    assert logged.events[-1] == (cfg.sim.episode_duration, EPISODE_END, -1, -1)
+    assert logged.battery_wh == r.battery_wh

@@ -142,10 +142,10 @@ def test_agent_ingest_matches_manual_update():
     grid = make_grid()
     rl = RlConfig()
     agent = QlAgent(grid, rl, np.random.default_rng(0))
-    state = np.array([0.0, 0.1, 0.1, 0.1, 0.1, 0.05, 1.0, 1.0, 1.0, 1.0])
-    nxt = np.array([0.5, 0.2, 0.1, 0.1, 0.1, 0.05, 0.9, 1.0, 1.0, 1.0])
-    agent.ingest(Transition(state=state, action=4, reward=2.0, next_state=nxt, terminal=False))
-    key = grid.key(state)
+    # A tabular transition carries keys: the agent keys each state once, at encode.
+    key = grid.key(np.array([0.0, 0.1, 0.1, 0.1, 0.1, 0.05, 1.0, 1.0, 1.0, 1.0]))
+    nxt = grid.key(np.array([0.5, 0.2, 0.1, 0.1, 0.1, 0.05, 0.9, 1.0, 1.0, 1.0]))
+    agent.ingest(Transition(state=key, action=4, reward=2.0, next_state=nxt, terminal=False))
     assert agent.q_values(key)[4] == pytest.approx(rl.learning_rate_tabular * 2.0)
     # Unseen keys read as zero rows without mutating the table.
     assert agent.q_values((99,) * 10).tolist() == [0.0] * 5
