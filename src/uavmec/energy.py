@@ -25,6 +25,9 @@ class EnergyLedger:
 
     def __init__(self, params: EnergyParams):
         self.params = params
+        # Derived from ``params`` once; their properties recompute on each read.
+        self.constant_power_w = params.constant_power_w
+        self.busy_extra_power_w = params.busy_extra_power_w
         self.busy_total: float = 0.0
         self.open_start: float | None = None
         self.elapsed: float = 0.0
@@ -56,11 +59,11 @@ class EnergyLedger:
 
 def remaining_battery(ledger: EnergyLedger) -> float:
     """Remaining charge in Wh at the ledger's elapsed time (may go negative)."""
-    p = ledger.params
     drained = (
-        p.constant_power_w * ledger.elapsed + p.busy_extra_power_w * ledger.busy_seconds()
+        ledger.constant_power_w * ledger.elapsed
+        + ledger.busy_extra_power_w * ledger.busy_seconds()
     ) / 3600.0
-    return p.battery_capacity_wh - drained
+    return ledger.params.battery_capacity_wh - drained
 
 
 def remaining_battery_fraction(ledger: EnergyLedger) -> float:

@@ -51,8 +51,9 @@ class HefPolicy:
             u = self.rng.random()
             if u < num_mecs / n:
                 return snap.num_uavs + int(u * n)
-        batteries = snap.unit_batteries[: snap.num_uavs]
-        best = int(np.argmax(batteries))
+        batteries = snap.unit_batteries
+        # The highest battery among the UAVs; a tie goes to the lowest index.
+        best = max(range(snap.num_uavs), key=batteries.__getitem__)
         if batteries[best] - batteries[snap.deciding_uav] > self.threshold:
             return best
         return snap.deciding_uav

@@ -8,19 +8,21 @@ them directly without running the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import MdpConfig
 
 
-@dataclass(frozen=True)
-class NetworkSnapshot:
+class NetworkSnapshot(NamedTuple):
     """What the deciding UAV knows at a decision instant.
 
-    Per-unit tuples are ordered UAVs first (0..J-1) then MECs.  Battery
-    entries for MECs are the +inf grid-power sentinel; UAV entries are raw
-    fractions of capacity (clamping happens only at state encoding).
+    Immutable: the kernel shares ``proc_times`` (one tuple per task type) and
+    ``transfer_delays`` (one per deciding UAV) across the decisions of an
+    episode.  Per-unit tuples are ordered UAVs first (0..J-1) then MECs.
+    Battery entries for MECs are the +inf grid-power sentinel; UAV entries
+    are raw fractions of capacity (clamping happens only at state encoding).
     ``unit_delays`` already include the candidate task's own service time on
     each unit.
     """

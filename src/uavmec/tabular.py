@@ -8,6 +8,8 @@ and the task type stays exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
@@ -42,8 +44,11 @@ class DiscretizationGrid:
         self.meta = dict(delay_bins=delay_bins, delay_bin_floor=float(delay_floor),
                          battery_bins=battery_bins, max_deadline=float(max_deadline))
         # Edges span (floor, 2 * max deadline]; anything above the last edge
-        # lands in the top bin, anything below the floor in bin 0.
-        self.delay_edges = np.geomspace(delay_floor, 2.0 * max_deadline, delay_bins - 1)
+        # lands in the top bin, anything below the floor in bin 0.  Python
+        # floats: bisecting them beats a NumPy call on one scalar.
+        self.delay_edges = tuple(
+            np.geomspace(delay_floor, 2.0 * max_deadline, delay_bins - 1).tolist()
+        )
 
     @classmethod
     def from_config(cls, num_uavs, num_mecs, num_types, max_deadline, rl: RlConfig):
@@ -58,7 +63,8 @@ class DiscretizationGrid:
         )
 
     def delay_bin(self, delay: float) -> int:
-        return int(np.searchsorted(self.delay_edges, delay, side="right"))
+        # The bin np.searchsorted(edges, delay, side="right") gives, NaN included.
+        return bisect_right(self.delay_edges, delay)
 
     def battery_bin(self, fraction: float) -> int:
         clamped = min(max(fraction, 0.0), 1.0)

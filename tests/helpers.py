@@ -10,6 +10,10 @@ replay memory and batch step, kept unchanged: a list of ``Transition``
 objects, batches assembled with ``np.stack`` and list comprehensions.  They
 are the oracle for the column-array ring in ``uavmec.deep``.
 
+``reference_snapshots`` rebuilds every decision snapshot of an episode from
+the config and the event log, each field on its own at each decision.  It is
+the oracle for the kernel's per-episode decision tables.
+
 ``snapshot_is_sane`` and ``plateau_threshold`` are structural and
 convergence oracles that only tests use.
 """
@@ -163,6 +167,67 @@ def train_batch(
     loss, grads = loss_and_grads(net, states, actions, targets)
     adam_step(adam, net.parameters(), grads)
     return loss
+
+
+def reference_snapshots(cfg: AppConfig, result: EpisodeResult) -> list:
+    """Every decision snapshot of a logged episode, in decision order.
+
+    A task's first arrival is its decision.  Processing times, transfer
+    delays, type code, deadline and the energy constant are read from
+    ``cfg`` afresh for each decision.  Predicted delays replay each unit's
+    drain time over the enqueues logged before the decision; battery
+    fractions replay the busy intervals logged before it.
+    """
+    sim, p = cfg.sim, cfg.energy
+    num_uavs, num_units = sim.num_uavs, sim.num_units
+    by_task = {r.task_id: r for r in result.placements}
+    const = (p.hover_power_w + p.antenna_power_w + p.cpu_idle_power_w) * p.power_scale
+    extra = (p.cpu_busy_power_w - p.cpu_idle_power_w) * p.power_scale
+    free_at = [0.0] * num_units
+    busy = [0.0] * num_uavs
+    open_since: list = [None] * num_uavs
+    decided: set = set()
+    snaps = []
+    for time, kind, task_id, unit in result.events:
+        if kind == TASK_START and unit < num_uavs:
+            open_since[unit] = time
+        elif kind == TASK_COMPLETE and unit < num_uavs:
+            busy[unit] += time - open_since[unit]
+            open_since[unit] = None
+        if kind != TASK_ARRIVAL:
+            continue
+        task = by_task[task_id]
+        spec = cfg.tasks[task.type_id]
+        if task_id not in decided:
+            decided.add(task_id)
+            proc_times = tuple(spec.proc_time(sim.unit_is_mec(u)) for u in range(num_units))
+            batteries = []
+            for u in range(num_uavs):
+                busy_now = busy[u]
+                if open_since[u] is not None:
+                    busy_now += max(0.0, time - open_since[u])
+                drained = (const * time + extra * busy_now) / 3600.0
+                batteries.append((p.battery_capacity_wh - drained) / p.battery_capacity_wh)
+            snaps.append(NetworkSnapshot(
+                deciding_uav=task.origin_uav,
+                task_type=task.type_id,
+                type_code=task.type_id / (len(cfg.tasks) - 1) if len(cfg.tasks) > 1 else 0.0,
+                unit_delays=tuple(
+                    max(free_at[u] - time, 0.0) + proc_times[u] for u in range(num_units)
+                ),
+                unit_batteries=tuple(batteries) + (math.inf,) * sim.num_mecs,
+                transfer_delays=tuple(
+                    sim.transfer_delay(task.origin_uav, u) for u in range(num_units)
+                ),
+                proc_times=proc_times,
+                iot_delay=sim.iot_to_uav_delay,
+                deadline=spec.deadline,
+                busy_frac_per_sec=extra / 3600.0 / p.battery_capacity_wh,
+                num_uavs=num_uavs,
+            ))
+        if unit == task.chosen_unit:
+            free_at[unit] = max(free_at[unit], time) + spec.proc_time(sim.unit_is_mec(unit))
+    return snaps
 
 
 def snapshot_is_sane(snap: NetworkSnapshot) -> bool:

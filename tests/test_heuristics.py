@@ -85,6 +85,15 @@ def test_hef_small_gap_not_worth_offloading():
     assert policy.select(snap) == 0
 
 
+def test_hef_tie_for_highest_battery_goes_to_lower_index():
+    # UAVs 1 and 3 tie at the top, both well above the deciding UAV 2.
+    policy = HefPolicy(rng=FixedRng([0.9, 0.9]))
+    snap = make_snapshot(deciding_uav=2, batteries=(0.5, 0.9, 0.6, 0.9))
+    assert policy.select(snap) == 1
+    snap = make_snapshot(deciding_uav=0, batteries=(0.5, 0.7, 0.9, 0.9))
+    assert policy.select(snap) == 2
+
+
 def test_hef_forced_mec_roll():
     # 5 units, 1 MEC: draws below 1/5 select the MEC slot.
     policy = HefPolicy(rng=FixedRng([0.19]))

@@ -279,13 +279,19 @@ def test_violation_penalty_excludes_chosen_and_deciding_from_other_branch():
 
 
 def test_snapshot_sanity_checks():
-    assert snapshot_is_sane(make_snapshot())
-    bad_transfer = make_snapshot()
-    object.__setattr__(bad_transfer, "transfer_delays", (0.1, 0.015, 0.015, 0.015, 0.015))
+    good = make_snapshot()
+    assert snapshot_is_sane(good)
+    bad_transfer = good._replace(transfer_delays=(0.1, 0.015, 0.015, 0.015, 0.015))
     assert not snapshot_is_sane(bad_transfer)
-    bad_battery = make_snapshot()
-    object.__setattr__(bad_battery, "unit_batteries", (1.0, 1.0, 1.0, 1.0, 1.0))
+    bad_battery = good._replace(unit_batteries=(1.0, 1.0, 1.0, 1.0, 1.0))
     assert not snapshot_is_sane(bad_battery)
-    bad_delay = make_snapshot()
-    object.__setattr__(bad_delay, "unit_delays", (-0.1, 0.1, 0.1, 0.1, 0.05))
+    bad_delay = make_snapshot(backlogs=(-0.2, 0.0, 0.0, 0.0, 0.0))
     assert not snapshot_is_sane(bad_delay)
+
+
+def test_snapshot_is_immutable():
+    # The kernel shares its per-type and per-UAV tuples across decisions.
+    snap = make_snapshot()
+    with pytest.raises(AttributeError):
+        snap.transfer_delays = (0.0,) * 5
+    assert snap == make_snapshot()

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from uavmec.config import RlConfig
 from uavmec.tabular import (
@@ -27,9 +31,34 @@ def make_grid(delay_bins=8, battery_bins=10):
 
 def test_grid_edges_span_floor_to_twice_deadline():
     grid = make_grid()
-    assert grid.delay_edges.shape == (7,)
+    assert len(grid.delay_edges) == 7
     assert grid.delay_edges[0] == pytest.approx(0.01)
     assert grid.delay_edges[-1] == pytest.approx(10.0)
+
+
+@given(
+    delay_bins=st.integers(min_value=2, max_value=64),
+    pick=st.one_of(
+        # An edge (index wrapped onto the grid), or its float neighbour below or above.
+        st.tuples(st.integers(min_value=0, max_value=62), st.sampled_from([-1, 0, 1])),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 0.005, -1.0, 10.0001, 1e9, math.inf, -math.inf, math.nan]),
+    ),
+)
+@example(delay_bins=8, pick=0.01)
+@example(delay_bins=8, pick=10.0)
+def test_delay_bin_matches_searchsorted(delay_bins, pick):
+    grid = make_grid(delay_bins=delay_bins)
+    edges = np.geomspace(0.01, 10.0, delay_bins - 1)
+    assert grid.delay_edges == tuple(edges.tolist())
+    if isinstance(pick, tuple):
+        edge = edges[pick[0] % len(edges)]
+        delay = float(np.nextafter(edge, pick[1] * np.inf) if pick[1] else edge)
+    else:
+        delay = pick
+    expected = int(np.searchsorted(edges, delay, side="right"))
+    assert grid.delay_bin(delay) == expected
+    assert grid.delay_bin(np.float64(delay)) == expected
 
 
 def test_fresh_fire_state_key():
