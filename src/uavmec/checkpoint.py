@@ -64,9 +64,10 @@ def read_checkpoint(path, magic: str) -> tuple[dict, list]:
         k, v = lines[i][5:].split("=", 1)
         meta[k] = v
         i += 1
-    if i >= len(lines) or not lines[i].startswith("agents "):
+    count = lines[i].split() if i < len(lines) else []
+    if len(count) != 2 or count[0] != "agents" or not count[1].isdigit():
         raise ValueError(f"malformed checkpoint, no agent count: {path}")
-    num_agents = int(lines[i].split()[1])
+    num_agents = int(count[1])
     blocks: list = []
     for line in lines[i + 1:]:
         if line.startswith("agent "):

@@ -41,12 +41,6 @@ def agent_rng(master_seed: int, policy: str, seed_index: int, uav: int) -> np.ra
     return np.random.default_rng(derive_seed("agent", master_seed, policy, seed_index, uav))
 
 
-def _grid(cfg: AppConfig) -> DiscretizationGrid:
-    return DiscretizationGrid.from_config(
-        cfg.sim.num_uavs, cfg.sim.num_mecs, len(cfg.tasks), cfg.max_deadline, cfg.rl
-    )
-
-
 def make_policies(policy: str, cfg: AppConfig, master_seed: int, seed_index: int) -> list:
     """Fresh policy objects, one per UAV."""
     sim = cfg.sim
@@ -59,7 +53,9 @@ def make_policies(policy: str, cfg: AppConfig, master_seed: int, seed_index: int
     if policy == "qhef":
         return [QhefPolicy() for _ in range(sim.num_uavs)]
     if policy == "qlearning":
-        grid = _grid(cfg)
+        grid = DiscretizationGrid.from_config(
+            sim.num_uavs, sim.num_mecs, len(cfg.tasks), cfg.max_deadline, cfg.rl
+        )
         return [
             QlAgent(grid, cfg.rl, agent_rng(master_seed, policy, seed_index, u))
             for u in range(sim.num_uavs)
@@ -133,8 +129,9 @@ def _frozen_learners(policy: str, cfg: AppConfig, parsed: tuple, master_seed: in
     if len(models) != len(agents):
         raise ValueError(f"checkpoint holds {len(models)} agents, config expects {len(agents)}")
     if policy == "qlearning":
-        # A key holds one entry per base-layout state entry.
-        key_width = state_width(cfg.sim.num_uavs, cfg.sim.num_mecs)
+        # A key holds the task type, one delay bin per unit, one battery bin per UAV.
+        grid = agents[0].grid
+        key_width = 1 + grid.num_units + grid.num_uavs
         for agent, table in zip(agents, models):
             # load_qtable holds every row to the stored action count, and one
             # grid made every key of a table, so the first entry stands for all.

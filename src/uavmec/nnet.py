@@ -58,12 +58,8 @@ def forward(net: MlpNetwork, x) -> np.ndarray:
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if a.shape[1] != net.dims[0]:
         raise ValueError(f"input width {a.shape[1]} != network input {net.dims[0]}")
-    last = net.num_layers - 1
-    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w + b
-        if layer != last:
-            a = np.maximum(a, 0.0)
-    return a[0] if single else a
+    q = forward_cached(net, a)[-1]
+    return q[0] if single else q
 
 
 def forward_cached(net: MlpNetwork, x: np.ndarray):

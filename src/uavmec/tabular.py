@@ -15,13 +15,14 @@ import numpy as np
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RlConfig
 from .exploration import epsilon_greedy
-from .mdp import NetworkSnapshot, Transition, encode_state
+# encode_state is unused here; bench/tracing.py wraps it under this name.
+from .mdp import NetworkSnapshot, Transition, encode_state  # noqa: F401
 
 QTABLE_MAGIC = "uavmec-qtable v1"
 
 
 class DiscretizationGrid:
-    """Maps a base-layout state vector to a hashable integer key."""
+    """Maps a decision snapshot to a hashable integer key."""
 
     def __init__(
         self,
@@ -70,17 +71,18 @@ class DiscretizationGrid:
         clamped = min(max(fraction, 0.0), 1.0)
         return min(int(clamped * self.battery_bins), self.battery_bins - 1)
 
-    def key(self, state: np.ndarray) -> tuple:
-        """Discretize a base-layout vector [type, J+ delays, J batteries]."""
-        expected = 1 + self.num_units + self.num_uavs
-        if len(state) != expected:
-            raise ValueError(f"expected base-layout state of width {expected}, got {len(state)}")
-        type_idx = int(round(state[0] * (self.num_types - 1))) if self.num_types > 1 else 0
-        delays = tuple(self.delay_bin(d) for d in state[1 : 1 + self.num_units])
-        batteries = tuple(
-            self.battery_bin(b) for b in state[1 + self.num_units : 1 + self.num_units + self.num_uavs]
+    def key(self, snap: NetworkSnapshot) -> tuple:
+        """(task type, J+ unit delay bins, J UAV battery bins) of a snapshot."""
+        if snap.num_uavs != self.num_uavs or len(snap.unit_delays) != self.num_units:
+            raise ValueError(
+                f"expected a snapshot of {self.num_uavs} UAVs and {self.num_units} units, "
+                f"got {snap.num_uavs} and {len(snap.unit_delays)}"
+            )
+        return (
+            snap.task_type,
+            *map(self.delay_bin, snap.unit_delays),
+            *map(self.battery_bin, snap.unit_batteries[: self.num_uavs]),
         )
-        return (type_idx, *delays, *batteries)
 
 
 def q_update(
@@ -103,13 +105,12 @@ def q_update(
 class QlAgent:
     """One UAV's tabular learner.
 
-    Always encodes the base state layout: the discretized key space is what
-    the table indexes, and transfer-delay features would square it for no
-    coverage gain at this fleet size.
+    Always keys the base layout's fields (type, delays, UAV batteries): the
+    discretized key space is what the table indexes, and transfer-delay
+    features would square it for no coverage gain at this fleet size.
     """
 
     wants_transitions = True
-    state_layout = "paper10"
 
     def __init__(self, grid: DiscretizationGrid, rl: RlConfig, rng: np.random.Generator):
         self.grid = grid
@@ -120,7 +121,7 @@ class QlAgent:
         self.epsilon = 0.0
         self.table: dict[tuple, np.ndarray] = {}
         # What the table is fitted to; a checkpoint records it.
-        self.input_meta = {"state_layout": self.state_layout, **grid.meta}
+        self.input_meta = {"state_layout": "paper10", **grid.meta}
 
     def q_values(self, key: tuple) -> np.ndarray:
         row = self.table.get(key)
@@ -128,7 +129,7 @@ class QlAgent:
 
     def encode(self, snap: NetworkSnapshot) -> tuple:
         """The decision's state: its discretized key."""
-        return self.grid.key(encode_state(snap, self.state_layout))
+        return self.grid.key(snap)
 
     def select(self, key: tuple) -> int:
         return epsilon_greedy(self.q_values(key), self.epsilon, self.rng)

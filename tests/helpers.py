@@ -14,8 +14,14 @@ are the oracle for the column-array ring in ``uavmec.deep``.
 the config and the event log, each field on its own at each decision.  It is
 the oracle for the kernel's per-episode decision tables.
 
+``reference_key`` is the tabular key by way of the deep agent's state
+vector (``encode_state``, then slicing it by position), as the learner once
+computed it.  It is the oracle for ``DiscretizationGrid.key``, which cuts the
+key straight from the snapshot's fields.
+
 ``snapshot_is_sane`` and ``plateau_threshold`` are structural and
-convergence oracles that only tests use.
+convergence oracles that only tests use; ``make_snapshot`` builds a
+hand-made decision snapshot of the default 4 UAV + 1 MEC fleet.
 """
 
 import math
@@ -23,9 +29,49 @@ import math
 import numpy as np
 
 from uavmec.config import AppConfig
-from uavmec.mdp import NetworkSnapshot, Transition
+from uavmec.mdp import NetworkSnapshot, Transition, encode_state, type_code
 from uavmec.nnet import AdamState, MlpNetwork, adam_step, forward, loss_and_grads
 from uavmec.simulation import EpisodeResult, TASK_ARRIVAL, TASK_COMPLETE, TASK_START
+from uavmec.tabular import DiscretizationGrid
+
+FIRE, PEST, GROWTH = 0, 1, 2
+PROC_UAV = {FIRE: 0.1, PEST: 0.5, GROWTH: 0.1}
+PROC_MEC = {FIRE: 0.05, PEST: 0.25, GROWTH: 0.05}
+DEADLINE = {FIRE: 0.3, PEST: 0.8, GROWTH: 5.0}
+
+
+def make_snapshot(
+    task_type=FIRE,
+    deciding_uav=0,
+    backlogs=(0.0, 0.0, 0.0, 0.0, 0.0),
+    batteries=(1.0, 1.0, 1.0, 1.0),
+    num_uavs=4,
+    iot_delay=0.01,
+    transfer=0.015,
+    busy_frac_per_sec=0.0042105,
+):
+    num_units = len(backlogs)
+    proc = [
+        PROC_MEC[task_type] if u >= num_uavs else PROC_UAV[task_type]
+        for u in range(num_units)
+    ]
+    delays = tuple(b + p for b, p in zip(backlogs, proc))
+    transfers = tuple(
+        0.0 if u == deciding_uav else transfer for u in range(num_units)
+    )
+    return NetworkSnapshot(
+        deciding_uav=deciding_uav,
+        task_type=task_type,
+        type_code=type_code(task_type, 3),
+        unit_delays=delays,
+        unit_batteries=tuple(batteries) + (math.inf,) * (num_units - num_uavs),
+        transfer_delays=transfers,
+        proc_times=tuple(proc),
+        iot_delay=iot_delay,
+        deadline=DEADLINE[task_type],
+        busy_frac_per_sec=busy_frac_per_sec,
+        num_uavs=num_uavs,
+    )
 
 
 def replay_delays(cfg: AppConfig, result: EpisodeResult) -> dict:
@@ -255,3 +301,17 @@ def plateau_threshold(smoothed, fraction: float = 0.9, tail_fraction: float = 0.
     plateau = float(np.mean(smoothed[-tail:]))
     start = float(smoothed[0])
     return start + fraction * (plateau - start)
+
+
+def reference_key(grid: DiscretizationGrid, snap: NetworkSnapshot) -> tuple:
+    """Discretize the base-layout vector [type, J+ delays, J batteries] of ``snap``."""
+    state = encode_state(snap)
+    expected = 1 + grid.num_units + grid.num_uavs
+    if len(state) != expected:
+        raise ValueError(f"expected base-layout state of width {expected}, got {len(state)}")
+    type_idx = int(round(state[0] * (grid.num_types - 1))) if grid.num_types > 1 else 0
+    delays = tuple(grid.delay_bin(d) for d in state[1 : 1 + grid.num_units])
+    batteries = tuple(
+        grid.battery_bin(b) for b in state[1 + grid.num_units : 1 + grid.num_units + grid.num_uavs]
+    )
+    return (type_idx, *delays, *batteries)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavmec import deep, harness, simulation, tabular
+from uavmec.cli import main
 from uavmec.config import ConfigError, load_config
 from uavmec.deep import DqlAgent
 from uavmec.harness import (
@@ -99,9 +100,10 @@ def count_calls(monkeypatch, owner, name) -> list:
 def test_training_encodes_and_keys_each_decision_once(desk_cfg, monkeypatch, policy):
     episodes = count_calls(monkeypatch, harness, "run_episode")
     kernel_encodes = count_calls(monkeypatch, simulation, "encode_state")
+    tabular_encodes = count_calls(monkeypatch, tabular, "encode_state")
     if policy == "qlearning":
-        encodes = count_calls(monkeypatch, tabular, "encode_state")
-        keys = count_calls(monkeypatch, tabular.DiscretizationGrid, "key")
+        # The tabular learner keys the snapshot itself and builds no vector.
+        encodes = count_calls(monkeypatch, tabular.DiscretizationGrid, "key")
     else:
         encodes = count_calls(monkeypatch, deep, "encode_state")
     agents, _ = train_policy(desk_cfg, policy, episodes=1, master_seed=1)
@@ -109,11 +111,10 @@ def test_training_encodes_and_keys_each_decision_once(desk_cfg, monkeypatch, pol
     assert decisions > 100
     assert len(encodes) == decisions
     if policy == "qlearning":
-        assert len(keys) == decisions
         assert sum(len(a.table) for a in agents) > 0
     else:
         assert sum(a.train_steps for a in agents) > 0
-    assert kernel_encodes == []
+    assert kernel_encodes == tabular_encodes == []
 
 
 def test_training_is_reproducible(desk_cfg):
@@ -247,6 +248,16 @@ def test_qtable_without_its_grid_is_refused(desk_cfg, tmp_path):
     path.write_text("".join(line for line in lines if not line.startswith("meta delay_bins=")))
     with pytest.raises(ValueError, match="checkpoint delay_bins is missing, config expects 48"):
         load_policies("qlearning", desk_cfg, str(path), 1, 0)
+
+
+@pytest.mark.parametrize("count_line", ["agents ", "agents x"])
+def test_checkpoint_without_an_agent_count_is_refused(tmp_path, capsys, count_line):
+    path = tmp_path / "no-count.ckpt"
+    path.write_text(f"uavmec-qtable v1\nmeta policy=qlearning\n{count_line}\n")
+    with pytest.raises(ValueError, match="no agent count"):
+        load_qtable(str(path))
+    assert main(["inspect-checkpoint", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed checkpoint, no agent count")
 
 
 def test_checkpoint_kind_rejects_other_files(tmp_path):

@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from uavmec.config import MdpConfig
-from helpers import snapshot_is_sane
+from helpers import FIRE, GROWTH, PEST, make_snapshot, snapshot_is_sane
 from uavmec.mdp import (
-    NetworkSnapshot,
     assemble_reward,
     battery_tier,
     compute_reward_parts,
@@ -16,46 +13,6 @@ from uavmec.mdp import (
     type_code,
     violation_penalty,
 )
-
-FIRE, PEST, GROWTH = 0, 1, 2
-PROC_UAV = {FIRE: 0.1, PEST: 0.5, GROWTH: 0.1}
-PROC_MEC = {FIRE: 0.05, PEST: 0.25, GROWTH: 0.05}
-DEADLINE = {FIRE: 0.3, PEST: 0.8, GROWTH: 5.0}
-
-
-def make_snapshot(
-    task_type=FIRE,
-    deciding_uav=0,
-    backlogs=(0.0, 0.0, 0.0, 0.0, 0.0),
-    batteries=(1.0, 1.0, 1.0, 1.0),
-    num_uavs=4,
-    iot_delay=0.01,
-    transfer=0.015,
-    busy_frac_per_sec=0.0042105,
-):
-    num_units = len(backlogs)
-    proc = [
-        PROC_MEC[task_type] if u >= num_uavs else PROC_UAV[task_type]
-        for u in range(num_units)
-    ]
-    delays = tuple(b + p for b, p in zip(backlogs, proc))
-    transfers = tuple(
-        0.0 if u == deciding_uav else transfer for u in range(num_units)
-    )
-    return NetworkSnapshot(
-        deciding_uav=deciding_uav,
-        task_type=task_type,
-        type_code=type_code(task_type, 3),
-        unit_delays=delays,
-        unit_batteries=tuple(batteries) + (math.inf,) * (num_units - num_uavs),
-        transfer_delays=transfers,
-        proc_times=tuple(proc),
-        iot_delay=iot_delay,
-        deadline=DEADLINE[task_type],
-        busy_frac_per_sec=busy_frac_per_sec,
-        num_uavs=num_uavs,
-    )
-
 
 CFG = MdpConfig()
 

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import PEST, make_snapshot, reference_key
+from uavmec import tabular
 from uavmec.config import RlConfig
+from uavmec.harness import train_policy
+from uavmec.mdp import type_code
 from uavmec.tabular import (
     QTABLE_MAGIC,
     DiscretizationGrid,
@@ -63,8 +67,7 @@ def test_delay_bin_matches_searchsorted(delay_bins, pick):
 
 def test_fresh_fire_state_key():
     grid = make_grid()
-    state = np.array([0.0, 0.1, 0.1, 0.1, 0.1, 0.05, 1.0, 1.0, 1.0, 1.0])
-    key = grid.key(state)
+    key = grid.key(make_snapshot())  # fire task, idle fleet, full batteries
     assert key[0] == 0  # task class index
     # Delays fall in low geometric bins; full batteries land in the top bin.
     assert key[1:6] == tuple(grid.delay_bin(d) for d in (0.1, 0.1, 0.1, 0.1, 0.05))
@@ -76,9 +79,67 @@ def test_same_bin_states_share_a_key():
     # 0.15 and 0.16 sit mid-bin between the 0.1 and 0.316 edges; batteries
     # 0.95 and 0.97 both land in the top tenth.
     grid = make_grid()
-    a = np.array([0.5, 0.15, 0.1, 0.1, 0.1, 0.05, 0.95, 1.0, 1.0, 1.0])
-    b = np.array([0.5, 0.16, 0.1, 0.1, 0.1, 0.05, 0.97, 1.0, 1.0, 1.0])
+    a = make_snapshot(task_type=PEST)._replace(
+        unit_delays=(0.15, 0.1, 0.1, 0.1, 0.05), unit_batteries=(0.95, 1.0, 1.0, 1.0, math.inf)
+    )
+    b = make_snapshot(task_type=PEST)._replace(
+        unit_delays=(0.16, 0.1, 0.1, 0.1, 0.05), unit_batteries=(0.97, 1.0, 1.0, 1.0, math.inf)
+    )
     assert grid.key(a) == grid.key(b)
+
+
+def delay_strategy(grid):
+    """Delays at and beside each bin edge, 0, above the top edge, inf, or anywhere."""
+    edges = grid.delay_edges
+    beside_edge = st.tuples(st.sampled_from(edges), st.sampled_from([-1, 0, 1])).map(
+        lambda pick: float(np.nextafter(pick[0], pick[1] * np.inf)) if pick[1] else pick[0]
+    )
+    return st.one_of(
+        beside_edge,
+        st.sampled_from([0.0, edges[-1] * 1.0001, 1e9, math.inf]),
+        st.floats(min_value=0.0, max_value=2.0 * edges[-1]),
+    )
+
+
+@given(data=st.data())
+def test_key_matches_the_state_vector_oracle(data):
+    num_types = data.draw(st.integers(1, 5), label="num_types")
+    num_uavs = data.draw(st.integers(1, 4), label="num_uavs")
+    num_units = num_uavs + data.draw(st.integers(1, 2), label="num_mecs")
+    grid = DiscretizationGrid(
+        num_uavs, num_units, num_types, max_deadline=5.0,
+        delay_bins=data.draw(st.integers(2, 16), label="delay_bins"),
+    )
+    task_type = data.draw(st.integers(0, num_types - 1), label="task_type")
+    delays = data.draw(st.lists(delay_strategy(grid), min_size=num_units, max_size=num_units))
+    battery = st.one_of(
+        st.sampled_from([-0.5, -1e-12, 0.0, 0.1, 0.999, 1.0, 1.0 + 1e-12, 1.5]),
+        st.floats(min_value=-1.0, max_value=2.0),
+    )
+    batteries = data.draw(st.lists(battery, min_size=num_uavs, max_size=num_uavs))
+    snap = make_snapshot()._replace(
+        task_type=task_type,
+        type_code=type_code(task_type, num_types),
+        unit_delays=tuple(delays),
+        unit_batteries=tuple(batteries) + (math.inf,) * (num_units - num_uavs),  # MEC sentinel
+        num_uavs=num_uavs,
+    )
+    assert grid.key(snap) == reference_key(grid, snap)
+
+
+def test_training_keys_match_the_state_vector_oracle(desk_cfg, monkeypatch):
+    recorded = []
+    original = tabular.DiscretizationGrid.key
+
+    def recording_key(grid, snap):
+        recorded.append((grid, snap, original(grid, snap)))
+        return recorded[-1][2]
+
+    monkeypatch.setattr(tabular.DiscretizationGrid, "key", recording_key)
+    train_policy(desk_cfg, "qlearning", episodes=1, master_seed=1)
+    assert len(recorded) > 100
+    for grid, snap, key in recorded:
+        assert key == reference_key(grid, snap)
 
 
 def test_delay_above_top_edge_clamps_to_last_bin():
@@ -102,11 +163,11 @@ def test_battery_bin_clamps_and_partitions():
 
 
 def test_key_width_validation():
-    grid = make_grid()
+    grid = make_grid()  # 4 UAVs + 1 MEC
     with pytest.raises(ValueError):
-        grid.key(np.zeros(9))
+        grid.key(make_snapshot(backlogs=(0.0,) * 3, batteries=(1.0,) * 2, num_uavs=2))
     with pytest.raises(ValueError):
-        grid.key(np.zeros(15))
+        grid.key(make_snapshot(backlogs=(0.0,) * 6, batteries=(1.0,) * 4, num_uavs=4))
 
 
 def test_q_update_single_step_from_empty_table():
@@ -172,8 +233,10 @@ def test_agent_ingest_matches_manual_update():
     rl = RlConfig()
     agent = QlAgent(grid, rl, np.random.default_rng(0))
     # A tabular transition carries keys: the agent keys each state once, at encode.
-    key = grid.key(np.array([0.0, 0.1, 0.1, 0.1, 0.1, 0.05, 1.0, 1.0, 1.0, 1.0]))
-    nxt = grid.key(np.array([0.5, 0.2, 0.1, 0.1, 0.1, 0.05, 0.9, 1.0, 1.0, 1.0]))
+    key = agent.encode(make_snapshot())
+    nxt = agent.encode(make_snapshot(task_type=PEST)._replace(
+        unit_delays=(0.2, 0.1, 0.1, 0.1, 0.05), unit_batteries=(0.9, 1.0, 1.0, 1.0, math.inf)
+    ))
     agent.ingest(Transition(state=key, action=4, reward=2.0, next_state=nxt, terminal=False))
     assert agent.q_values(key)[4] == pytest.approx(rl.learning_rate_tabular * 2.0)
     # Unseen keys read as zero rows without mutating the table.
