@@ -22,10 +22,9 @@ from .config import (
     load_config,
 )
 from .harness import (
-    arrival_seed,
     evaluate_many,
     inspect_checkpoint,
-    load_policies,
+    load_policies,  # noqa: F401  unused here; bench/tracing.py wraps it under this name
     save_checkpoint,
     train_policy,
 )
@@ -37,7 +36,8 @@ from .metrics import (
     write_summary_csv,
     write_violations_csv,
 )
-from .simulation import SimulationError, run_episode
+from .simulation import SimulationError
+from .simulation import run_episode  # noqa: F401  unused here; bench/tracing.py wraps it
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -143,15 +143,18 @@ def _train(cfg: AppConfig, policy: str, episodes: int, out: Path, curve_name: st
 
 
 def _evaluate(cfg: AppConfig, out: Path, policies: list, seeds: int, episodes: int,
-              checkpoints: dict, label: dict) -> dict:
+              checkpoints: dict, label: dict, placements: bool = False) -> None:
     """Evaluate every policy over ``seeds`` seeds and write the battery,
-    violations and summary reports; returns the reports' metadata."""
+    violations and summary reports; with ``placements``, also the per-task
+    log of the first policy's first seed and episode."""
     jobs = [
         (policy, cfg.sim.seed, seed_index, episodes, checkpoints.get(policy))
         for policy in policies
         for seed_index in range(seeds)
     ]
-    runs = evaluate_many(cfg, jobs, workers=cfg.experiment.workers)
+    runs = evaluate_many(cfg, jobs, workers=cfg.experiment.workers, first_episode=placements)
+    if placements:
+        runs, first = runs
     unit_names = [cfg.sim.unit_name(u) for u in range(cfg.sim.num_units)]
     meta = _base_meta(cfg)
     meta.update({**label, "eval_seeds": seeds, "episodes_per_seed": episodes})
@@ -160,7 +163,8 @@ def _evaluate(cfg: AppConfig, out: Path, policies: list, seeds: int, episodes: i
     write_summary_csv(
         out / "summary.csv", meta, runs, cfg.sim.objective_weight_w, cfg.sim.violation_scale_theta
     )
-    return meta
+    if placements:
+        write_placements_csv(out / "placements.csv", meta, first, unit_names)
 
 
 def cmd_train(args, parser) -> int:
@@ -193,15 +197,10 @@ def cmd_evaluate(args, parser) -> int:
     if seeds < 1 or episodes < 1:
         parser.error("--seeds and --episodes must be >= 1")
     out = _out_dir(cfg)
-    meta = _evaluate(
+    _evaluate(
         cfg, out, [args.policy], seeds, episodes, {args.policy: args.checkpoint},
-        {"policy": args.policy},
+        {"policy": args.policy}, placements=args.placements,
     )
-    if args.placements:
-        policies = load_policies(args.policy, cfg, args.checkpoint, cfg.sim.seed, 0)
-        result = run_episode(cfg, policies, arrival_seed(cfg.sim.seed, 0), episode_index=0)
-        unit_names = [cfg.sim.unit_name(u) for u in range(cfg.sim.num_units)]
-        write_placements_csv(out / "placements.csv", meta, result, unit_names)
     print(f"evaluated {args.policy} over {seeds} seeds ({episodes} episode(s) each)")
     print(f"reports: {out / 'battery.csv'}, {out / 'violations.csv'}, {out / 'summary.csv'}")
     return 0

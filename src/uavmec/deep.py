@@ -74,10 +74,15 @@ class ReplayBuffer:
             setattr(self, name, column)
 
     def push(self, t: Transition) -> None:
+        """Store ``t``; its states must be 1-d and as wide as the first push's."""
+        width = self.states.shape[1] if self.size else np.size(t.state)
+        for name, state in (("state", t.state), ("next_state", t.next_state)):
+            if np.shape(state) != (width,):
+                raise ValueError(f"{name} has shape {np.shape(state)}, buffer holds ({width},)")
         row = self.cursor
         if row == len(self.actions):
             rows = min(self.capacity, max(self.initial_rows, 2 * row))
-            self._allocate(rows, len(t.state))
+            self._allocate(rows, width)
         self.states[row] = t.state
         self.next_states[row] = t.next_state
         self.actions[row] = t.action

@@ -237,8 +237,8 @@ def train_policy(
 # --- evaluation ------------------------------------------------------------
 
 
-def _eval_job(args) -> RunMetrics:
-    cfg, policy, master_seed, seed_index, episodes_per_seed, parsed = args
+def _eval_job(args):
+    cfg, policy, master_seed, seed_index, episodes_per_seed, parsed, keep_first = args
     if parsed is None:
         policies = make_policies(policy, cfg, master_seed, seed_index)
     else:
@@ -247,25 +247,34 @@ def _eval_job(args) -> RunMetrics:
     episodes = [
         run_episode(cfg, policies, seed, episode_index=ep) for ep in range(episodes_per_seed)
     ]
-    return metrics_from_episodes(policy, seed_index, episodes)
+    run = metrics_from_episodes(policy, seed_index, episodes)
+    return (run, episodes[0]) if keep_first else run
 
 
-def evaluate_many(cfg: AppConfig, jobs: list, workers: int = 1) -> list:
+def evaluate_many(cfg: AppConfig, jobs: list, workers: int = 1, first_episode: bool = False):
     """Run (policy, seed, checkpoint) evaluation jobs, optionally in parallel.
 
     Each distinct learner checkpoint is parsed once, here, and shared by its
     jobs.  Results come back in job order regardless of worker scheduling, so
-    reports stay deterministic.
+    reports stay deterministic.  Returns the jobs' ``RunMetrics``; with
+    ``first_episode``, returns ``(runs, result)`` where ``result`` is the
+    ``EpisodeResult`` of the first job's first episode.
     """
     parsed: dict = {}
     for policy, _, _, _, checkpoint in jobs:
         if policy in LEARNER_POLICIES and (policy, checkpoint) not in parsed:
             parsed[policy, checkpoint] = _read_checkpoint(policy, checkpoint)
     args = [
-        (cfg, policy, master_seed, seed_index, episodes, parsed.get((policy, checkpoint)))
-        for (policy, master_seed, seed_index, episodes, checkpoint) in jobs
+        (cfg, policy, master_seed, seed_index, episodes, parsed.get((policy, checkpoint)),
+         first_episode and i == 0)
+        for i, (policy, master_seed, seed_index, episodes, checkpoint) in enumerate(jobs)
     ]
     if workers <= 1 or len(args) <= 1:
-        return [_eval_job(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_eval_job, args))
+        runs = [_eval_job(a) for a in args]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(_eval_job, args))
+    if not first_episode:
+        return runs
+    runs[0], first = runs[0]
+    return runs, first

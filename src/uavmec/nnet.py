@@ -52,25 +52,59 @@ def init_mlp(dims: list, rng: np.random.Generator) -> MlpNetwork:
     return MlpNetwork(dims, weights, biases)
 
 
+class _Workspace:
+    """Activations, deltas and ReLU masks of one (dims, rows) batch shape."""
+
+    def __init__(self, dims: tuple, rows: int):
+        self.activations = [np.empty((rows, d)) for d in dims[1:]]
+        self.deltas = [np.empty((rows, d)) for d in dims[1:]]
+        self.masks = [np.empty((rows, d), dtype=bool) for d in dims[1:-1]]
+
+
+# Shared by every network of a shape (agents, target networks, their copies),
+# so no network carries scratch memory.  Single-threaded use only.  At most
+# _MAX_WORKSPACES shapes are kept; the one added first makes room for a new one.
+_WORKSPACES: dict = {}
+_MAX_WORKSPACES = 8
+
+
+def _workspace(dims: list, rows: int) -> _Workspace:
+    key = (tuple(dims), rows)
+    ws = _WORKSPACES.get(key)
+    if ws is None:
+        if len(_WORKSPACES) >= _MAX_WORKSPACES:
+            del _WORKSPACES[next(iter(_WORKSPACES))]
+        ws = _WORKSPACES[key] = _Workspace(key[0], rows)
+    return ws
+
+
 def forward(net: MlpNetwork, x) -> np.ndarray:
     """Q-values for a single state (1-d input) or a batch (2-d input)."""
-    single = np.ndim(x) == 1
+    ndim = np.ndim(x)
+    if ndim > 2:
+        raise ValueError(f"input has {ndim} dimensions, expected 1 or 2")
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if a.shape[1] != net.dims[0]:
         raise ValueError(f"input width {a.shape[1]} != network input {net.dims[0]}")
     q = forward_cached(net, a)[-1]
-    return q[0] if single else q
+    return q[0].copy() if ndim == 1 else q.copy()
 
 
 def forward_cached(net: MlpNetwork, x: np.ndarray):
-    """Batch forward keeping post-activation values per layer for backprop."""
-    activations = [np.asarray(x, dtype=np.float64)]
+    """Batch forward keeping post-activation values per layer for backprop.
+
+    The layers after the input are the shared workspace's arrays, which the
+    next batch of the same shape overwrites.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    workspace = _workspace(net.dims, a.shape[0])
+    activations = [a]
     last = net.num_layers - 1
-    a = activations[0]
-    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w + b
+    for layer, (w, b, out) in enumerate(zip(net.weights, net.biases, workspace.activations)):
+        a = np.matmul(a, w, out=out)
+        a += b
         if layer != last:
-            a = np.maximum(a, 0.0)
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
     return activations
 
@@ -83,13 +117,15 @@ def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, tar
     """
     batch = states.shape[0]
     activations = forward_cached(net, states)
+    ws = _workspace(net.dims, batch)
     q = activations[-1]
     idx = np.arange(batch)
     taken = q[idx, actions]
     err = taken - targets
     loss = float(np.mean(err**2))
 
-    delta = np.zeros_like(q)
+    delta = ws.deltas[-1]
+    delta.fill(0.0)
     delta[idx, actions] = 2.0 * err / batch
     grads_w = [None] * net.num_layers
     grads_b = [None] * net.num_layers
@@ -98,7 +134,9 @@ def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, tar
         grads_w[layer] = a_prev.T @ delta
         grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ net.weights[layer].T) * (activations[layer] > 0.0)
+            below = np.matmul(delta, net.weights[layer].T, out=ws.deltas[layer - 1])
+            mask = np.greater(activations[layer], 0.0, out=ws.masks[layer - 1])
+            delta = np.multiply(below, mask, out=below)
     grads = []
     for gw, gb in zip(grads_w, grads_b):
         grads.extend((gw, gb))
@@ -106,7 +144,12 @@ def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, tar
 
 
 class AdamState:
-    """First/second moment accumulators with bias correction."""
+    """First/second moment accumulators with bias correction.
+
+    The moments and the update's two scratch vectors are flat, in the order
+    of the parameter list, so a step runs each operation once over all
+    parameters.
+    """
 
     def __init__(self, params: list, lr: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -115,8 +158,11 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        size = sum(p.size for p in params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._step = np.zeros(size)
+        self._denom = np.zeros(size)
 
 
 def adam_step(adam: AdamState, params: list, grads: list) -> None:
@@ -125,12 +171,24 @@ def adam_step(adam: AdamState, params: list, grads: list) -> None:
     b1, b2 = adam.beta1, adam.beta2
     bias1 = 1.0 - b1**adam.t
     bias2 = 1.0 - b2**adam.t
-    for p, g, m, v in zip(params, grads, adam.m, adam.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g**2
-        p -= adam.lr * (m / bias1) / (np.sqrt(v / bias2) + adam.eps)
+    g = np.concatenate([gr.reshape(-1) for gr in grads])
+    m, v, step, denom = adam.m, adam.v, adam._step, adam._denom
+    m *= b1
+    m += np.multiply(1.0 - b1, g, out=step)
+    v *= b2
+    np.square(g, out=step)
+    v += np.multiply(1.0 - b2, step, out=step)
+    # step = lr * (m / bias1) / (sqrt(v / bias2) + eps)
+    np.divide(m, bias1, out=step)
+    np.multiply(adam.lr, step, out=step)
+    np.divide(v, bias2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += adam.eps
+    step /= denom
+    offset = 0
+    for p in params:
+        p -= step[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
 
 
 def _tensor_line(name: str, tensor: np.ndarray) -> str:

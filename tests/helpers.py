@@ -10,6 +10,12 @@ replay memory and batch step, kept unchanged: a list of ``Transition``
 objects, batches assembled with ``np.stack`` and list comprehensions.  They
 are the oracle for the column-array ring in ``uavmec.deep``.
 
+``ReferenceAdamState``, ``reference_forward_cached``,
+``reference_loss_and_grads`` and ``reference_adam_step`` are the original
+network step, kept unchanged: every temporary is a fresh array and Adam runs
+per parameter array.  With ``reference_train_step`` they are the oracle for
+the shared workspaces and the flat Adam update in ``uavmec.nnet``.
+
 ``reference_snapshots`` rebuilds every decision snapshot of an episode from
 the config and the event log, each field on its own at each decision.  It is
 the oracle for the kernel's per-episode decision tables.
@@ -212,6 +218,91 @@ def train_batch(
 
     loss, grads = loss_and_grads(net, states, actions, targets)
     adam_step(adam, net.parameters(), grads)
+    return loss
+
+
+class ReferenceAdamState:
+    """First/second moment accumulators with bias correction."""
+
+    def __init__(self, params: list, lr: float = 0.001, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+
+def reference_forward_cached(net: MlpNetwork, x: np.ndarray):
+    """Batch forward keeping post-activation values per layer for backprop."""
+    activations = [np.asarray(x, dtype=np.float64)]
+    last = net.num_layers - 1
+    a = activations[0]
+    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = a @ w + b
+        if layer != last:
+            a = np.maximum(a, 0.0)
+        activations.append(a)
+    return activations
+
+
+def reference_loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray,
+                             targets: np.ndarray):
+    """MSE over the taken actions' Q-values, with gradients for every parameter.
+
+    loss = mean_i (Q(s_i)[a_i] - y_i)^2.  Returns (loss, grads) with grads
+    ordered like net.parameters().
+    """
+    batch = states.shape[0]
+    activations = reference_forward_cached(net, states)
+    q = activations[-1]
+    idx = np.arange(batch)
+    taken = q[idx, actions]
+    err = taken - targets
+    loss = float(np.mean(err**2))
+
+    delta = np.zeros_like(q)
+    delta[idx, actions] = 2.0 * err / batch
+    grads_w = [None] * net.num_layers
+    grads_b = [None] * net.num_layers
+    for layer in range(net.num_layers - 1, -1, -1):
+        a_prev = activations[layer]
+        grads_w[layer] = a_prev.T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ net.weights[layer].T) * (activations[layer] > 0.0)
+    grads = []
+    for gw, gb in zip(grads_w, grads_b):
+        grads.extend((gw, gb))
+    return loss, grads
+
+
+def reference_adam_step(adam: ReferenceAdamState, params: list, grads: list) -> None:
+    """One in-place update of every parameter."""
+    adam.t += 1
+    b1, b2 = adam.beta1, adam.beta2
+    bias1 = 1.0 - b1**adam.t
+    bias2 = 1.0 - b2**adam.t
+    for p, g, m, v in zip(params, grads, adam.m, adam.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g**2
+        p -= adam.lr * (m / bias1) / (np.sqrt(v / bias2) + adam.eps)
+
+
+def reference_train_step(net: MlpNetwork, adam: ReferenceAdamState, batch, gamma: float,
+                         target_net: MlpNetwork | None = None) -> float:
+    """``uavmec.deep.train_batch`` on a ``TransitionBatch`` by the reference path."""
+    live = np.where(batch.terminals, 0.0, 1.0)
+    bootstrap_net = target_net if target_net is not None else net
+    next_q = reference_forward_cached(bootstrap_net, batch.next_states)[-1]
+    targets = batch.rewards + gamma * live * next_q.max(axis=1)
+
+    loss, grads = reference_loss_and_grads(net, batch.states, batch.actions, targets)
+    reference_adam_step(adam, net.parameters(), grads)
     return loss
 
 

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from uavmec import cli, harness
 from uavmec.cli import main
 from uavmec.config import load_config
 from uavmec.harness import load_policies
@@ -258,6 +259,32 @@ def test_evaluate_placements_log(tiny_config, tmp_path):
         if r[5] and r[6]:
             assert float(r[4]) <= float(r[5]) <= float(r[6])
         assert r[8] in ("", "0", "1")
+
+
+def test_evaluate_placements_reuse_the_first_evaluated_episode(tiny_config, tmp_path,
+                                                               monkeypatch):
+    out = tmp_path / "out"
+    assert run(["train", "--policy", "dql", "--config", tiny_config, "--out", str(out),
+                "--quiet"]) == 0
+    counts = {"episodes": 0, "parses": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "run_episode", counting("episodes", module.run_episode))
+    monkeypatch.setattr(harness, "load_mlp", counting("parses", harness.load_mlp))
+    rc = run([
+        "evaluate", "--policy", "dql", "--config", tiny_config, "--out", str(tmp_path / "eval"),
+        "--checkpoint", str(out / "dql.ckpt"), "--seeds", "2", "--episodes", "1", "--placements",
+    ])
+    assert rc == 0
+    assert counts == {"episodes": 2, "parses": 1}
+    _, _, rows = read_report(tmp_path / "eval" / "placements.csv")
+    assert rows
 
 
 # --- compare ----------------------------------------------------------------

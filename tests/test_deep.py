@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import helpers as oracle
 from uavmec.config import RlConfig
-from uavmec.deep import DqlAgent, ReplayBuffer, train_batch
+from uavmec.deep import DqlAgent, ReplayBuffer, TransitionBatch, train_batch
 from uavmec.mdp import NetworkSnapshot, Transition, encode_state, type_code
 from uavmec.nnet import AdamState, MlpNetwork, forward, init_mlp
 
@@ -112,6 +113,83 @@ def test_ring_matches_object_list_oracle(target_network):
         assert np.array_equal(mine.next_state, theirs.next_state)
         assert (mine.action, mine.reward, mine.terminal) == (
             theirs.action, theirs.reward, theirs.terminal)
+
+
+def test_push_refuses_states_of_another_shape():
+    def transition(state, next_state):
+        return Transition(state=state, action=0, reward=0.0, next_state=next_state,
+                          terminal=False)
+
+    buf = ReplayBuffer(capacity=5)
+    buf.push(make_transition(0, state_width=10))
+    wide = np.zeros(10)
+    for bad in (
+        transition(np.array([7.0]), np.array([7.0])),  # would broadcast to ten 7.0s
+        transition(wide, np.zeros(11)),
+        transition(np.zeros((2, 5)), wide),
+        transition(np.zeros((1, 10)), wide),
+    ):
+        with pytest.raises(ValueError):
+            buf.push(bad)
+    assert len(buf) == 1
+    with pytest.raises(ValueError):
+        ReplayBuffer(capacity=5).push(transition(np.zeros((2, 2)), np.zeros(4)))
+    with pytest.raises(ValueError):
+        ReplayBuffer(capacity=5).push(transition(np.zeros(4), np.zeros(3)))
+
+
+def random_batch(rng, rows, width, actions):
+    """A ``TransitionBatch`` of random rows, about a third of them terminal."""
+    return TransitionBatch(
+        rng.normal(size=(rows, width)), rng.integers(0, actions, size=rows),
+        rng.normal(size=rows), rng.normal(size=(rows, width)), rng.random(rows) < 1 / 3,
+    )
+
+
+@pytest.mark.parametrize("batch_size", [1, 64])
+@pytest.mark.parametrize("target_network", [False, True])
+def test_train_batch_is_byte_equal_to_the_reference_step(target_network, batch_size):
+    """Two networks of the same dims, stepped in turn so that they share
+    workspaces, each against the allocating per-array reference step: equal
+    losses, weights and Adam moments, bit for bit, over 60 steps each."""
+    width, actions, gamma = 6, 3, 0.9
+    data_rng = np.random.default_rng(21)
+    inits = [init_mlp([width, 16, 16, actions], np.random.default_rng(s)) for s in (22, 23)]
+    nets = [net.copy() for net in inits]
+    refs = [net.copy() for net in inits]
+    adams = [AdamState(net.parameters(), lr=0.01) for net in nets]
+    ref_adams = [oracle.ReferenceAdamState(net.parameters(), lr=0.01) for net in refs]
+    targets = [net.copy() for net in inits] if target_network else [None, None]
+    for step in range(60):
+        for k in range(2):
+            batch = random_batch(data_rng, batch_size, width, actions)
+            loss = train_batch(nets[k], adams[k], batch, gamma, targets[k])
+            ref_loss = oracle.reference_train_step(refs[k], ref_adams[k], batch, gamma, targets[k])
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            for mine, theirs in zip(nets[k].parameters(), refs[k].parameters()):
+                assert mine.tobytes() == theirs.tobytes()
+            for mine, theirs in ((adams[k].m, ref_adams[k].m), (adams[k].v, ref_adams[k].v)):
+                assert mine.tobytes() == np.concatenate([a.reshape(-1) for a in theirs]).tobytes()
+            if target_network and step % 10 == 9:
+                targets[k].copy_from(nets[k])
+    assert not np.array_equal(nets[0].weights[0], inits[0].weights[0])
+
+
+def test_training_step_does_not_grow_the_pickled_agent():
+    def pickled_size(agent):
+        # The generator's state pickles as integers whose length varies with
+        # their value, so it is left out.
+        return len(pickle.dumps({**vars(agent), "rng": None}))
+
+    agent = DqlAgent(4, 3, small_rl(batch_size=8, target_network=True), np.random.default_rng(4))
+    for tag in range(7):
+        agent.ingest(make_transition(tag, action=tag % 3))
+    agent.last_loss = 0.0  # a float, as after a step, so that only scratch can grow
+    before = pickled_size(agent)
+    for tag in range(7, 11):
+        agent.ingest(make_transition(tag, action=tag % 3))
+    assert agent.train_steps == 4
+    assert pickled_size(agent) == before
 
 
 def test_full_sample_is_a_permutation():

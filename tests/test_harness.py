@@ -330,6 +330,15 @@ def test_evaluation_parses_each_checkpoint_once(desk_cfg, tmp_path, monkeypatch)
         assert run == metrics_from_episodes("qlearning", seed_index, [episode])
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluation_returns_its_first_episode_when_asked(desk_cfg, workers):
+    jobs = [("hef", 1, s, 2, None) for s in (3, 4)]
+    runs, first = evaluate_many(desk_cfg, jobs, workers=workers, first_episode=True)
+    assert runs == evaluate_many(desk_cfg, jobs)
+    policies = make_policies("hef", desk_cfg, 1, 3)
+    assert first == run_episode(desk_cfg, policies, arrival_seed(1, 3), episode_index=0)
+
+
 def test_evaluation_reads_a_rewritten_checkpoint(desk_cfg, tmp_path):
     path = tmp_path / "q.ckpt"
     runs = []

@@ -67,6 +67,25 @@ def test_forward_rejects_wrong_width():
         forward(net, np.zeros(4))
     with pytest.raises(ValueError):
         forward(net, np.zeros((5, 2)))
+    with pytest.raises(ValueError):
+        forward(zero_net([10, 3]), np.zeros((2, 10, 10)))
+
+
+def test_results_are_not_overwritten_by_later_calls_of_the_same_shape():
+    rng = np.random.default_rng(10)
+    nets = [init_mlp([4, 8, 8, 3], rng) for _ in range(2)]
+    inputs = [rng.normal(size=(16, 4)) for _ in range(2)]
+    actions = rng.integers(0, 3, size=16)
+    targets = rng.normal(size=16)
+    q = forward(nets[0], inputs[0])
+    q_single = forward(nets[0], inputs[0][0])
+    _, grads = loss_and_grads(nets[0], inputs[0], actions, targets)
+    kept = [q.copy(), q_single.copy(), *(g.copy() for g in grads)]
+    forward(nets[1], inputs[1])
+    forward(nets[1], inputs[1][0])
+    loss_and_grads(nets[1], inputs[1], actions, targets)
+    for before, after in zip(kept, [q, q_single, *grads]):
+        assert np.array_equal(before, after)
 
 
 def test_forward_is_deterministic():
