@@ -61,7 +61,9 @@ def read_checkpoint(path, magic: str) -> tuple[dict, list]:
     meta: dict = {}
     i = 1
     while i < len(lines) and lines[i].startswith("meta "):
-        k, v = lines[i][5:].split("=", 1)
+        k, sep, v = lines[i][5:].partition("=")
+        if not sep:
+            raise ValueError(f"malformed checkpoint, meta line without '=': {path}")
         meta[k] = v
         i += 1
     count = lines[i].split() if i < len(lines) else []
@@ -71,7 +73,10 @@ def read_checkpoint(path, magic: str) -> tuple[dict, list]:
     blocks: list = []
     for line in lines[i + 1:]:
         if line.startswith("agent "):
-            _, index, header = line.split(" ", 2)
+            fields = line.split(" ", 2)
+            if len(fields) != 3 or not fields[1].isdigit():
+                raise ValueError(f"malformed checkpoint, agent line without index and header: {path}")
+            _, index, header = fields
             if int(index) != len(blocks):
                 raise ValueError(f"malformed checkpoint, agent {index} out of order: {path}")
             blocks.append((header, []))

@@ -227,9 +227,11 @@ def cmd_compare(args, parser) -> int:
         if args.policies
         else list(cfg.experiment.policies)
     )
-    for p in policies:
+    for i, p in enumerate(policies):
         if p not in POLICY_NAMES:
             parser.error(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
+        if p in policies[:i]:
+            parser.error(f"policy {p!r} requested twice")
     if not policies:
         parser.error("no policies requested")
     seeds = args.seeds if args.seeds is not None else cfg.experiment.eval_seeds

@@ -360,9 +360,11 @@ def validate_config(cfg: AppConfig) -> None:
         raise ConfigError("rl.delay_bin_floor must be > 0")
     if rl.target_sync_every < 1:
         raise ConfigError("rl.target_sync_every must be >= 1")
-    for p in exp.policies:
+    for i, p in enumerate(exp.policies):
         if p not in POLICY_NAMES:
             raise ConfigError(f"experiment.policies: unknown policy {p!r}")
+        if p in exp.policies[:i]:
+            raise ConfigError(f"experiment.policies: policy {p!r} listed twice")
     if exp.eval_seeds < 1 or exp.eval_episodes < 1:
         raise ConfigError("experiment.eval_seeds and eval_episodes must be >= 1")
     if exp.train_episodes_qlearning < 1 or exp.train_episodes_dql < 1:

@@ -1,9 +1,11 @@
-"""Per-UAV battery accounting over busy/idle CPU intervals.
+"""UAV battery as a function of mission time and CPU-busy time.
 
 Drain is piecewise constant: a fixed floor (hover + antenna + CPU idle) runs
 for the whole elapsed mission time, and the CPU adds its busy-minus-idle draw
-while a task is in service.  MEC servers are grid powered and have no ledger;
-callers represent them with an infinite battery sentinel.
+while a task is in service.  The battery therefore depends only on the
+elapsed time and the UAV's busy seconds up to it, which its service queue
+keeps (``UnitQueue.busy_seconds``).  MEC servers are grid powered and have
+no battery; callers represent them with an infinite battery sentinel.
 """
 
 from __future__ import annotations
@@ -15,57 +17,23 @@ from .config import EnergyParams
 MEC_BATTERY_SENTINEL = math.inf
 
 
-class EnergyLedger:
-    """Busy-time account for one UAV.
-
-    ``elapsed`` tracks mission time and is advanced by the simulator; queries
-    add the running total of closed busy intervals to the still-open one up to
-    ``elapsed``.
-    """
+class BatteryModel:
+    """The constants a battery read needs, derived from ``EnergyParams`` once
+    (its properties recompute on each read).  The params are fleet-wide, so
+    one model serves every UAV."""
 
     def __init__(self, params: EnergyParams):
-        self.params = params
-        # Derived from ``params`` once; their properties recompute on each read.
+        self.battery_capacity_wh = params.battery_capacity_wh
         self.constant_power_w = params.constant_power_w
         self.busy_extra_power_w = params.busy_extra_power_w
-        self.busy_total: float = 0.0
-        self.open_start: float | None = None
-        self.elapsed: float = 0.0
-
-    def advance(self, now: float) -> None:
-        if now < self.elapsed:
-            raise ValueError("elapsed time cannot move backwards")
-        self.elapsed = now
-
-    def open_busy(self, start: float) -> None:
-        if self.open_start is not None:
-            raise ValueError("busy interval already open")
-        self.open_start = start
-
-    def close_busy(self, end: float) -> None:
-        if self.open_start is None:
-            raise ValueError("no busy interval open")
-        if end < self.open_start:
-            raise ValueError("busy interval cannot end before it starts")
-        self.busy_total += end - self.open_start
-        self.open_start = None
-
-    def busy_seconds(self) -> float:
-        total = self.busy_total
-        if self.open_start is not None:
-            total += max(0.0, self.elapsed - self.open_start)
-        return total
 
 
-def remaining_battery(ledger: EnergyLedger) -> float:
-    """Remaining charge in Wh at the ledger's elapsed time (may go negative)."""
-    drained = (
-        ledger.constant_power_w * ledger.elapsed
-        + ledger.busy_extra_power_w * ledger.busy_seconds()
-    ) / 3600.0
-    return ledger.params.battery_capacity_wh - drained
+def remaining_battery(model: BatteryModel, elapsed: float, busy_seconds: float) -> float:
+    """Remaining charge in Wh after ``elapsed`` mission seconds, ``busy_seconds``
+    of them CPU-busy (may go negative)."""
+    drained = (model.constant_power_w * elapsed + model.busy_extra_power_w * busy_seconds) / 3600.0
+    return model.battery_capacity_wh - drained
 
 
-def remaining_battery_fraction(ledger: EnergyLedger) -> float:
-    return remaining_battery(ledger) / ledger.params.battery_capacity_wh
-
+def remaining_battery_fraction(model: BatteryModel, elapsed: float, busy_seconds: float) -> float:
+    return remaining_battery(model, elapsed, busy_seconds) / model.battery_capacity_wh

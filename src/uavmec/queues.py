@@ -22,19 +22,23 @@ def check_violation(task: TaskInstance, deadline: float, iot_delay: float) -> bo
 
 @dataclass
 class UnitQueue:
-    """Non-preemptive FIFO queue of one processing unit.
+    """Non-preemptive FIFO queue of one processing unit, and its only record
+    of service.
 
     ``pending`` and ``in_service`` hold the tasks themselves; their times live
     on the tasks.  ``free_at`` is the absolute time the unit drains everything
     currently enqueued or in service; it is maintained incrementally so delay
     prediction is O(1) and float-identical to the realized start times.
+    ``busy_total`` is the service time of the tasks finished so far, added to
+    at each completion; with the running task's time so far it is the busy
+    time a UAV's battery is charged for.
     """
 
     unit_id: int
-    is_mec: bool
     pending: deque = field(default_factory=deque)
     in_service: TaskInstance | None = None
     free_at: float = 0.0
+    busy_total: float = 0.0
 
     def enqueue(self, task: TaskInstance, now: float, service_time: float) -> None:
         if task.enqueue_time is not None:
@@ -47,6 +51,13 @@ class UnitQueue:
     def backlog(self, now: float) -> float:
         """Seconds of work committed ahead of a new arrival at ``now``."""
         return max(self.free_at - now, 0.0)
+
+    def busy_seconds(self, now: float) -> float:
+        """Seconds in service up to ``now``: finished tasks plus the running one so far."""
+        task = self.in_service
+        if task is None:
+            return self.busy_total
+        return self.busy_total + (now - task.start_time)
 
 
 def predicted_unit_delay(queue: UnitQueue, service_time: float, now: float) -> float:

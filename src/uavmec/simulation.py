@@ -3,7 +3,8 @@
 Continuous time, three heap events (arrival, completion, horizon),
 deterministic ordering.  At equal timestamps completions free servers before
 arrivals are admitted, and the horizon marker runs last; remaining ties break
-on task id, then insertion order.
+on task id, which is unique among queued events since a task has at most one
+event queued at a time.
 
 A unit starts its head task as soon as it is idle with pending work, inside
 the handler of the enqueue that fed it or of the completion that freed it, and
@@ -24,7 +25,7 @@ from .arrivals import build_task_table
 from .config import AppConfig
 from .energy import (
     MEC_BATTERY_SENTINEL,
-    EnergyLedger,
+    BatteryModel,
     remaining_battery,
     remaining_battery_fraction,
 )
@@ -155,8 +156,9 @@ def run_episode(
         raise SimulationError(f"need one policy per UAV ({num_uavs}), got {len(policies)}")
 
     tasks = build_task_table(sim, cfg.tasks, arrival_seed, episode_index)
-    queues = [UnitQueue(u, sim.unit_is_mec(u)) for u in range(num_units)]
-    ledgers = [EnergyLedger(energy_params) for _ in range(num_uavs)]
+    queues = [UnitQueue(u) for u in range(num_units)]
+    uav_queues = queues[:num_uavs]
+    battery = BatteryModel(energy_params)
     pipelines = [_AgentPipeline(p, cfg.mdp, cfg.rl.terminal_on_episode_end) for p in policies]
     encoders = [getattr(p, "encode", None) for p in policies]
     events: list | None = [] if collect_events else None
@@ -178,13 +180,10 @@ def run_episode(
     busy_frac_per_sec = energy_params.busy_frac_per_sec
 
     heap: list = []
-    seq = 0
 
     def push(time, kind, task, unit):
-        nonlocal seq
         tid = task.task_id if task is not None else -1
-        heapq.heappush(heap, (time, _PRIORITY[kind], tid, seq, kind, task, unit))
-        seq += 1
+        heapq.heappush(heap, (time, _PRIORITY[kind], tid, kind, task, unit))
 
     def log(time, kind, task, unit):
         if events is not None:
@@ -199,9 +198,6 @@ def run_episode(
         q.in_service = task
         task.start_time = now
         task.queue_wait = now - task.enqueue_time
-        if not q.is_mec:
-            ledgers[unit].advance(now)
-            ledgers[unit].open_busy(now)
         log(now, TASK_START, task, unit)
         push(now + task.service_time, TASK_COMPLETE, task, unit)
 
@@ -213,12 +209,12 @@ def run_episode(
         uav, type_id = task.origin_uav, task.type_id
         proc_times = proc_tables[type_id]
         transfers = transfer_tables[uav]
-        for ledger in ledgers:
-            ledger.advance(now)
         delays = tuple([
             predicted_unit_delay(q, proc, now) for q, proc in zip(queues, proc_times)
         ])
-        batteries = tuple([remaining_battery_fraction(ledger) for ledger in ledgers])
+        batteries = tuple([
+            remaining_battery_fraction(battery, now, q.busy_seconds(now)) for q in uav_queues
+        ])
         # Positional, in field order: keywords make the build ~3x slower.
         snap = NetworkSnapshot(
             uav, type_id, type_codes[type_id], delays, batteries + mec_batteries, transfers,
@@ -244,7 +240,7 @@ def run_episode(
     push(sim.episode_duration, EPISODE_END, None, -1)
 
     while heap:
-        now, _, _, _, kind, task, unit = heapq.heappop(heap)
+        now, _, _, kind, task, unit = heapq.heappop(heap)
         if kind == EPISODE_END:
             log(now, kind, None, -1)
             break
@@ -259,9 +255,7 @@ def run_episode(
             if q.in_service is not task:
                 raise SimulationError(f"completion for task {task.task_id} without matching service")
             q.in_service = None
-            if not q.is_mec:
-                ledgers[unit].advance(now)
-                ledgers[unit].close_busy(now)
+            q.busy_total += now - task.start_time
             task.finish_time = now
             task.violated = check_violation(task, deadlines[task.type_id], iot_delay)
             log(now, kind, task, unit)
@@ -270,8 +264,7 @@ def run_episode(
             kick(unit, now)
 
     end_time = sim.episode_duration
-    for ledger in ledgers:
-        ledger.advance(end_time)
+    busy = [q.busy_seconds(end_time) for q in uav_queues]
 
     in_service = 0
     in_queue = 0
@@ -298,8 +291,8 @@ def run_episode(
         tasks_completed=sum(1 for task in tasks if task.completed),
         tasks_in_queue=in_queue,
         tasks_in_service=in_service,
-        battery_wh=[remaining_battery(ledger) for ledger in ledgers],
-        battery_fraction=[remaining_battery_fraction(ledger) for ledger in ledgers],
+        battery_wh=[remaining_battery(battery, end_time, b) for b in busy],
+        battery_fraction=[remaining_battery_fraction(battery, end_time, b) for b in busy],
         violations_by_unit=violations_by_unit,
         violations_total=sum(violations_by_unit),
         cumulative_reward=[pipe.cumulative_reward for pipe in pipelines],

@@ -177,7 +177,10 @@ def load_qtable(path: str) -> tuple[list[dict], dict]:
             raise ValueError(f"q-table declares {num_states} states, holds {len(body)}: {path}")
         table: dict = {}
         for line in body:
-            key_txt, q_txt = line.split(" | ")
+            fields = line.split(" | ")
+            if len(fields) != 2:
+                raise ValueError(f"malformed checkpoint, q-table row without one ' | ': {path}")
+            key_txt, q_txt = fields
             key = tuple(int(x) for x in key_txt.split(","))
             row = np.array([float(x) for x in q_txt.split()], dtype=np.float64)
             if row.size != num_actions:

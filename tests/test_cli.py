@@ -396,13 +396,22 @@ def test_compare_reuses_checkpoint(tiny_config, tmp_path):
     assert (out / "summary.csv").exists()
 
 
-def test_compare_rejects_unknown_policy(tiny_config, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run([
-            "compare", "--policies", "rr,greedy", "--config", tiny_config,
-            "--out", str(tmp_path / "o"),
-        ])
-    assert exc.value.code == 2
+def test_compare_rejects_unknown_policy(tiny_config, tmp_path, capsys):
+    # A policy named twice would be evaluated, and counted, twice.
+    for policies, message in (("rr,greedy", "unknown policy 'greedy'"),
+                              ("rr,rr", "policy 'rr' requested twice")):
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "compare", "--policies", policies, "--config", tiny_config,
+                "--out", str(tmp_path / "o"),
+            ])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    twice = tmp_path / "twice.yaml"
+    twice.write_text(TINY_YAML + "  policies: [hef, hef]\n")
+    assert run(["compare", "--config", str(twice), "--out", str(tmp_path / "o")]) == 2
+    assert "policy 'hef' listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_compare_rejects_malformed_checkpoint_flag(tiny_config, tmp_path):

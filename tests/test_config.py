@@ -244,6 +244,7 @@ def test_validation_rejects_out_of_range_values():
         {"UAVMEC_EXPERIMENT__EVAL_SEEDS": "0"},
         {"UAVMEC_EXPERIMENT__WORKERS": "0"},
         {"UAVMEC_EXPERIMENT__POLICIES": "[rr, nonsense]"},
+        {"UAVMEC_EXPERIMENT__POLICIES": "[hef, hef]"},
     ]
     for env in bad_cases:
         with pytest.raises(ConfigError):

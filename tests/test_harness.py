@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +260,20 @@ def test_checkpoint_without_an_agent_count_is_refused(tmp_path, capsys, count_li
         load_qtable(str(path))
     assert main(["inspect-checkpoint", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: malformed checkpoint, no agent count")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("meta policy\nagents 0\n", "meta line without '='"),
+    ("agents 1\nagent 0\n", "agent line without index and header"),
+    ("agents 1\nagent 0 actions 5 states 1\n1,2,3 0 0 0 0 0\n", "q-table row without one ' | '"),
+], ids=["meta-without-equals", "agent-without-header", "row-without-separator"])
+def test_malformed_checkpoint_lines_are_refused_with_the_path(tmp_path, capsys, text, message):
+    path = tmp_path / "malformed.ckpt"
+    path.write_text("uavmec-qtable v1\n" + text)
+    with pytest.raises(ValueError, match=re.escape(f"malformed checkpoint, {message}: {path}")):
+        load_qtable(str(path))
+    assert main(["inspect-checkpoint", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed checkpoint")
 
 
 def test_checkpoint_kind_rejects_other_files(tmp_path):

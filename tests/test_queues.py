@@ -35,7 +35,7 @@ def make_record(**overrides):
 
 
 def test_idle_unit_has_zero_backlog():
-    q = UnitQueue(unit_id=0, is_mec=False)
+    q = UnitQueue(unit_id=0)
     assert q.backlog(now=5.0) == 0.0
     assert q.in_service is None
 
@@ -43,7 +43,7 @@ def test_idle_unit_has_zero_backlog():
 def test_backlog_counts_committed_service():
     # One fire task (0.3 s on a UAV) enqueued at t=1; a decision at t=1
     # sees 0.3 s of committed work ahead.
-    q = UnitQueue(unit_id=0, is_mec=False)
+    q = UnitQueue(unit_id=0)
     q.enqueue(make_task(task_id=1), now=1.0, service_time=0.3)
     assert q.free_at == 1.3
     assert q.backlog(now=1.0) == pytest.approx(0.3)
@@ -54,7 +54,7 @@ def test_backlog_counts_committed_service():
 def test_second_arrival_waits_for_the_first():
     # Two pest tasks (0.5 s each) enqueued back to back: the second is
     # committed to start 0.5 s after its arrival.
-    q = UnitQueue(unit_id=0, is_mec=False)
+    q = UnitQueue(unit_id=0)
     q.enqueue(make_task(task_id=1, type_id=1, deadline=0.8), now=2.0, service_time=0.5)
     q.enqueue(make_task(task_id=2, type_id=1, deadline=0.8), now=2.0, service_time=0.5)
     assert q.free_at == 3.0
@@ -62,8 +62,8 @@ def test_second_arrival_waits_for_the_first():
 
 
 def test_predicted_delay_on_empty_units():
-    uav = UnitQueue(unit_id=0, is_mec=False)
-    mec = UnitQueue(unit_id=4, is_mec=True)
+    uav = UnitQueue(unit_id=0)
+    mec = UnitQueue(unit_id=4)
     # Fire processing: 0.1 s on a UAV, 0.05 s on the MEC.
     assert predicted_unit_delay(uav, 0.1, now=0.0) == pytest.approx(0.1)
     assert predicted_unit_delay(mec, 0.05, now=0.0) == pytest.approx(0.05)
@@ -72,7 +72,7 @@ def test_predicted_delay_on_empty_units():
 def test_predicted_delay_with_residual_and_pending_work():
     # Unit busy for another 0.08 s with one pending fire task (0.1 s): a new
     # fire task sees 0.08 + 0.1 + 0.1 = 0.28 s.
-    q = UnitQueue(unit_id=1, is_mec=False)
+    q = UnitQueue(unit_id=1)
     q.enqueue(make_task(task_id=1), now=0.0, service_time=0.18)  # drains at 0.18
     q.enqueue(make_task(task_id=2), now=0.10, service_time=0.1)  # drains at 0.28
     now = 0.10
@@ -130,7 +130,7 @@ def test_unfinished_task_cannot_be_judged():
 
 
 def test_enqueue_stamps_the_task():
-    q = UnitQueue(unit_id=0, is_mec=False)
+    q = UnitQueue(unit_id=0)
     task = make_task(task_id=7)
     q.enqueue(task, now=0.5, service_time=0.1)
     assert (task.enqueue_time, task.service_time) == (0.5, 0.1)
@@ -139,7 +139,7 @@ def test_enqueue_stamps_the_task():
 
 
 def test_duplicate_enqueue_rejected():
-    q = UnitQueue(unit_id=0, is_mec=False)
+    q = UnitQueue(unit_id=0)
     task = make_task(task_id=7)
     q.enqueue(task, now=0.0, service_time=0.1)
     with pytest.raises(ValueError, match="task 7 enqueued twice"):
@@ -149,8 +149,8 @@ def test_duplicate_enqueue_rejected():
 
 
 def test_enqueue_at_a_second_unit_rejected():
-    first = UnitQueue(unit_id=0, is_mec=False)
-    second = UnitQueue(unit_id=4, is_mec=True)
+    first = UnitQueue(unit_id=0)
+    second = UnitQueue(unit_id=4)
     task = make_task(task_id=3)
     first.enqueue(task, now=0.0, service_time=0.1)
     with pytest.raises(ValueError, match="unit 4"):
@@ -160,15 +160,41 @@ def test_enqueue_at_a_second_unit_rejected():
 
 
 def test_fifo_pop_order():
-    q = UnitQueue(unit_id=0, is_mec=False)
+    q = UnitQueue(unit_id=0)
     for i in range(3):
         q.enqueue(make_task(task_id=i), now=float(i), service_time=0.1)
     assert [task.task_id for task in q.pending] == [0, 1, 2]
 
 
 def test_free_at_never_runs_backwards():
-    q = UnitQueue(unit_id=0, is_mec=False)
+    q = UnitQueue(unit_id=0)
     q.enqueue(make_task(task_id=1), now=0.0, service_time=0.2)
     # Arrival after the queue drained restarts from "now", not from free_at.
     q.enqueue(make_task(task_id=2), now=5.0, service_time=0.3)
     assert q.free_at == pytest.approx(5.3)
+
+
+def test_busy_seconds_counts_the_running_task_and_sums_finished_ones():
+    # Two tasks served back to back, started and completed as the kernel
+    # does: the first runs 1.0-1.25, the second 1.25-1.75.
+    def start(now):
+        task = q.pending.popleft()
+        q.in_service, task.start_time = task, now
+
+    def complete(now):
+        task, q.in_service = q.in_service, None
+        q.busy_total += now - task.start_time
+
+    q = UnitQueue(unit_id=0)
+    q.enqueue(make_task(task_id=1), now=1.0, service_time=0.25)
+    q.enqueue(make_task(task_id=2), now=1.0, service_time=0.5)
+    assert q.busy_seconds(1.0) == 0.0
+    start(1.0)
+    assert q.busy_seconds(1.125) == 0.125
+    complete(1.25)
+    assert q.busy_seconds(1.25) == 0.25
+    start(1.25)
+    assert q.busy_seconds(1.5) == 0.25 + 0.25
+    complete(1.75)
+    # Idle time after the last completion is not busy time.
+    assert q.busy_seconds(1.75) == q.busy_seconds(9.0) == 0.75
