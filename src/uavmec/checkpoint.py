@@ -6,7 +6,7 @@
     agent <i> <header>      N blocks: a header line, then the block's body lines
 
 A format is its magic line plus what its agent headers and bodies hold;
-``tabular`` and ``nnet`` read and write those.  No body line may begin with
+``tabular`` and ``nnet`` write and parse those.  No body line may begin with
 ``agent ``, since that starts the next block.  The file always ends with a
 newline, so a file cut inside its last line is refused as truncated.
 Checkpoints and reports are written whole or not at all (``write_atomic``).
@@ -49,8 +49,9 @@ def read_magic(path) -> str:
         return fh.readline().strip()
 
 
-def read_checkpoint(path, magic: str) -> tuple[dict, list]:
-    """(metadata, one ``(header, body lines)`` pair per agent) of a ``magic`` file."""
+def read_checkpoint(path, magic: str, parse_block) -> tuple[dict, list]:
+    """(metadata, ``parse_block(header, body lines)`` of each agent) of a
+    ``magic`` file; a ``parse_block`` ValueError is raised again with the path."""
     with open(path) as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -86,4 +87,7 @@ def read_checkpoint(path, magic: str) -> tuple[dict, list]:
             raise ValueError(f"malformed checkpoint, body before any agent: {path}")
     if len(blocks) != num_agents:
         raise ValueError(f"checkpoint declares {num_agents} agents, holds {len(blocks)}: {path}")
-    return meta, blocks
+    try:
+        return meta, [parse_block(header, body) for header, body in blocks]
+    except ValueError as exc:
+        raise ValueError(f"malformed checkpoint, {exc}: {path}") from None

@@ -197,11 +197,13 @@ def _tensor_line(name: str, tensor: np.ndarray) -> str:
     return f"tensor {name} {shape} {values}"
 
 
-def _read_tensor(line: str):
-    _, name, shape_txt, *values = line.split(" ")
-    shape = tuple(int(s) for s in shape_txt.split("x"))
-    data = np.array([float(v) for v in values], dtype=np.float64).reshape(shape)
-    return name, data
+def _read_tensor(line: str, name: str, shape: tuple) -> np.ndarray:
+    """The values of a tensor line, which must name ``name`` and ``shape``."""
+    head = f"tensor {name} {'x'.join(map(str, shape))} "
+    if not line.startswith(head):
+        raise ValueError(f"tensor line {line[:len(head)]!r} where {head!r} belongs")
+    values = line[len(head):].split(" ")
+    return np.array([float(v) for v in values], dtype=np.float64).reshape(shape)
 
 
 def save_mlp(nets: list, path: str, metadata: dict | None = None) -> None:
@@ -217,24 +219,18 @@ def save_mlp(nets: list, path: str, metadata: dict | None = None) -> None:
     write_checkpoint(path, CHECKPOINT_MAGIC, metadata, blocks)
 
 
+def _parse_network(header: str, body: list) -> MlpNetwork:
+    kind, *dims_txt = header.split()
+    dims = [int(d) for d in dims_txt]
+    if kind != "dims" or len(dims) < 2 or len(body) != 2 * (len(dims) - 1):
+        raise ValueError(f"mlp header {header!r} does not fit {len(body)} tensor lines")
+    layers = list(enumerate(zip(dims, dims[1:])))
+    weights = [_read_tensor(body[2 * i], f"w{i}", (n_in, n_out)) for i, (n_in, n_out) in layers]
+    biases = [_read_tensor(body[2 * i + 1], f"b{i}", (n_out,)) for i, (_, n_out) in layers]
+    return MlpNetwork(dims, weights, biases)
+
+
 def load_mlp(path: str) -> tuple[list, dict]:
     """Read networks saved by save_mlp; returns (networks, metadata)."""
-    meta, blocks = read_checkpoint(path, CHECKPOINT_MAGIC)
-    nets = []
-    for header, body in blocks:
-        kind, *dims_txt = header.split()
-        dims = [int(d) for d in dims_txt]
-        if kind != "dims" or len(body) != 2 * (len(dims) - 1):
-            raise ValueError(f"malformed mlp checkpoint: {path}")
-        weights, biases = [], []
-        for layer in range(len(dims) - 1):
-            name_w, w = _read_tensor(body[2 * layer])
-            name_b, b = _read_tensor(body[2 * layer + 1])
-            if name_w != f"w{layer}" or name_b != f"b{layer}":
-                raise ValueError(f"malformed mlp checkpoint: {path}")
-            if w.shape != (dims[layer], dims[layer + 1]) or b.shape != (dims[layer + 1],):
-                raise ValueError(f"tensor shape mismatch in {path}")
-            weights.append(w)
-            biases.append(b)
-        nets.append(MlpNetwork(dims, weights, biases))
+    meta, nets = read_checkpoint(path, CHECKPOINT_MAGIC, _parse_network)
     return nets, meta

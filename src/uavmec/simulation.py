@@ -52,21 +52,19 @@ class SimulationError(RuntimeError):
 
 
 class _AgentPipeline:
-    """Turns one UAV's decision stream into ordered learner transitions.
+    """Turns one learner's decision stream into ordered transitions.
 
     A decision's state is the policy's own, what its ``encode`` returned; the
-    pipeline never looks inside it.  A learner's decision is queued once, as
-    the ``Transition`` it will ingest.  Its successor state is the state of
-    the same agent's next decision; its reward is known at once, or in
-    deferred mode when the task resolves.  Transitions are released strictly
-    in decision order.
+    pipeline never looks inside it.  Each decision is queued once, as the
+    ``Transition`` it will ingest.  Its successor state is the state of the
+    same agent's next decision; its reward is known at once, or in deferred
+    mode when the task resolves.  Transitions are released in decision order.
     """
 
     def __init__(self, policy, mdp_cfg, terminal_on_end: bool):
         self.policy = policy
         self.cfg = mdp_cfg
         self.terminal_on_end = terminal_on_end
-        self.learner = bool(getattr(policy, "wants_transitions", False))
         self.pending: deque = deque()
         self.by_task: dict[int, tuple] = {}
         self.cumulative_reward = 0.0
@@ -79,11 +77,10 @@ class _AgentPipeline:
         else:
             t.reward = assemble_reward(tier, v_hat, penalty)
             self.cumulative_reward += t.reward
-        if self.learner:
-            if self.pending and self.pending[-1].next_state is None:
-                self.pending[-1].next_state = state
-            self.pending.append(t)
-            self._flush()
+        if self.pending and self.pending[-1].next_state is None:
+            self.pending[-1].next_state = state
+        self.pending.append(t)
+        self._flush()
 
     def on_task_resolved(self, task_id: int, violated: bool) -> None:
         t, tier, penalty = self.by_task.pop(task_id)
@@ -118,7 +115,8 @@ class EpisodeResult:
     ``tasks_in_queue`` includes tasks still propagating to their chosen unit
     at the horizon (committed but not yet enqueued), so generated ==
     completed + in_queue + in_service always holds.  ``placements`` is the
-    episode's task list in id order, every task decided.
+    episode's task list in id order, every task decided.  Only learners are
+    scored: ``cumulative_reward`` is None for an agent that does not learn.
     """
 
     duration: float
@@ -159,7 +157,8 @@ def run_episode(
     queues = [UnitQueue(u) for u in range(num_units)]
     uav_queues = queues[:num_uavs]
     battery = BatteryModel(energy_params)
-    pipelines = [_AgentPipeline(p, cfg.mdp, cfg.rl.terminal_on_episode_end) for p in policies]
+    pipelines = [_AgentPipeline(p, cfg.mdp, cfg.rl.terminal_on_episode_end)
+                 if getattr(p, "wants_transitions", False) else None for p in policies]
     encoders = [getattr(p, "encode", None) for p in policies]
     events: list | None = [] if collect_events else None
 
@@ -229,7 +228,8 @@ def run_episode(
         task.chosen_unit = action
         task.transfer_delay = transfers[action]
         task.predicted_delay = delays[action]
-        pipelines[uav].on_decision(snap, state, action, task.task_id)
+        if pipelines[uav]:
+            pipelines[uav].on_decision(snap, state, action, task.task_id)
         if action == uav:
             enqueue(task, uav, now)
         else:
@@ -259,7 +259,7 @@ def run_episode(
             task.finish_time = now
             task.violated = check_violation(task, deadlines[task.type_id], iot_delay)
             log(now, kind, task, unit)
-            if cfg.mdp.deferred_reward:
+            if cfg.mdp.deferred_reward and pipelines[task.origin_uav]:
                 pipelines[task.origin_uav].on_task_resolved(task.task_id, task.violated)
             kick(unit, now)
 
@@ -279,10 +279,10 @@ def run_episode(
                 in_queue += 1
                 # Still queued or in transit: violated iff the deadline has passed.
                 task.violated = task.deadline_abs <= end_time
-            if cfg.mdp.deferred_reward:
+            if cfg.mdp.deferred_reward and pipelines[task.origin_uav]:
                 pipelines[task.origin_uav].on_task_resolved(task.task_id, task.violated)
         violations_by_unit[task.chosen_unit] += task.violated
-    for pipe in pipelines:
+    for pipe in filter(None, pipelines):
         pipe.finish()
 
     return EpisodeResult(
@@ -295,7 +295,7 @@ def run_episode(
         battery_fraction=[remaining_battery_fraction(battery, end_time, b) for b in busy],
         violations_by_unit=violations_by_unit,
         violations_total=sum(violations_by_unit),
-        cumulative_reward=[pipe.cumulative_reward for pipe in pipelines],
+        cumulative_reward=[pipe.cumulative_reward if pipe else None for pipe in pipelines],
         placements=tasks,
         events=events,
     )

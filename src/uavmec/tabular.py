@@ -161,30 +161,31 @@ def dump_qtable(agents: list[QlAgent], path: str, metadata: dict | None = None) 
     write_checkpoint(path, QTABLE_MAGIC, metadata, blocks)
 
 
-def load_qtable(path: str) -> tuple[list[dict], dict]:
-    """Read a table dump; returns (per-agent dicts, metadata).
+def _parse_table(header: str, body: list) -> dict:
+    """One agent's q-table; every row holds the header's action count."""
+    fields = header.split()
+    if len(fields) != 4 or fields[0] != "actions" or fields[2] != "states":
+        raise ValueError(f"q-table header {header!r}")
+    num_actions, num_states = int(fields[1]), int(fields[3])
+    if len(body) != num_states:
+        raise ValueError(f"q-table declares {num_states} states, holds {len(body)}")
+    table: dict = {}
+    for line in body:
+        fields = line.split(" | ")
+        if len(fields) != 2:
+            raise ValueError("q-table row without one ' | '")
+        key_txt, q_txt = fields
+        key = tuple(int(x) for x in key_txt.split(","))
+        if key in table:
+            raise ValueError(f"q-table repeats state key {key_txt}")
+        row = np.array([float(x) for x in q_txt.split()], dtype=np.float64)
+        if row.size != num_actions:
+            raise ValueError(f"q-table row {key_txt} holds {row.size} of {num_actions} actions")
+        table[key] = row
+    return table
 
-    Every row of a table holds the agent's stored action count.
-    """
-    meta, blocks = read_checkpoint(path, QTABLE_MAGIC)
-    tables: list[dict] = []
-    for header, body in blocks:
-        fields = header.split()
-        if len(fields) != 4 or fields[0] != "actions" or fields[2] != "states":
-            raise ValueError(f"malformed q-table checkpoint: {path}")
-        num_actions, num_states = int(fields[1]), int(fields[3])
-        if len(body) != num_states:
-            raise ValueError(f"q-table declares {num_states} states, holds {len(body)}: {path}")
-        table: dict = {}
-        for line in body:
-            fields = line.split(" | ")
-            if len(fields) != 2:
-                raise ValueError(f"malformed checkpoint, q-table row without one ' | ': {path}")
-            key_txt, q_txt = fields
-            key = tuple(int(x) for x in key_txt.split(","))
-            row = np.array([float(x) for x in q_txt.split()], dtype=np.float64)
-            if row.size != num_actions:
-                raise ValueError(f"malformed q-table row in {path}")
-            table[key] = row
-        tables.append(table)
+
+def load_qtable(path: str) -> tuple[list[dict], dict]:
+    """Read a table dump; returns (per-agent dicts, metadata)."""
+    meta, tables = read_checkpoint(path, QTABLE_MAGIC, _parse_table)
     return tables, meta

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavmec import deep, harness, simulation, tabular
+from uavmec import deep, harness, nnet, simulation, tabular
 from uavmec.cli import main
 from uavmec.config import ConfigError, load_config
 from uavmec.deep import DqlAgent
@@ -145,7 +145,9 @@ def test_checkpoint_roundtrip_preserves_greedy_behavior(desk_cfg, tmp_path):
         seed = arrival_seed(1, 500)
         direct = run_episode(desk_cfg, agents, seed)
         reloaded = run_episode(desk_cfg, loaded, seed)
-        assert direct.cumulative_reward == reloaded.cumulative_reward
+        assert [t.chosen_unit for t in direct.placements] == [
+            t.chosen_unit for t in reloaded.placements
+        ]
         assert direct.battery_wh == reloaded.battery_wh
         assert direct.violations_by_unit == reloaded.violations_by_unit
 
@@ -262,18 +264,38 @@ def test_checkpoint_without_an_agent_count_is_refused(tmp_path, capsys, count_li
     assert capsys.readouterr().err.startswith("error: malformed checkpoint, no agent count")
 
 
-@pytest.mark.parametrize("text, message", [
-    ("meta policy\nagents 0\n", "meta line without '='"),
-    ("agents 1\nagent 0\n", "agent line without index and header"),
-    ("agents 1\nagent 0 actions 5 states 1\n1,2,3 0 0 0 0 0\n", "q-table row without one ' | '"),
-], ids=["meta-without-equals", "agent-without-header", "row-without-separator"])
-def test_malformed_checkpoint_lines_are_refused_with_the_path(tmp_path, capsys, text, message):
+@pytest.mark.parametrize("load, text, message", [
+    (load_qtable, "meta policy\nagents 0\n", "meta line without '='"),
+    (load_qtable, "agents 1\nagent 0\n", "agent line without index and header"),
+    (load_qtable, "agents 1\nagent 0 actions 5 states 1\n1,2,3 0 0 0 0 0\n",
+     "q-table row without one ' | '"),
+    (load_qtable, "agents 1\nagent 0 actions 1 states 2\n1,2 | 0\n1,2 | 1\n",
+     "q-table repeats state key 1,2"),
+    (load_qtable, "agents 1\nagent 0 actions x states 0\n",
+     "invalid literal for int() with base 10: 'x'"),
+    (load_qtable, "agents 1\nagent 0 actions 1 states 1\nx | 0\n",
+     "invalid literal for int() with base 10: 'x'"),
+    (load_qtable, "agents 1\nagent 0 actions 1 states 1\n1 | zz\n",
+     "could not convert string to float: 'zz'"),
+    (load_mlp, "agents 1\nagent 0 dims 10 x 5\n", "invalid literal for int() with base 10: 'x'"),
+    (load_mlp, "agents 1\nagent 0 dims 5\n", "mlp header 'dims 5' does not fit 0 tensor lines"),
+    (load_mlp, "agents 1\nagent 0 dims 1 1\ntensor w0 1x1 1 2\ntensor b0 1 0\n",
+     "cannot reshape array of size 2 into shape (1,1)"),
+], ids=["meta-without-equals", "agent-without-header", "row-without-separator",
+        "repeated-state-key", "header-count-not-a-number", "key-not-a-number",
+        "q-value-not-a-number", "mlp-dims-not-a-number", "mlp-without-layers",
+        "tensor-values-do-not-fit-shape"])
+def test_malformed_checkpoint_lines_are_refused_with_the_path(tmp_path, capsys, load, text,
+                                                               message):
     path = tmp_path / "malformed.ckpt"
-    path.write_text("uavmec-qtable v1\n" + text)
+    magic = {load_qtable: tabular.QTABLE_MAGIC, load_mlp: nnet.CHECKPOINT_MAGIC}[load]
+    path.write_text(f"{magic}\n{text}")
     with pytest.raises(ValueError, match=re.escape(f"malformed checkpoint, {message}: {path}")):
-        load_qtable(str(path))
+        load(str(path))
     assert main(["inspect-checkpoint", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: malformed checkpoint")
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed checkpoint")
+    assert str(path) in err
 
 
 def test_checkpoint_kind_rejects_other_files(tmp_path):

@@ -32,7 +32,6 @@ def make_metrics(policy="rr", seed_index=0, battery=(0.9, 0.8, 0.85, 0.95),
         violations_by_unit=list(violations),
         total_tasks=tasks,
         total_completed=completed,
-        cumulative_reward=[10.0, 12.0, 9.0, 11.0],
     )
 
 
@@ -161,7 +160,7 @@ def test_convergence_summary_uses_agent_mean():
 def test_metrics_from_episodes_aggregates():
     from uavmec.simulation import EpisodeResult
 
-    def make_ep(battery, violations, generated, completed, reward):
+    def make_ep(battery, violations, generated, completed):
         return EpisodeResult(
             duration=60.0,
             tasks_generated=generated,
@@ -172,14 +171,14 @@ def test_metrics_from_episodes_aggregates():
             battery_fraction=list(battery),
             violations_by_unit=list(violations),
             violations_total=sum(violations),
-            cumulative_reward=list(reward),
+            cumulative_reward=[None, None],
             placements=[],
             events=[],
         )
 
     eps = [
-        make_ep([0.9, 0.8], [1, 0, 2], 50, 45, [5.0, 6.0]),
-        make_ep([0.7, 0.6], [0, 1, 1], 40, 38, [7.0, 8.0]),
+        make_ep([0.9, 0.8], [1, 0, 2], 50, 45),
+        make_ep([0.7, 0.6], [0, 1, 1], 40, 38),
     ]
     m = metrics_from_episodes("rr", 3, eps)
     assert m.policy == "rr"
@@ -188,7 +187,6 @@ def test_metrics_from_episodes_aggregates():
     assert m.violations_by_unit == [1, 1, 3]
     assert m.total_tasks == 90
     assert m.total_completed == 83
-    assert m.cumulative_reward == pytest.approx([6.0, 7.0])
     with pytest.raises(ValueError):
         metrics_from_episodes("rr", 0, [])
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import assert_fifo_work_conserving, replay_battery, replay_delays, snapshot_is_sane
+from uavmec import simulation
+from uavmec.harness import arrival_seed, load_policies, save_checkpoint, train_policy
 from uavmec.heuristics import HefPolicy, RoundRobinPolicy
 from uavmec.mdp import assemble_reward, compute_reward_parts, encode_state
 from uavmec.simulation import (
@@ -36,6 +38,15 @@ class RecordingPolicy(AlwaysLocalPolicy):
         return action
 
 
+class RecordingLearner(RecordingPolicy):
+    """Recording policy that learns, so the kernel scores its decisions."""
+
+    wants_transitions = True
+
+    def ingest(self, t):
+        pass
+
+
 class CollectingLearner:
     """Learner stub: keeps every task local, remembers ingested transitions.
 
@@ -60,6 +71,15 @@ class CollectingLearner:
         self.ingested.append(t)
 
 
+class HefLearner(HefPolicy):
+    """HEF's placements from a learner, so the kernel scores its decisions."""
+
+    wants_transitions = True
+
+    def ingest(self, t):
+        pass
+
+
 def hef_policies(cfg):
     return [HefPolicy(np.random.default_rng(100 + u)) for u in range(cfg.sim.num_uavs)]
 
@@ -69,10 +89,14 @@ def rr_policies(cfg):
 
 
 def test_identical_runs_are_bit_identical(cfg):
-    a = run_episode(cfg, hef_policies(cfg), arrival_seed=5, collect_events=True)
-    b = run_episode(cfg, hef_policies(cfg), arrival_seed=5, collect_events=True)
+    def hef_learners():
+        return [HefLearner(np.random.default_rng(100 + u)) for u in range(cfg.sim.num_uavs)]
+
+    a = run_episode(cfg, hef_learners(), arrival_seed=5, collect_events=True)
+    b = run_episode(cfg, hef_learners(), arrival_seed=5, collect_events=True)
     assert a.events == b.events
     assert a.battery_wh == b.battery_wh
+    assert all(isinstance(r, float) for r in a.cumulative_reward)
     assert a.cumulative_reward == b.cumulative_reward
     assert len(a.placements) == len(b.placements)
     for ra, rb in zip(a.placements, b.placements):
@@ -286,7 +310,7 @@ def test_tail_transition_dropped_without_terminal_flag(desk_cfg):
 
 def test_deferred_rewards_use_realized_outcomes(desk_cfg):
     desk_cfg.mdp.deferred_reward = True
-    recorders = [RecordingPolicy() for _ in range(desk_cfg.sim.num_uavs)]
+    recorders = [RecordingLearner() for _ in range(desk_cfg.sim.num_uavs)]
     r = run_episode(desk_cfg, recorders, arrival_seed=14)
     for uav, recorder in enumerate(recorders):
         records = [rec for rec in r.placements if rec.origin_uav == uav]
@@ -303,14 +327,48 @@ def test_deferred_and_immediate_rewards_differ_when_predictions_miss(desk_cfg):
     # The predicted violation flags are not the realized ones under load, so
     # the two reward modes disagree on the same workload.
     immediate = run_episode(
-        desk_cfg, [AlwaysLocalPolicy() for _ in range(2)], arrival_seed=15, collect_events=True
+        desk_cfg, [CollectingLearner() for _ in range(2)], arrival_seed=15, collect_events=True
     )
     desk_cfg.mdp.deferred_reward = True
     deferred = run_episode(
-        desk_cfg, [AlwaysLocalPolicy() for _ in range(2)], arrival_seed=15, collect_events=True
+        desk_cfg, [CollectingLearner() for _ in range(2)], arrival_seed=15, collect_events=True
     )
     assert immediate.events == deferred.events  # same physics
+    rewards = immediate.cumulative_reward + deferred.cumulative_reward
+    assert all(isinstance(r, float) for r in rewards)
     assert immediate.cumulative_reward != deferred.cumulative_reward
+
+
+class _Scored(Exception):
+    pass
+
+
+@pytest.mark.parametrize("deferred", [False, True], ids=["immediate", "deferred"])
+def test_only_learners_are_scored(desk_cfg, tmp_path, monkeypatch, deferred):
+    desk_cfg.mdp.deferred_reward = deferred
+    checkpoints = {}
+    for policy in ("qlearning", "dql"):
+        agents, _ = train_policy(desk_cfg, policy, 2, master_seed=1)
+        checkpoints[policy] = tmp_path / f"{policy}.ckpt"
+        save_checkpoint(policy, agents, checkpoints[policy], desk_cfg, 1, 2)
+
+    def refuse(*args):
+        raise _Scored
+
+    monkeypatch.setattr(simulation, "compute_reward_parts", refuse)
+    seed = arrival_seed(1, 0)
+    for policy in ("rr", "hef", "qhef", "qlearning", "dql"):
+        policies = load_policies(policy, desk_cfg, checkpoints.get(policy), 1, 0)
+        r = run_episode(desk_cfg, policies, seed)
+        assert r.tasks_generated > 0
+        assert r.cumulative_reward == [None] * desk_cfg.sim.num_uavs
+    # A learner's decisions go through the patched scorer...
+    with pytest.raises(_Scored):
+        run_episode(desk_cfg, [CollectingLearner() for _ in range(2)], seed)
+    monkeypatch.undo()
+    # ...and, unpatched, come out with float rewards.
+    r = run_episode(desk_cfg, [CollectingLearner() for _ in range(2)], seed)
+    assert all(isinstance(x, float) for x in r.cumulative_reward)
 
 
 def test_decision_snapshots_are_sane(cfg):
