@@ -9,7 +9,9 @@ import numpy as np
 from .config import RlConfig
 from .exploration import epsilon_greedy
 from .mdp import NetworkSnapshot, Transition, encode_state
-from .nnet import AdamState, MlpNetwork, adam_step, forward, init_mlp, loss_and_grads
+from .nnet import (
+    AdamState, MlpNetwork, adam_step, forward, forward_cached, init_mlp, loss_and_grads,
+)
 
 
 @dataclass(frozen=True)
@@ -42,10 +44,11 @@ class TransitionBatch:
 class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform sampling.
 
-    Row i of each column array holds the i-th stored transition; once full,
-    each push overwrites the oldest row.  The arrays double as they fill and
-    stop at ``capacity``: allocating all of it up front would cost memory that
-    a short run never uses.
+    Row i of one float64 table holds the i-th stored transition as
+    ``[state | next_state | action | reward | terminal]``; once full, each
+    push overwrites the oldest row.  The table doubles as it fills and stops
+    at ``capacity``: allocating all of it up front would cost memory that a
+    short run never uses.
     """
 
     initial_rows = 256
@@ -56,49 +59,40 @@ class ReplayBuffer:
         self.capacity = capacity
         self.size = 0
         self.cursor = 0
-        self._allocate(0, 0)
+        self.table = np.empty((0, 0))
 
-    def _allocate(self, rows: int, state_width: int) -> None:
-        """Fresh columns of ``rows`` rows holding the stored transitions."""
-        n = self.size
-        for name, shape, dtype in (
-            ("states", (rows, state_width), np.float64),
-            ("next_states", (rows, state_width), np.float64),
-            ("actions", rows, np.intp),
-            ("rewards", rows, np.float64),
-            ("terminals", rows, bool),
-        ):
-            column = np.empty(shape, dtype=dtype)
-            if n:
-                column[:n] = getattr(self, name)[:n]
-            setattr(self, name, column)
+    @property
+    def state_width(self) -> int:
+        return (self.table.shape[1] - 3) // 2
 
     def push(self, t: Transition) -> None:
         """Store ``t``; its states must be 1-d and as wide as the first push's."""
-        width = self.states.shape[1] if self.size else np.size(t.state)
+        width = self.state_width if self.size else np.size(t.state)
         for name, state in (("state", t.state), ("next_state", t.next_state)):
             if np.shape(state) != (width,):
                 raise ValueError(f"{name} has shape {np.shape(state)}, buffer holds ({width},)")
         row = self.cursor
-        if row == len(self.actions):
-            rows = min(self.capacity, max(self.initial_rows, 2 * row))
-            self._allocate(rows, width)
-        self.states[row] = t.state
-        self.next_states[row] = t.next_state
-        self.actions[row] = t.action
-        self.rewards[row] = t.reward
-        self.terminals[row] = t.terminal
+        if row == len(self.table):
+            table = np.empty((min(self.capacity, max(self.initial_rows, 2 * row)), 2 * width + 3))
+            if row:
+                table[:row] = self.table[:row]
+            self.table = table
+        out = self.table[row]
+        out[:width] = t.state
+        out[width:2 * width] = t.next_state
+        out[2 * width:] = t.action, t.reward, t.terminal
         self.size = max(self.size, row + 1)
         self.cursor = (row + 1) % self.capacity
 
     def sample(self, n: int, rng: np.random.Generator) -> TransitionBatch:
-        """Uniform sample without replacement."""
+        """Uniform sample without replacement, gathered in one read."""
         if n > self.size:
             raise ValueError(f"cannot sample {n} from buffer of {self.size}")
-        idx = rng.choice(self.size, size=n, replace=False)
+        rows = self.table.take(rng.choice(self.size, size=n, replace=False), axis=0)
+        w = self.state_width
         return TransitionBatch(
-            self.states[idx], self.actions[idx], self.rewards[idx],
-            self.next_states[idx], self.terminals[idx],
+            rows[:, :w], rows[:, 2 * w].astype(np.intp), rows[:, 2 * w + 1],
+            rows[:, w:2 * w], rows[:, 2 * w + 2] != 0.0,
         )
 
     def __len__(self) -> int:
@@ -117,10 +111,14 @@ def train_batch(
     Targets: r + gamma * max_a Q(s', a), zero bootstrap on terminals.  The
     bootstrap uses ``target_net`` when given, else the online network.
     """
-    live = np.where(batch.terminals, 0.0, 1.0)
     bootstrap_net = target_net if target_net is not None else net
-    next_q = forward(bootstrap_net, batch.next_states)
-    targets = batch.rewards + gamma * live * next_q.max(axis=1)
+    # The workspace that holds next_q is the one the loss's forward reuses,
+    # so the targets are taken from it first.
+    next_q = forward_cached(bootstrap_net, batch.next_states)[-1]
+    best = next_q[:, 0].copy()
+    for column in range(1, next_q.shape[1]):
+        np.maximum(best, next_q[:, column], out=best)
+    targets = batch.rewards + gamma * np.where(batch.terminals, 0.0, 1.0) * best
 
     loss, grads = loss_and_grads(net, batch.states, batch.actions, targets)
     adam_step(adam, net.parameters(), grads)
@@ -172,6 +170,14 @@ class DqlAgent:
         return epsilon_greedy(forward(self.net, state), self.epsilon, self.rng)
 
     def ingest(self, t: Transition) -> None:
+        """Store ``t`` and, once replay can fill a batch, train one step.
+
+        The action must index one of the network's outputs: the replay table
+        would store a float or out-of-range action without complaint.
+        """
+        actions = self.net.dims[-1]
+        if not (isinstance(t.action, (int, np.integer)) and 0 <= t.action < actions):
+            raise ValueError(f"action {t.action!r} is not an integer in [0, {actions})")
         self.buffer.push(t)
         if len(self.buffer) < self.batch_size:
             return

@@ -174,10 +174,9 @@ def inspect_checkpoint(path) -> str:
     lines.append(f"agents: {len(models)}")
     for i, model in enumerate(models):
         if kind == "dql":
-            n_params = sum(p.size for p in model.parameters())
-            flat = np.concatenate([p.reshape(-1) for p in model.parameters()])
+            flat = model.flat
             lines.append(
-                f"agent {i}: dims {'x'.join(map(str, model.dims))}, {n_params} params, "
+                f"agent {i}: dims {'x'.join(map(str, model.dims))}, {flat.size} params, "
                 f"weight min {flat.min():.4f} max {flat.max():.4f} mean {flat.mean():.4f}"
             )
         else:

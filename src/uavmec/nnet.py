@@ -14,30 +14,61 @@ from .checkpoint import read_checkpoint, write_checkpoint
 CHECKPOINT_MAGIC = "uavmec-mlp v1"
 
 
+def _split(dims: list, flat: np.ndarray) -> tuple[list, list]:
+    """Views of ``flat`` as the weights and biases of ``dims``, laid out
+    w0, b0, w1, b1, ... in row-major order."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        end = offset + fan_in * fan_out
+        weights.append(flat[offset:end].reshape(fan_in, fan_out))
+        biases.append(flat[end:end + fan_out])
+        offset = end + fan_out
+    return weights, biases
+
+
 class MlpNetwork:
-    """Weights and biases for dims[0] -> dims[1] -> ... -> dims[-1]."""
+    """Weights and biases for dims[0] -> dims[1] -> ... -> dims[-1].
+
+    All parameters live in one flat float64 vector, ``flat``; ``weights[l]``
+    (dims[l], dims[l+1]) and ``biases[l]`` (dims[l+1],) are views into it.
+    The constructor copies the given arrays into a fresh vector.
+    """
 
     def __init__(self, dims: list, weights: list, biases: list):
         self.dims = list(dims)
-        self.weights = weights  # weights[l]: (dims[l], dims[l+1])
-        self.biases = biases  # biases[l]: (dims[l+1],)
+        layers = list(zip(self.dims[:-1], self.dims[1:]))
+        if ([np.shape(w) for w in weights] != layers
+                or [np.shape(b) for b in biases] != [(n_out,) for _, n_out in layers]):
+            raise ValueError(f"weight or bias shapes do not fit dims {self.dims}")
+        self._bind(np.concatenate(
+            [p.reshape(-1) for pair in zip(weights, biases) for p in pair], dtype=np.float64))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self.weights, self.biases = _split(self.dims, flat)
+
+    # Copies and pickles carry the vector only, so that the views of the
+    # restored network alias its own vector.
+    def __getstate__(self) -> dict:
+        return {"dims": self.dims, "flat": self.flat}
+
+    def __setstate__(self, state: dict) -> None:
+        self.dims = state["dims"]
+        self._bind(state["flat"])
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
 
     def parameters(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        """Views of every parameter tensor in the order of ``flat``."""
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def copy(self) -> "MlpNetwork":
-        return MlpNetwork(self.dims, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return MlpNetwork(self.dims, self.weights, self.biases)
 
     def copy_from(self, other: "MlpNetwork") -> None:
-        for mine, theirs in zip(self.parameters(), other.parameters()):
-            mine[...] = theirs
+        self.flat[...] = other.flat
 
 
 def init_mlp(dims: list, rng: np.random.Generator) -> MlpNetwork:
@@ -113,42 +144,41 @@ def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, tar
     """MSE over the taken actions' Q-values, with gradients for every parameter.
 
     loss = mean_i (Q(s_i)[a_i] - y_i)^2.  Returns (loss, grads) with grads
-    ordered like net.parameters().
+    ordered like net.parameters(): views into one fresh flat vector laid out
+    like ``net.flat``.
     """
     batch = states.shape[0]
     activations = forward_cached(net, states)
     ws = _workspace(net.dims, batch)
     q = activations[-1]
     idx = np.arange(batch)
-    taken = q[idx, actions]
-    err = taken - targets
+    err = q[idx, actions] - targets
     loss = float(np.mean(err**2))
 
+    grads_w, grads_b = _split(net.dims, np.empty(net.flat.size))
+    scaled = 2.0 * err / batch
     delta = ws.deltas[-1]
     delta.fill(0.0)
-    delta[idx, actions] = 2.0 * err / batch
-    grads_w = [None] * net.num_layers
-    grads_b = [None] * net.num_layers
+    delta[idx, actions] = scaled
+    # The output delta holds one nonzero per row, so its column sums are
+    # those values binned by action, added in the same row order.
+    grads_b[-1][...] = np.bincount(actions, weights=scaled, minlength=net.dims[-1])
     for layer in range(net.num_layers - 1, -1, -1):
-        a_prev = activations[layer]
-        grads_w[layer] = a_prev.T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+        np.matmul(activations[layer].T, delta, out=grads_w[layer])
         if layer > 0:
             below = np.matmul(delta, net.weights[layer].T, out=ws.deltas[layer - 1])
             mask = np.greater(activations[layer], 0.0, out=ws.masks[layer - 1])
             delta = np.multiply(below, mask, out=below)
-    grads = []
-    for gw, gb in zip(grads_w, grads_b):
-        grads.extend((gw, gb))
-    return loss, grads
+            np.sum(delta, axis=0, out=grads_b[layer - 1])
+    return loss, [p for pair in zip(grads_w, grads_b) for p in pair]
 
 
 class AdamState:
     """First/second moment accumulators with bias correction.
 
-    The moments and the update's two scratch vectors are flat, in the order
-    of the parameter list, so a step runs each operation once over all
-    parameters.
+    The moments and the update's two scratch vectors are flat, laid out like
+    the network's ``flat`` vector, so a step runs each operation once over
+    all parameters.
     """
 
     def __init__(self, params: list, lr: float = 0.001, beta1: float = 0.9,
@@ -165,13 +195,27 @@ class AdamState:
         self._denom = np.zeros(size)
 
 
+def _flat(tensors: list) -> np.ndarray:
+    """The one flat vector that ``tensors`` (as from ``MlpNetwork.parameters``
+    or ``loss_and_grads``) are views of."""
+    flat = tensors[0].base
+    if (flat is None or flat.ndim != 1 or any(t.base is not flat for t in tensors)
+            or sum(t.size for t in tensors) != flat.size):
+        raise ValueError("tensors are not views of one flat vector")
+    return flat
+
+
 def adam_step(adam: AdamState, params: list, grads: list) -> None:
-    """One in-place update of every parameter."""
+    """One in-place update of every parameter.
+
+    ``params`` and ``grads`` are views of one flat vector each, as
+    ``MlpNetwork.parameters`` and ``loss_and_grads`` return them.
+    """
+    p, g = _flat(params), _flat(grads)
     adam.t += 1
     b1, b2 = adam.beta1, adam.beta2
     bias1 = 1.0 - b1**adam.t
     bias2 = 1.0 - b2**adam.t
-    g = np.concatenate([gr.reshape(-1) for gr in grads])
     m, v, step, denom = adam.m, adam.v, adam._step, adam._denom
     m *= b1
     m += np.multiply(1.0 - b1, g, out=step)
@@ -185,10 +229,7 @@ def adam_step(adam: AdamState, params: list, grads: list) -> None:
     np.sqrt(denom, out=denom)
     denom += adam.eps
     step /= denom
-    offset = 0
-    for p in params:
-        p -= step[offset:offset + p.size].reshape(p.shape)
-        offset += p.size
+    p -= step
 
 
 def _tensor_line(name: str, tensor: np.ndarray) -> str:

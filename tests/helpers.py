@@ -8,13 +8,14 @@ oracle for the violation flags and the battery levels.
 ``ReplayBuffer`` and ``train_batch`` below are the original object-list
 replay memory and batch step, kept unchanged: a list of ``Transition``
 objects, batches assembled with ``np.stack`` and list comprehensions.  They
-are the oracle for the column-array ring in ``uavmec.deep``.
+are the oracle for the one-table ring in ``uavmec.deep``.
 
 ``ReferenceAdamState``, ``reference_forward_cached``,
 ``reference_loss_and_grads`` and ``reference_adam_step`` are the original
 network step, kept unchanged: every temporary is a fresh array and Adam runs
 per parameter array.  With ``reference_train_step`` they are the oracle for
-the shared workspaces and the flat Adam update in ``uavmec.nnet``.
+the shared workspaces, the flat parameter and gradient vectors and the flat
+Adam update in ``uavmec.nnet``.
 
 ``reference_snapshots`` rebuilds every decision snapshot of an episode from
 the config and the event log, each field on its own at each decision.  It is

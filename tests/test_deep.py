@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import tracemalloc
@@ -73,10 +74,17 @@ def test_memory_grows_with_contents_not_capacity():
 def test_ring_matches_object_list_oracle(target_network):
     """Same ingests, same draws: identical losses, weights and RNG state.
 
-    The ring wraps past its capacity several times and a third of the rows
-    are terminal.
+    The ring wraps past its capacity and a third of the rows are terminal.
+    The large ring trains on every 50th push only; above 10,000 rows,
+    ``Generator.choice`` draws a small sample by a set-based method instead
+    of a permutation.
     """
-    width, actions, capacity, batch_size, gamma = 6, 3, 40, 16, 0.9
+    for capacity, pushes, train_every in ((40, 200, 1), (12_000, 12_500, 50)):
+        check_ring_against_oracle(target_network, capacity, pushes, train_every)
+
+
+def check_ring_against_oracle(target_network, capacity, pushes, train_every):
+    width, actions, batch_size, gamma = 6, 3, 16, 0.9
     data_rng = np.random.default_rng(5)
     init = init_mlp([width, 12, actions], np.random.default_rng(6))
     nets = [init.copy(), init.copy()]
@@ -85,7 +93,7 @@ def test_ring_matches_object_list_oracle(target_network):
     rngs = [np.random.default_rng(7), np.random.default_rng(7)]
     buffers = [ReplayBuffer(capacity), oracle.ReplayBuffer(capacity)]
     steps = [train_batch, oracle.train_batch]
-    for _ in range(5 * capacity):
+    for push in range(pushes):
         state = data_rng.normal(size=width)
         t = Transition(
             state=state,
@@ -97,7 +105,7 @@ def test_ring_matches_object_list_oracle(target_network):
         losses = []
         for buf, net, adam, target, rng, step in zip(buffers, nets, adams, targets, rngs, steps):
             buf.push(t)
-            if len(buf) >= batch_size:
+            if len(buf) >= batch_size and push % train_every == 0:
                 losses.append(step(net, adam, buf.sample(batch_size, rng), gamma, target))
         assert len(buffers[0]) == len(buffers[1])
         assert len(losses) in (0, 2)
@@ -373,3 +381,45 @@ def test_agent_select_uses_current_network():
     choice = agent.select(state)
     q = forward(agent.net, state)
     assert choice == int(np.argmax(q))
+
+
+def test_ingest_refuses_actions_outside_the_network():
+    agent = DqlAgent(4, 3, small_rl(), np.random.default_rng(0))
+    agent.ingest(make_transition(0, action=np.int64(2)))
+    # A float table would store 2.7 as 2, and action -1 would train the last column.
+    for bad in (2.7, 2.0, -1, 3, None):
+        with pytest.raises(ValueError, match=r"is not an integer in \[0, 3\)"):
+            agent.ingest(make_transition(1, action=bad))
+    assert len(agent.buffer) == 1
+
+
+def feed(agent, transitions):
+    losses = []
+    for t in transitions:
+        agent.ingest(t)
+        losses.append(agent.last_loss)
+    return losses
+
+
+def test_deep_copied_agent_trains_like_the_original():
+    agent = DqlAgent(4, 3, small_rl(batch_size=4, target_network=True, target_sync_every=2),
+                     np.random.default_rng(12))
+    data_rng = np.random.default_rng(13)
+    transitions = [
+        Transition(state=s, action=int(data_rng.integers(3)), reward=float(data_rng.normal()),
+                   next_state=s + data_rng.normal(size=4), terminal=bool(data_rng.random() < 0.3))
+        for s in data_rng.normal(size=(30, 4))
+    ]
+    feed(agent, transitions[:10])
+    dup = copy.deepcopy(agent)
+    for net in (dup.net, dup.target_net):
+        assert all(tensor.base is net.flat for tensor in net.parameters())
+    assert feed(dup, transitions[10:]) == feed(agent, transitions[10:])
+    assert dup.train_steps == agent.train_steps == 27
+    for mine, theirs in ((dup.net.flat, agent.net.flat),
+                         (dup.target_net.flat, agent.target_net.flat),
+                         (dup.adam.m, agent.adam.m), (dup.adam.v, agent.adam.v),
+                         (dup.buffer.table, agent.buffer.table)):
+        assert mine.tobytes() == theirs.tobytes()
+        assert not np.shares_memory(mine, theirs)
+    assert dup.rng.bit_generator.state == agent.rng.bit_generator.state

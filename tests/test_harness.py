@@ -313,7 +313,21 @@ def test_inspect_checkpoint_summarizes(desk_cfg, tmp_path):
     assert "kind: dql" in text
     assert "agents: 2" in text
     assert "episodes_trained: 2" in text
-    assert "dims" in text
+    for i, agent in enumerate(agents):
+        values = np.concatenate([p.reshape(-1) for p in agent.net.parameters()])
+        dims = agent.net.dims
+        assert (f"agent {i}: dims {'x'.join(map(str, dims))}, {values.size} params, "
+                f"weight min {values.min():.4f} max {values.max():.4f} "
+                f"mean {values.mean():.4f}") in text.splitlines()
+
+
+def test_dql_evaluation_is_the_same_with_two_workers(desk_cfg, tmp_path):
+    """Checkpointed networks reach the worker processes by pickling."""
+    agents, _ = train_policy(desk_cfg, "dql", 2, master_seed=1)
+    path = tmp_path / "dql.ckpt"
+    save_checkpoint("dql", agents, path, desk_cfg, 1, 2)
+    jobs = [("dql", 1, s, 1, str(path)) for s in range(3)]
+    assert evaluate_many(desk_cfg, jobs, workers=2) == evaluate_many(desk_cfg, jobs, workers=1)
 
 
 def test_evaluate_policy_is_deterministic_and_paired(desk_cfg):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -194,8 +197,8 @@ def test_adam_first_step_is_signed_learning_rate():
     net = zero_net([1, 1])
     params = net.parameters()
     adam = AdamState(params, lr=0.001)
-    grads = [np.array([[0.5]]), np.array([-2.0])]
-    adam_step(adam, params, grads)
+    gradient = MlpNetwork([1, 1], [np.array([[0.5]])], [np.array([-2.0])])
+    adam_step(adam, params, gradient.parameters())
     assert params[0][0, 0] == pytest.approx(-0.001, rel=1e-6)
     assert params[1][0] == pytest.approx(0.001, rel=1e-6)
 
@@ -206,23 +209,40 @@ def test_adam_zero_grad_keeps_params_exactly():
     before = [p.copy() for p in net.parameters()]
     params = net.parameters()
     adam = AdamState(params)
-    adam_step(adam, params, [np.zeros_like(p) for p in params])
+    adam_step(adam, params, zero_net([3, 4, 2]).parameters())
     for b, p in zip(before, params):
         assert np.array_equal(b, p)
 
 
+def full_net(dims, value):
+    return MlpNetwork(dims, [np.full((a, b), value) for a, b in zip(dims[:-1], dims[1:])],
+                      [np.full(b, value) for b in dims[1:]])
+
+
 def test_adam_equal_grads_give_equal_updates():
-    p1 = [np.full((2, 2), 3.0)]
-    p2 = [np.full((2, 2), 3.0)]
+    p1 = full_net([2, 2], 3.0).parameters()
+    p2 = full_net([2, 2], 3.0).parameters()
     a1 = AdamState(p1, lr=0.01)
     a2 = AdamState(p2, lr=0.01)
-    g = [np.full((2, 2), 0.7)]
+    g = full_net([2, 2], 0.7).parameters()
     for _ in range(5):
         adam_step(a1, p1, g)
         adam_step(a2, p2, g)
-    assert np.array_equal(p1[0], p2[0])
+    for mine, theirs in zip(p1, p2):
+        assert np.array_equal(mine, theirs)
     # All entries saw the same gradient history, so they stay equal.
-    assert np.all(p1[0] == p1[0][0, 0])
+    assert np.all(p1[0] == p1[0][0, 0]) and np.all(p1[1] == p1[0][0, 0])
+
+
+def test_adam_refuses_tensors_that_are_not_views_of_one_vector():
+    net = zero_net([2, 2])
+    params = net.parameters()
+    adam = AdamState(params)
+    loose = [np.zeros((2, 2)), np.zeros(2)]  # right shapes, but separate arrays
+    for p, g in ((params, loose), (loose, params), (params, params[:1])):
+        with pytest.raises(ValueError, match="views of one flat vector"):
+            adam_step(adam, p, g)
+    assert np.array_equal(net.flat, np.zeros(6))
 
 
 def test_training_drives_loss_down_on_frozen_batch():
@@ -275,3 +295,32 @@ def test_copy_and_copy_from_are_deep():
     dup.weights[0][0, 0] += 5.0
     net.copy_from(dup)
     assert ref[0, 0] == dup.weights[0][0, 0]
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+                         ids=["deepcopy", "pickle"])
+def test_cloned_network_tensors_view_its_own_vector(clone):
+    net = init_mlp([3, 4, 2], np.random.default_rng(11))
+    dup = clone(net)
+    assert dup.dims == net.dims and dup.flat.tobytes() == net.flat.tobytes()
+    assert not np.shares_memory(dup.flat, net.flat)
+    for tensor in dup.parameters():
+        assert tensor.base is dup.flat
+    # Writing the vector moves every tensor with it, and only the clone's.
+    dup.flat += 1.0
+    for mine, theirs in zip(dup.parameters(), net.parameters()):
+        assert np.array_equal(mine, theirs + 1.0)
+    dup.copy_from(net)
+    assert np.array_equal(dup.weights[1], net.weights[1])
+
+
+def test_constructor_refuses_tensors_that_do_not_fit_dims():
+    w, b = [np.zeros((2, 3))], [np.zeros(3)]
+    MlpNetwork([2, 3], w, b)
+    for dims, weights, biases in (
+        ([3, 2], w, b),  # same size, other shape
+        ([2, 3], w, [np.zeros(2)]),
+        ([2, 3, 1], w, b),
+    ):
+        with pytest.raises(ValueError, match="do not fit dims"):
+            MlpNetwork(dims, weights, biases)
