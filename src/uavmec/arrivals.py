@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,27 +74,32 @@ def generate_arrivals(
     Emission gaps are i.i.d. Exponential(mean_interarrival); tasks whose UAV
     arrival time would land at or past the horizon are not generated.  Ids are
     sequential from ``id_start`` in emission order.
+
+    The gaps are drawn in bulk and summed with ``np.cumsum``, which adds them
+    left to right, so every time equals the one a draw-and-add loop would
+    give.  The draw is topped up until it passes the horizon; the surplus
+    draws are discarded, which is harmless because each stream has its own
+    generator.
     """
-    tasks = []
-    t = 0.0
-    next_id = id_start
-    while True:
-        t += rng.exponential(spec.mean_interarrival)
-        arrival = t + iot_delay
-        if arrival >= horizon:
-            break
-        tasks.append(
-            TaskInstance(
-                task_id=next_id,
-                type_id=type_id,
-                origin_uav=uav,
-                emission_time=t,
-                arrival_time=arrival,
-                deadline_abs=t + spec.deadline,
-            )
+    mean = spec.mean_interarrival
+    # Four standard deviations above the expected count: a top-up is rare.
+    expected = horizon / mean
+    gaps = rng.exponential(mean, size=int(expected + 4.0 * math.sqrt(expected)) + 16)
+    emissions = np.cumsum(gaps)
+    while emissions[-1] + iot_delay < horizon:
+        gaps = np.concatenate((gaps, rng.exponential(mean, size=len(gaps))))
+        emissions = np.cumsum(gaps)
+    arrivals = emissions + iot_delay
+    n = int(np.searchsorted(arrivals, horizon))
+    return [
+        TaskInstance(task_id, type_id, uav, emission, arrival, deadline)
+        for task_id, emission, arrival, deadline in zip(
+            range(id_start, id_start + n),
+            emissions[:n].tolist(),
+            arrivals[:n].tolist(),
+            (emissions[:n] + spec.deadline).tolist(),
         )
-        next_id += 1
-    return tasks
+    ]
 
 
 def build_task_table(

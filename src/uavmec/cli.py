@@ -206,7 +206,7 @@ def cmd_evaluate(args, parser) -> int:
     return 0
 
 
-def _parse_checkpoint_args(pairs, parser) -> dict:
+def _parse_checkpoint_args(pairs, policies, parser) -> dict:
     out = {}
     for pair in pairs:
         if "=" not in pair:
@@ -214,6 +214,10 @@ def _parse_checkpoint_args(pairs, parser) -> dict:
         policy, path = pair.split("=", 1)
         if policy not in LEARNER_POLICIES:
             parser.error(f"--checkpoint: {policy!r} is not a learning policy")
+        if policy not in policies:
+            parser.error(f"--checkpoint: policy {policy!r} is not among the compared policies")
+        if policy in out:
+            parser.error(f"--checkpoint: policy {policy!r} given twice")
         if not Path(path).exists():
             parser.error(f"--checkpoint: file not found: {path}")
         out[policy] = path
@@ -237,7 +241,7 @@ def cmd_compare(args, parser) -> int:
     seeds = args.seeds if args.seeds is not None else cfg.experiment.eval_seeds
     if seeds < 1:
         parser.error("--seeds must be >= 1")
-    checkpoints = _parse_checkpoint_args(args.checkpoint, parser)
+    checkpoints = _parse_checkpoint_args(args.checkpoint, policies, parser)
     out = _out_dir(cfg)
     # Train whatever is missing first; convergence curves and checkpoints are
     # per-policy artifacts and appear as each training run finishes.

@@ -48,23 +48,30 @@ class UnitQueue:
         self.pending.append(task)
         self.free_at = max(self.free_at, now) + service_time
 
-    def backlog(self, now: float) -> float:
-        """Seconds of work committed ahead of a new arrival at ``now``."""
-        return max(self.free_at - now, 0.0)
 
-    def busy_seconds(self, now: float) -> float:
-        """Seconds in service up to ``now``: finished tasks plus the running one so far."""
-        task = self.in_service
-        if task is None:
-            return self.busy_total
-        return self.busy_total + (now - task.start_time)
+def busy_seconds(queues, now: float) -> list:
+    """Seconds each unit was in service up to ``now``: its finished tasks plus
+    the running one so far."""
+    return [
+        q.busy_total if q.in_service is None else q.busy_total + (now - q.in_service.start_time)
+        for q in queues
+    ]
+
+
+def predicted_delays(queues, service_times, now: float) -> tuple:
+    """Per unit, the queue wait plus service it would impose on a task placed
+    now, given the task's service time on each unit.
+
+    Remaining in-service time and all pending service times are already folded
+    into ``free_at``, so the estimate is the backlog ``free_at - now`` (zero
+    on an idle unit) plus the candidate's own service time.
+    """
+    return tuple([
+        (q.free_at - now if q.free_at > now else 0.0) + service
+        for q, service in zip(queues, service_times)
+    ])
 
 
 def predicted_unit_delay(queue: UnitQueue, service_time: float, now: float) -> float:
-    """Queue wait plus service the unit would impose on a task placed now.
-
-    Remaining in-service time and all pending service times are already folded
-    into ``free_at``, so the estimate is backlog plus the candidate's own
-    service time on this unit class.
-    """
-    return queue.backlog(now) + service_time
+    """``predicted_delays`` of one unit."""
+    return predicted_delays((queue,), (service_time,), now)[0]

@@ -1,10 +1,15 @@
 """Event-driven simulation kernel: one episode of task offloading.
 
-Continuous time, three heap events (arrival, completion, horizon),
-deterministic ordering.  At equal timestamps completions free servers before
-arrivals are admitted, and the horizon marker runs last; remaining ties break
-on task id, which is unique among queued events since a task has at most one
-event queued at a time.
+Continuous time, deterministic ordering.  Events are arrivals, completions
+and the horizon, ordered by the key (time, kind priority, task id): at equal
+timestamps completions free servers before arrivals are admitted, and the
+horizon marker runs last; remaining ties break on task id, which is unique
+among pending events since a task has at most one event pending at a time.
+
+Two sources are merged in that order.  The sensed arrivals come straight
+from the task table, which is sorted by arrival time with ids equal to
+positions, so it is walked with one index.  A heap holds the rest:
+completions, arrivals forwarded to another unit, and the horizon marker.
 
 A unit starts its head task as soon as it is idle with pending work, inside
 the handler of the enqueue that fed it or of the completion that freed it, and
@@ -28,6 +33,7 @@ from .energy import (
     BatteryModel,
     remaining_battery,
     remaining_battery_fraction,
+    remaining_battery_fractions,
 )
 from .mdp import (
     NetworkSnapshot,
@@ -37,7 +43,13 @@ from .mdp import (
     encode_state,  # noqa: F401  unused here; bench/tracing.py wraps it under this name
     type_code,
 )
-from .queues import UnitQueue, check_violation, predicted_unit_delay
+from .queues import (
+    UnitQueue,
+    busy_seconds,
+    check_violation,
+    predicted_delays,
+    predicted_unit_delay,  # noqa: F401  unused here; bench/tracing.py wraps it under this name
+)
 
 TASK_COMPLETE = "complete"
 TASK_START = "start"  # logged only; starts are not heap events
@@ -208,12 +220,8 @@ def run_episode(
         uav, type_id = task.origin_uav, task.type_id
         proc_times = proc_tables[type_id]
         transfers = transfer_tables[uav]
-        delays = tuple([
-            predicted_unit_delay(q, proc, now) for q, proc in zip(queues, proc_times)
-        ])
-        batteries = tuple([
-            remaining_battery_fraction(battery, now, q.busy_seconds(now)) for q in uav_queues
-        ])
+        delays = predicted_delays(queues, proc_times, now)
+        batteries = remaining_battery_fractions(battery, now, busy_seconds(uav_queues, now))
         # Positional, in field order: keywords make the build ~3x slower.
         snap = NetworkSnapshot(
             uav, type_id, type_codes[type_id], delays, batteries + mec_batteries, transfers,
@@ -235,21 +243,30 @@ def run_episode(
         else:
             push(now + transfers[action], TASK_ARRIVAL, task, action)
 
-    for task in tasks:
-        push(task.arrival_time, TASK_ARRIVAL, task, task.origin_uav)
     push(sim.episode_duration, EPISODE_END, None, -1)
-
-    while heap:
+    # Sensed arrivals run in table order, each once no heap key is smaller
+    # than its own; no heap key equals it (the task ids differ).  The heap
+    # keeps the horizon marker until the loop ends.
+    arrival_priority = _PRIORITY[TASK_ARRIVAL]
+    num_tasks = len(tasks)
+    i = 0
+    while True:
+        if i < num_tasks:
+            sensed = tasks[i]
+            now = sensed.arrival_time
+            if heap[0] > (now, arrival_priority, sensed.task_id):
+                log(now, TASK_ARRIVAL, sensed, sensed.origin_uav)
+                decide(sensed, now)
+                i += 1
+                continue
         now, _, _, kind, task, unit = heapq.heappop(heap)
         if kind == EPISODE_END:
             log(now, kind, None, -1)
             break
         if kind == TASK_ARRIVAL:
+            # Only forwarded tasks arrive through the heap, already decided.
             log(now, kind, task, unit)
-            if task.chosen_unit is None:
-                decide(task, now)
-            else:
-                enqueue(task, unit, now)
+            enqueue(task, unit, now)
         elif kind == TASK_COMPLETE:
             q = queues[unit]
             if q.in_service is not task:
@@ -264,7 +281,7 @@ def run_episode(
             kick(unit, now)
 
     end_time = sim.episode_duration
-    busy = [q.busy_seconds(end_time) for q in uav_queues]
+    busy = busy_seconds(uav_queues, end_time)
 
     in_service = 0
     in_queue = 0

@@ -26,6 +26,10 @@ vector (``encode_state``, then slicing it by position), as the learner once
 computed it.  It is the oracle for ``DiscretizationGrid.key``, which cuts the
 key straight from the snapshot's fields.
 
+``reference_generate_arrivals`` is the original one-draw-per-task stream
+sampler, a scalar ``rng.exponential`` and a running sum per task.  It is the
+oracle for the bulk draws and ``np.cumsum`` in ``uavmec.arrivals``.
+
 ``snapshot_is_sane`` and ``plateau_threshold`` are structural and
 convergence oracles that only tests use; ``make_snapshot`` builds a
 hand-made decision snapshot of the default 4 UAV + 1 MEC fleet.
@@ -35,6 +39,7 @@ import math
 
 import numpy as np
 
+from uavmec.arrivals import TaskInstance
 from uavmec.config import AppConfig
 from uavmec.mdp import NetworkSnapshot, Transition, encode_state, type_code
 from uavmec.nnet import AdamState, MlpNetwork, adam_step, forward, loss_and_grads
@@ -407,3 +412,27 @@ def reference_key(grid: DiscretizationGrid, snap: NetworkSnapshot) -> tuple:
         grid.battery_bin(b) for b in state[1 + grid.num_units : 1 + grid.num_units + grid.num_uavs]
     )
     return (type_idx, *delays, *batteries)
+
+
+def reference_generate_arrivals(spec, type_id, uav, horizon, iot_delay, rng, id_start=0):
+    """One stream of tasks, one exponential draw per task, up to the horizon."""
+    tasks = []
+    t = 0.0
+    next_id = id_start
+    while True:
+        t += rng.exponential(spec.mean_interarrival)
+        arrival = t + iot_delay
+        if arrival >= horizon:
+            break
+        tasks.append(
+            TaskInstance(
+                task_id=next_id,
+                type_id=type_id,
+                origin_uav=uav,
+                emission_time=t,
+                arrival_time=arrival,
+                deadline_abs=t + spec.deadline,
+            )
+        )
+        next_id += 1
+    return tasks

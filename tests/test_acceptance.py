@@ -231,6 +231,7 @@ def policy_outcomes(plateau_training):
     return outcomes
 
 
+@pytest.mark.slow
 def test_deep_agent_converges_at_least_3x_faster(plateau_training):
     conv = plateau_training["convergence"]
     ratios = [
@@ -240,6 +241,7 @@ def test_deep_agent_converges_at_least_3x_faster(plateau_training):
     assert plateau_training["elapsed"] < 1800.0
 
 
+@pytest.mark.slow
 def test_remaining_battery_ordering_across_policies(policy_outcomes):
     battery = {name: out[1] for name, out in policy_outcomes.items()}
     assert battery["qlearning"] >= battery["dql"] - 0.05, battery
@@ -247,6 +249,7 @@ def test_remaining_battery_ordering_across_policies(policy_outcomes):
     assert battery["dql"] > battery["rr"], battery
 
 
+@pytest.mark.slow
 def test_violation_rate_ordering_across_policies(policy_outcomes):
     viol = {name: out[0] for name, out in policy_outcomes.items()}
     assert viol["dql"] <= viol["qlearning"] + 0.5, viol

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import reference_generate_arrivals
 from uavmec.arrivals import TaskInstance, arrival_rng, build_task_table, generate_arrivals
 from uavmec.config import TaskTypeSpec, load_config
 
@@ -71,3 +72,48 @@ def test_build_task_table_varies_with_episode_index():
     ep0 = build_task_table(cfg.sim, cfg.tasks, seed=1, episode=0)
     ep1 = build_task_table(cfg.sim, cfg.tasks, seed=1, episode=1)
     assert [t.arrival_time for t in ep0] != [t.arrival_time for t in ep1]
+
+
+def times(tasks):
+    return [(t.emission_time.hex(), t.arrival_time.hex(), t.deadline_abs.hex()) for t in tasks]
+
+
+@pytest.mark.parametrize("mean", [0.1, 0.25, 0.5, 3.0])
+def test_bulk_draws_equal_one_draw_per_task(mean):
+    spec = TaskTypeSpec("probe", mean, 0.8, 0.1, 0.05)
+    compared = 0
+    for seed in range(40):
+        first_gap = arrival_rng(seed, 0, 1, 2).exponential(mean)
+        horizons = [0.0, first_gap / 2, 60.0] + ([10_000.0] if seed == 0 else [])
+        for horizon in horizons:
+            args = (spec, 2, 1, horizon, 0.01)
+            got = generate_arrivals(*args, rng=arrival_rng(seed, 0, 1, 2), id_start=7)
+            want = reference_generate_arrivals(*args, arrival_rng(seed, 0, 1, 2), id_start=7)
+            assert times(got) == times(want), (seed, horizon)
+            assert got == want
+            compared += len(want)
+    assert compared > 40 * 60.0 / mean
+
+
+class ShortGaps:
+    """A generator whose gaps average a twentieth of the requested mean, so
+    the first bulk draw ends far short of the horizon."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def exponential(self, scale, size=None):
+        self.draws += 1
+        return self.rng.exponential(scale / 20.0, size)
+
+
+def test_short_first_draw_is_topped_up():
+    spec = TaskTypeSpec("probe", 0.25, 0.8, 0.1, 0.05)
+    bulk = ShortGaps(5)
+    got = generate_arrivals(spec, 0, 0, 60.0, 0.01, bulk)
+    want = reference_generate_arrivals(spec, 0, 0, 60.0, 0.01, ShortGaps(5))
+    assert bulk.draws > 1
+    assert len(want) > 20 * 60.0 / 0.25 * 0.9
+    assert times(got) == times(want)
+    assert got == want

@@ -429,6 +429,24 @@ def test_compare_rejects_malformed_checkpoint_flag(tiny_config, tmp_path):
     assert exc.value.code == 2
 
 
+
+@pytest.mark.parametrize("policies, flags, message", [
+    ("rr", ["qlearning=q.ckpt"], "policy 'qlearning' is not among the compared policies"),
+    ("rr,qlearning", ["qlearning=q.ckpt", "qlearning=q.ckpt"], "policy 'qlearning' given twice"),
+], ids=["not-compared", "twice"])
+def test_compare_refuses_stray_checkpoints(tiny_config, tmp_path, monkeypatch, capsys,
+                                           policies, flags, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.ckpt").write_text("unused\n")
+    argv = ["compare", "--policies", policies, "--config", tiny_config, "--out", "o"]
+    for flag in flags:
+        argv += ["--checkpoint", flag]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
 # --- inspect-checkpoint -----------------------------------------------------
 
 

@@ -10,8 +10,9 @@ from uavmec.energy import (
     BatteryModel,
     remaining_battery,
     remaining_battery_fraction,
+    remaining_battery_fractions,
 )
-from uavmec.queues import UnitQueue
+from uavmec.queues import UnitQueue, busy_seconds
 
 MODEL = BatteryModel(EnergyParams())
 
@@ -57,9 +58,11 @@ def test_busy_interval_logged_after_the_fact_charges_only_its_surcharge():
     # Busy time counted once elapsed time has passed it leaves the elapsed
     # drain alone and adds its CPU surcharge: 115.2 - 8640 * 0.01 h.
     q = UnitQueue(unit_id=0)
-    assert remaining_battery(MODEL, 360.0, q.busy_seconds(360.0)) == pytest.approx(115.2, rel=1e-12)
+    [busy] = busy_seconds([q], 360.0)
+    assert remaining_battery(MODEL, 360.0, busy) == pytest.approx(115.2, rel=1e-12)
     q.busy_total += 136.0 - 100.0
-    assert remaining_battery(MODEL, 360.0, q.busy_seconds(360.0)) == pytest.approx(28.8, rel=1e-12)
+    [busy] = busy_seconds([q], 360.0)
+    assert remaining_battery(MODEL, 360.0, busy) == pytest.approx(28.8, rel=1e-12)
 
 
 def test_mec_sentinel_is_positive_infinity():
@@ -73,13 +76,14 @@ def test_open_interval_counts_up_to_elapsed():
     task = TaskInstance(task_id=0, type_id=0, origin_uav=0, emission_time=10.0,
                         arrival_time=10.0, deadline_abs=40.0)
     q.in_service, task.start_time = task, 10.0
-    assert q.busy_seconds(25.0) == 15.0
+    [busy] = busy_seconds([q], 25.0)
+    assert busy == 15.0
     expected = 570.0 - (4548.0 * 25.0 + 8640.0 * 15.0) / 3600.0
-    assert remaining_battery(MODEL, 25.0, q.busy_seconds(25.0)) == pytest.approx(expected, rel=1e-12)
+    assert remaining_battery(MODEL, 25.0, busy) == pytest.approx(expected, rel=1e-12)
     q.in_service = None
     q.busy_total += 30.0 - task.start_time
-    assert q.busy_seconds(30.0) == 20.0
-    assert q.busy_seconds(45.0) == 20.0
+    assert busy_seconds([q], 30.0)[0] == 20.0
+    assert busy_seconds([q], 45.0)[0] == 20.0
 
 
 def test_monotone_in_elapsed_and_busy_time():
@@ -124,3 +128,12 @@ def test_millisecond_integration_oracle():
     oracle = params.battery_capacity_wh - drained / 3600.0
     got = remaining_battery(BatteryModel(params), elapsed, busy_of(intervals))
     assert abs(got - oracle) / abs(oracle) < 1e-9
+
+
+def test_fleet_read_matches_one_read_per_uav():
+    busy = [0.0, 12.5, 36.0, 359.0]
+    fractions = remaining_battery_fractions(MODEL, 360.0, busy)
+    assert isinstance(fractions, tuple)
+    assert fractions == tuple(remaining_battery_fraction(MODEL, 360.0, b) for b in busy)
+    for got, b in zip(fractions, busy):
+        assert got == (570.0 - (4548.0 * 360.0 + 8640.0 * b) / 3600.0) / 570.0

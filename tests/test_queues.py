@@ -1,7 +1,13 @@
 import pytest
 
 from uavmec.arrivals import TaskInstance
-from uavmec.queues import UnitQueue, check_violation, predicted_unit_delay
+from uavmec.queues import (
+    UnitQueue,
+    busy_seconds,
+    check_violation,
+    predicted_delays,
+    predicted_unit_delay,
+)
 
 IOT = 0.01
 
@@ -36,7 +42,7 @@ def make_record(**overrides):
 
 def test_idle_unit_has_zero_backlog():
     q = UnitQueue(unit_id=0)
-    assert q.backlog(now=5.0) == 0.0
+    assert predicted_unit_delay(q, 0.0, now=5.0) == 0.0
     assert q.in_service is None
 
 
@@ -46,9 +52,9 @@ def test_backlog_counts_committed_service():
     q = UnitQueue(unit_id=0)
     q.enqueue(make_task(task_id=1), now=1.0, service_time=0.3)
     assert q.free_at == 1.3
-    assert q.backlog(now=1.0) == pytest.approx(0.3)
-    assert q.backlog(now=1.2) == pytest.approx(0.1)
-    assert q.backlog(now=2.0) == 0.0
+    assert predicted_unit_delay(q, 0.0, now=1.0) == pytest.approx(0.3)
+    assert predicted_unit_delay(q, 0.0, now=1.2) == pytest.approx(0.1)
+    assert predicted_unit_delay(q, 0.0, now=2.0) == 0.0
 
 
 def test_second_arrival_waits_for_the_first():
@@ -58,7 +64,7 @@ def test_second_arrival_waits_for_the_first():
     q.enqueue(make_task(task_id=1, type_id=1, deadline=0.8), now=2.0, service_time=0.5)
     q.enqueue(make_task(task_id=2, type_id=1, deadline=0.8), now=2.0, service_time=0.5)
     assert q.free_at == 3.0
-    assert q.backlog(now=2.0) == pytest.approx(1.0)
+    assert predicted_unit_delay(q, 0.0, now=2.0) == pytest.approx(1.0)
 
 
 def test_predicted_delay_on_empty_units():
@@ -188,13 +194,25 @@ def test_busy_seconds_counts_the_running_task_and_sums_finished_ones():
     q = UnitQueue(unit_id=0)
     q.enqueue(make_task(task_id=1), now=1.0, service_time=0.25)
     q.enqueue(make_task(task_id=2), now=1.0, service_time=0.5)
-    assert q.busy_seconds(1.0) == 0.0
+    assert busy_seconds([q], 1.0)[0] == 0.0
     start(1.0)
-    assert q.busy_seconds(1.125) == 0.125
+    assert busy_seconds([q], 1.125)[0] == 0.125
     complete(1.25)
-    assert q.busy_seconds(1.25) == 0.25
+    assert busy_seconds([q], 1.25)[0] == 0.25
     start(1.25)
-    assert q.busy_seconds(1.5) == 0.25 + 0.25
+    assert busy_seconds([q], 1.5)[0] == 0.25 + 0.25
     complete(1.75)
     # Idle time after the last completion is not busy time.
-    assert q.busy_seconds(1.75) == q.busy_seconds(9.0) == 0.75
+    assert busy_seconds([q], 1.75)[0] == busy_seconds([q], 9.0)[0] == 0.75
+
+
+def test_predicted_delays_cover_every_unit_at_once():
+    # An idle unit, one drained in the past and one busy until 1.5: at t=1.0
+    # each predicts its backlog (0, 0, 0.5) plus the candidate's service.
+    idle, drained, busy = UnitQueue(unit_id=0), UnitQueue(unit_id=1), UnitQueue(unit_id=2)
+    drained.enqueue(make_task(task_id=1), now=0.25, service_time=0.5)
+    busy.enqueue(make_task(task_id=2), now=0.5, service_time=1.0)
+    delays = predicted_delays([idle, drained, busy], (0.25, 0.125, 0.5), now=1.0)
+    assert delays == (0.25, 0.125, 0.5 + 0.5)
+    assert [predicted_unit_delay(q, s, now=1.0) for q, s in
+            zip([idle, drained, busy], (0.25, 0.125, 0.5))] == list(delays)

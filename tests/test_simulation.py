@@ -5,6 +5,7 @@ import pytest
 
 from helpers import assert_fifo_work_conserving, replay_battery, replay_delays, snapshot_is_sane
 from uavmec import simulation
+from uavmec.arrivals import TaskInstance
 from uavmec.harness import arrival_seed, load_policies, save_checkpoint, train_policy
 from uavmec.heuristics import HefPolicy, RoundRobinPolicy
 from uavmec.mdp import assemble_reward, compute_reward_parts, encode_state
@@ -12,6 +13,7 @@ from uavmec.simulation import (
     EPISODE_END,
     TASK_ARRIVAL,
     TASK_COMPLETE,
+    TASK_START,
     SimulationError,
     run_episode,
 )
@@ -394,3 +396,50 @@ def test_event_collection_is_optional(cfg):
     logged = run_episode(cfg, rr_policies(cfg), arrival_seed=17, collect_events=True)
     assert logged.events[-1] == (cfg.sim.episode_duration, EPISODE_END, -1, -1)
     assert logged.battery_wh == r.battery_wh
+
+
+class ScriptedPolicy:
+    """Places the deciding UAV's tasks on the given units, in decision order."""
+
+    wants_transitions = False
+
+    def __init__(self, units):
+        self.units = list(units)
+
+    def select(self, snap):
+        return self.units.pop(0)
+
+
+def test_equal_time_events_follow_the_tie_rule(cfg, monkeypatch):
+    # Two UAVs and one MEC; every time below is a sum of powers of two, so
+    # the ties are exact.  At t=1.0 a completion, a forwarded arrival and a
+    # sensed arrival coincide; at the horizon t=2.0 a completion and a
+    # forwarded arrival meet the end marker.
+    cfg.sim.num_uavs, cfg.sim.num_mecs = 2, 1
+    cfg.sim.episode_duration = 2.0
+    cfg.sim.uav_to_uav_delay = cfg.sim.uav_to_mec_delay = 0.25
+    cfg.tasks[0].proc_time_uav, cfg.tasks[0].proc_time_mec = 0.5, 0.25
+    arrivals = [(0, 0.5), (1, 0.75), (0, 1.0), (1, 1.75)]
+    table = [
+        TaskInstance(i, 0, uav, arrival - 0.25, arrival, arrival + 4.0)
+        for i, (uav, arrival) in enumerate(arrivals)
+    ]
+    monkeypatch.setattr(simulation, "build_task_table", lambda *args: table)
+    policies = [ScriptedPolicy([0, 0]), ScriptedPolicy([0, 2])]
+    r = run_episode(cfg, policies, arrival_seed=1, collect_events=True)
+    assert r.events == [
+        (0.5, TASK_ARRIVAL, 0, 0), (0.5, TASK_START, 0, 0),
+        (0.75, TASK_ARRIVAL, 1, 1),
+        # Completion first, then arrivals by task id: the forwarded task 1
+        # starts on the freed unit before the sensed task 2 is decided.
+        (1.0, TASK_COMPLETE, 0, 0), (1.0, TASK_ARRIVAL, 1, 0), (1.0, TASK_START, 1, 0),
+        (1.0, TASK_ARRIVAL, 2, 0),
+        (1.5, TASK_COMPLETE, 1, 0), (1.5, TASK_START, 2, 0),
+        (1.75, TASK_ARRIVAL, 3, 1),
+        # A forwarded arrival on the horizon still runs, before the marker.
+        (2.0, TASK_COMPLETE, 2, 0), (2.0, TASK_ARRIVAL, 3, 2), (2.0, TASK_START, 3, 2),
+        (2.0, EPISODE_END, -1, -1),
+    ]
+    # Task 2 was decided with task 1 already in service until 1.5.
+    assert r.placements[2].predicted_delay == 0.5 + 0.5
+    assert (r.tasks_completed, r.tasks_in_service, r.tasks_in_queue) == (3, 1, 0)
