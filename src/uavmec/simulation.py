@@ -43,13 +43,8 @@ from .mdp import (
     encode_state,  # noqa: F401  unused here; bench/tracing.py wraps it under this name
     type_code,
 )
-from .queues import (
-    UnitQueue,
-    busy_seconds,
-    check_violation,
-    predicted_delays,
-    predicted_unit_delay,  # noqa: F401  unused here; bench/tracing.py wraps it under this name
-)
+from .queues import UnitQueue, busy_seconds, check_violation, predicted_delays
+from .queues import predicted_unit_delay  # noqa: F401  unused here; bench/tracing.py wraps it
 
 TASK_COMPLETE = "complete"
 TASK_START = "start"  # logged only; starts are not heap events
