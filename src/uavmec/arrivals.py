@@ -1,4 +1,8 @@
-"""Task generation: seeded Poisson streams per (UAV, task type)."""
+"""Task generation: seeded Poisson streams per (UAV, task type).
+
+A stream is only its emission times; ``build_task_table`` merges an
+episode's streams into the task records the kernel walks.
+"""
 
 from __future__ import annotations
 
@@ -61,19 +65,13 @@ class TaskInstance:
 
 
 def generate_arrivals(
-    spec: TaskTypeSpec,
-    type_id: int,
-    uav: int,
-    horizon: float,
-    iot_delay: float,
-    rng: np.random.Generator,
-    id_start: int = 0,
-) -> list[TaskInstance]:
-    """Sample one stream of tasks with exponential gaps, stopping at the horizon.
+    spec: TaskTypeSpec, horizon: float, iot_delay: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Emission times of one stream, cut where the UAV arrival reaches the horizon.
 
-    Emission gaps are i.i.d. Exponential(mean_interarrival); tasks whose UAV
-    arrival time would land at or past the horizon are not generated.  Ids are
-    sequential from ``id_start`` in emission order.
+    Emission gaps are i.i.d. Exponential(mean_interarrival); the times of tasks
+    whose arrival (emission plus ``iot_delay``) would land at or past the
+    horizon are not returned.
 
     The gaps are drawn in bulk and summed with ``np.cumsum``, which adds them
     left to right, so every time equals the one a draw-and-add loop would
@@ -89,36 +87,36 @@ def generate_arrivals(
     while emissions[-1] + iot_delay < horizon:
         gaps = np.concatenate((gaps, rng.exponential(mean, size=len(gaps))))
         emissions = np.cumsum(gaps)
-    arrivals = emissions + iot_delay
-    n = int(np.searchsorted(arrivals, horizon))
-    return [
-        TaskInstance(task_id, type_id, uav, emission, arrival, deadline)
-        for task_id, emission, arrival, deadline in zip(
-            range(id_start, id_start + n),
-            emissions[:n].tolist(),
-            arrivals[:n].tolist(),
-            (emissions[:n] + spec.deadline).tolist(),
-        )
-    ]
+    return emissions[: np.searchsorted(emissions + iot_delay, horizon)]
 
 
 def build_task_table(
     sim: SimConfig, tasks: list[TaskTypeSpec], seed: int, episode: int
 ) -> list[TaskInstance]:
-    """All streams of one episode merged chronologically, ids renumbered 0..N-1.
+    """All streams of one episode merged chronologically, ids 0..N-1 in order.
 
     The merge order (arrival time, origin UAV, type) is total because ties in
     continuous arrival times across independent streams do not occur; the UAV
-    and type fields make it deterministic anyway.
+    and type fields make it deterministic anyway.  The streams are joined in
+    (UAV, type) order, so one stable sort on arrival time gives that order,
+    and each task is built once, at its final position.
     """
-    all_tasks: list[TaskInstance] = []
-    for uav in range(sim.num_uavs):
-        for type_id, spec in enumerate(tasks):
-            rng = arrival_rng(seed, episode, uav, type_id)
-            all_tasks.extend(
-                generate_arrivals(spec, type_id, uav, sim.episode_duration, sim.iot_to_uav_delay, rng)
-            )
-    all_tasks.sort(key=lambda t: (t.arrival_time, t.origin_uav, t.type_id))
-    for i, task in enumerate(all_tasks):
-        task.task_id = i
-    return all_tasks
+    num_types = len(tasks)
+    horizon, iot_delay = sim.episode_duration, sim.iot_to_uav_delay
+    streams = [
+        generate_arrivals(spec, horizon, iot_delay, arrival_rng(seed, episode, uav, type_id))
+        for uav in range(sim.num_uavs)
+        for type_id, spec in enumerate(tasks)
+    ]
+    # Stream k belongs to (UAV, type) = divmod(k, num_types).
+    stream = np.repeat(np.arange(len(streams)), [len(s) for s in streams])
+    emissions = np.concatenate(streams)
+    arrivals = emissions + iot_delay
+    order = np.argsort(arrivals, kind="stable")
+    emissions, arrivals = emissions[order], arrivals[order]
+    uavs, types = np.divmod(stream[order], num_types)
+    deadlines = emissions + np.array([spec.deadline for spec in tasks])[types]
+    return list(map(
+        TaskInstance, range(len(order)), types.tolist(), uavs.tolist(),
+        emissions.tolist(), arrivals.tolist(), deadlines.tolist(),
+    ))

@@ -218,8 +218,8 @@ def _parse_checkpoint_args(pairs, policies, parser) -> dict:
             parser.error(f"--checkpoint: policy {policy!r} is not among the compared policies")
         if policy in out:
             parser.error(f"--checkpoint: policy {policy!r} given twice")
-        if not Path(path).exists():
-            parser.error(f"--checkpoint: file not found: {path}")
+        if not Path(path).is_file():
+            parser.error(f"--checkpoint: not a file: {path}")
         out[policy] = path
     return out
 
@@ -282,7 +282,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, SimulationError) as exc:
+    except (OSError, ValueError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

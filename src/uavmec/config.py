@@ -409,24 +409,13 @@ def load_config(path: str | None = None, env=None) -> AppConfig:
     return cfg
 
 
-def config_to_dict(cfg: AppConfig) -> dict:
-    return {
-        "sim": dataclasses.asdict(cfg.sim),
-        "energy": dataclasses.asdict(cfg.energy),
-        "tasks": [dataclasses.asdict(t) for t in cfg.tasks],
-        "mdp": dataclasses.asdict(cfg.mdp),
-        "rl": dataclasses.asdict(cfg.rl),
-        "experiment": dataclasses.asdict(cfg.experiment),
-    }
-
-
 def config_hash(cfg: AppConfig) -> str:
     """Stable short digest of the result-affecting configuration.
 
     The output directory and the worker count are left out: runs that differ
     only in those write the same results, and so carry the same hash.
     """
-    fields = config_to_dict(cfg)
+    fields = dataclasses.asdict(cfg)
     for name in ("out_dir", "workers"):
         del fields["experiment"][name]
     blob = json.dumps(fields, sort_keys=True, default=list)

@@ -40,9 +40,8 @@ class HefPolicy:
 
     wants_transitions = False
 
-    def __init__(self, rng: np.random.Generator, threshold: float = ENERGY_GAP_THRESHOLD):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.threshold = threshold
 
     def select(self, snap: NetworkSnapshot) -> int:
         n = snap.num_units
@@ -54,7 +53,7 @@ class HefPolicy:
         batteries = snap.unit_batteries
         # The highest battery among the UAVs; a tie goes to the lowest index.
         best = max(range(snap.num_uavs), key=batteries.__getitem__)
-        if batteries[best] - batteries[snap.deciding_uav] > self.threshold:
+        if batteries[best] - batteries[snap.deciding_uav] > ENERGY_GAP_THRESHOLD:
             return best
         return snap.deciding_uav
 
@@ -71,17 +70,13 @@ class QhefPolicy:
 
     wants_transitions = False
 
-    def __init__(self, threshold: float = ENERGY_GAP_THRESHOLD, queue_tol: float = QUEUE_TIE_TOLERANCE):
-        self.threshold = threshold
-        self.queue_tol = queue_tol
-
     def select(self, snap: NetworkSnapshot) -> int:
         delays = snap.unit_delays
-        cutoff = min(delays) + self.queue_tol
+        cutoff = min(delays) + QUEUE_TIE_TOLERANCE
         candidates = [u for u in range(snap.num_units) if delays[u] <= cutoff]
         best = max(candidates, key=lambda u: (snap.unit_batteries[u], -u))
         if best == snap.deciding_uav:
             return best
-        if snap.unit_batteries[best] - snap.unit_batteries[snap.deciding_uav] > self.threshold:
+        if snap.unit_batteries[best] - snap.unit_batteries[snap.deciding_uav] > ENERGY_GAP_THRESHOLD:
             return best
         return snap.deciding_uav

@@ -1,10 +1,11 @@
 """Event-driven simulation kernel: one episode of task offloading.
 
 Continuous time, deterministic ordering.  Events are arrivals, completions
-and the horizon, ordered by the key (time, kind priority, task id): at equal
-timestamps completions free servers before arrivals are admitted, and the
-horizon marker runs last; remaining ties break on task id, which is unique
-among pending events since a task has at most one event pending at a time.
+and the horizon, ordered by the key (time, kind, task id), where a kind's
+number is its priority: at equal timestamps completions free servers before
+arrivals are admitted, and the horizon marker runs last; remaining ties break
+on task id, which is unique among pending events since a task has at most one
+event pending at a time.
 
 Two sources are merged in that order.  The sensed arrivals come straight
 from the task table, which is sorted by arrival time with ids equal to
@@ -46,12 +47,14 @@ from .mdp import (
 from .queues import UnitQueue, busy_seconds, check_violation, predicted_delays
 from .queues import predicted_unit_delay  # noqa: F401  unused here; bench/tracing.py wraps it
 
+# Event names in the log.
 TASK_COMPLETE = "complete"
 TASK_START = "start"  # logged only; starts are not heap events
 TASK_ARRIVAL = "arrival"
 EPISODE_END = "end"
 
-_PRIORITY = {TASK_COMPLETE: 0, TASK_ARRIVAL: 1, EPISODE_END: 2}
+# Heap event kinds; each is its own priority among events of equal time.
+_COMPLETE, _ARRIVAL, _END = 0, 1, 2
 
 
 class SimulationError(RuntimeError):
@@ -185,15 +188,16 @@ def run_episode(
     iot_delay = sim.iot_to_uav_delay
     busy_frac_per_sec = energy_params.busy_frac_per_sec
 
-    heap: list = []
+    # Entries are (time, kind, task_id, task, unit); the horizon marker is
+    # the one entry without a task.
+    heap: list = [(sim.episode_duration, _END, -1, None, -1)]
 
     def push(time, kind, task, unit):
-        tid = task.task_id if task is not None else -1
-        heapq.heappush(heap, (time, _PRIORITY[kind], tid, kind, task, unit))
+        heapq.heappush(heap, (time, kind, task.task_id, task, unit))
 
     def log(time, kind, task, unit):
         if events is not None:
-            events.append((time, kind, task.task_id if task is not None else -1, unit))
+            events.append((time, kind, task.task_id, unit))
 
     def kick(unit, now):
         """Start the head task of ``unit`` if it is idle with pending work."""
@@ -205,7 +209,7 @@ def run_episode(
         task.start_time = now
         task.queue_wait = now - task.enqueue_time
         log(now, TASK_START, task, unit)
-        push(now + task.service_time, TASK_COMPLETE, task, unit)
+        push(now + task.service_time, _COMPLETE, task, unit)
 
     def enqueue(task, unit, now):
         queues[unit].enqueue(task, now, proc_tables[task.type_id][unit])
@@ -236,33 +240,32 @@ def run_episode(
         if action == uav:
             enqueue(task, uav, now)
         else:
-            push(now + transfers[action], TASK_ARRIVAL, task, action)
+            push(now + transfers[action], _ARRIVAL, task, action)
 
-    push(sim.episode_duration, EPISODE_END, None, -1)
     # Sensed arrivals run in table order, each once no heap key is smaller
     # than its own; no heap key equals it (the task ids differ).  The heap
     # keeps the horizon marker until the loop ends.
-    arrival_priority = _PRIORITY[TASK_ARRIVAL]
     num_tasks = len(tasks)
     i = 0
     while True:
         if i < num_tasks:
             sensed = tasks[i]
             now = sensed.arrival_time
-            if heap[0] > (now, arrival_priority, sensed.task_id):
+            if heap[0] > (now, _ARRIVAL, sensed.task_id):
                 log(now, TASK_ARRIVAL, sensed, sensed.origin_uav)
                 decide(sensed, now)
                 i += 1
                 continue
-        now, _, _, kind, task, unit = heapq.heappop(heap)
-        if kind == EPISODE_END:
-            log(now, kind, None, -1)
+        now, kind, _, task, unit = heapq.heappop(heap)
+        if kind == _END:
+            if events is not None:
+                events.append((now, EPISODE_END, -1, -1))
             break
-        if kind == TASK_ARRIVAL:
+        if kind == _ARRIVAL:
             # Only forwarded tasks arrive through the heap, already decided.
-            log(now, kind, task, unit)
+            log(now, TASK_ARRIVAL, task, unit)
             enqueue(task, unit, now)
-        elif kind == TASK_COMPLETE:
+        else:  # _COMPLETE
             q = queues[unit]
             if q.in_service is not task:
                 raise SimulationError(f"completion for task {task.task_id} without matching service")
@@ -270,7 +273,7 @@ def run_episode(
             q.busy_total += now - task.start_time
             task.finish_time = now
             task.violated = check_violation(task, deadlines[task.type_id], iot_delay)
-            log(now, kind, task, unit)
+            log(now, TASK_COMPLETE, task, unit)
             if cfg.mdp.deferred_reward and pipelines[task.origin_uav]:
                 pipelines[task.origin_uav].on_task_resolved(task.task_id, task.violated)
             kick(unit, now)
@@ -300,7 +303,7 @@ def run_episode(
     return EpisodeResult(
         duration=end_time,
         tasks_generated=len(tasks),
-        tasks_completed=sum(1 for task in tasks if task.completed),
+        tasks_completed=len(tasks) - in_queue - in_service,
         tasks_in_queue=in_queue,
         tasks_in_service=in_service,
         battery_wh=[remaining_battery(battery, end_time, b) for b in busy],

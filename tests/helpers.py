@@ -29,6 +29,9 @@ key straight from the snapshot's fields.
 ``reference_generate_arrivals`` is the original one-draw-per-task stream
 sampler, a scalar ``rng.exponential`` and a running sum per task.  It is the
 oracle for the bulk draws and ``np.cumsum`` in ``uavmec.arrivals``.
+``reference_build_task_table`` is the original merge: each stream's records
+from it, one keyed sort of the joined list, then a pass renumbering the ids.
+It is the oracle for the array merge in ``uavmec.arrivals.build_task_table``.
 
 ``snapshot_is_sane`` and ``plateau_threshold`` are structural and
 convergence oracles that only tests use; ``make_snapshot`` builds a
@@ -39,7 +42,7 @@ import math
 
 import numpy as np
 
-from uavmec.arrivals import TaskInstance
+from uavmec.arrivals import TaskInstance, arrival_rng
 from uavmec.config import AppConfig
 from uavmec.mdp import NetworkSnapshot, Transition, encode_state, type_code
 from uavmec.nnet import AdamState, MlpNetwork, adam_step, forward, loss_and_grads
@@ -436,3 +439,23 @@ def reference_generate_arrivals(spec, type_id, uav, horizon, iot_delay, rng, id_
         )
         next_id += 1
     return tasks
+
+
+def reference_build_task_table(sim, tasks, seed, episode, rng_for=arrival_rng):
+    """All streams of one episode, sorted by (arrival, UAV, type), ids renumbered.
+
+    ``rng_for(seed, episode, uav, type_id)`` gives each stream's generator.
+    """
+    table = []
+    for uav in range(sim.num_uavs):
+        for type_id, spec in enumerate(tasks):
+            rng = rng_for(seed, episode, uav, type_id)
+            table.extend(
+                reference_generate_arrivals(
+                    spec, type_id, uav, sim.episode_duration, sim.iot_to_uav_delay, rng
+                )
+            )
+    table.sort(key=lambda t: (t.arrival_time, t.origin_uav, t.type_id))
+    for i, task in enumerate(table):
+        task.task_id = i
+    return table

@@ -427,6 +427,14 @@ def test_compare_rejects_malformed_checkpoint_flag(tiny_config, tmp_path):
             "--out", str(tmp_path / "o"), "--checkpoint", f"dql={tmp_path / 'nope.ckpt'}",
         ])
     assert exc.value.code == 2
+    # A directory passes an existence check; refused before qlearning trains.
+    with pytest.raises(SystemExit) as exc:
+        run([
+            "compare", "--policies", "qlearning,dql", "--config", tiny_config,
+            "--out", str(tmp_path / "o"), "--checkpoint", f"dql={tmp_path}",
+        ])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 
@@ -513,6 +521,21 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     ])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["inspect-checkpoint", "{tmp}"],
+    ["evaluate", "--policy", "rr", "--config", "{tmp}", "--out", "{tmp}/o"],
+    ["evaluate", "--policy", "dql", "--checkpoint", "{tmp}", "--out", "{tmp}/o"],
+    ["evaluate", "--policy", "rr", "--out", "{tmp}/file", "--seeds", "1"],
+], ids=["inspect-directory", "config-directory", "checkpoint-directory", "out-is-a-file"])
+def test_path_errors_exit_1_without_traceback(argv, tmp_path, capsys):
+    (tmp_path / "file").write_text("not a directory\n")
+    rc = run([arg.format(tmp=tmp_path) for arg in argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_no_command_is_usage_error():

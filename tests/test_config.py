@@ -313,6 +313,16 @@ def test_config_hash_ignores_output_dir_and_workers():
     assert b.experiment.out_dir == "elsewhere"  # hashing leaves the config alone
 
 
+@pytest.mark.parametrize("path, digest", [
+    (None, "0e5496aad8059ed0"),
+    (str(Path(DESK_YAML).with_name("paper.yaml")), "c09e1c5b8124c015"),
+    (DESK_YAML, "9892e9dbacfc7d37"),
+], ids=["default", "paper", "desk"])
+def test_config_hash_is_pinned(path, digest):
+    # Every CSV and checkpoint carries this hash; a changed digest orphans them.
+    assert config_hash(load_config(path, env={})) == digest
+
+
 def test_empty_yaml_file_keeps_defaults(tmp_path):
     path = write_yaml(tmp_path, "")
     cfg = load_config(path, env={})

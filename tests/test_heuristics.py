@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uavmec.heuristics import HefPolicy, QhefPolicy, RoundRobinPolicy
+from uavmec.heuristics import ENERGY_GAP_THRESHOLD, HefPolicy, QhefPolicy, RoundRobinPolicy
 from uavmec.mdp import NetworkSnapshot, type_code
 
 FIRE, PEST, GROWTH = 0, 1, 2
@@ -173,7 +173,7 @@ def test_qhef_never_offloads_to_poorer_uav():
         assert 0 <= choice < 5
         if choice < 4 and choice != snap.deciding_uav:
             gap = snap.unit_batteries[choice] - snap.unit_batteries[snap.deciding_uav]
-            assert gap > policy.threshold
+            assert gap > ENERGY_GAP_THRESHOLD
 
 
 def test_hef_choices_are_always_valid_units():
