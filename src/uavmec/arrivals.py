@@ -31,12 +31,15 @@ class TaskInstance:
     ``emission_time`` is when the IoT sensor produced it; it reaches its origin
     UAV at ``arrival_time``.  ``deadline_abs`` is emission plus the class
     deadline.  Times are absolute simulation seconds, delays relative.  The
-    other fields stay None until set: ``chosen_unit``, ``transfer_delay`` to it
-    and ``predicted_delay`` (its queue + service estimate) at the decision;
-    ``enqueue_time`` and ``service_time`` at the enqueue, so a task still
-    queued at the horizon carries its service time; ``start_time`` and
-    ``queue_wait`` at the start; ``finish_time`` at the completion; and
-    ``violated`` then, or at the horizon by the censoring rule.
+    other fields stay None until set: ``chosen_unit`` and ``predicted_delay``
+    (its queue + service estimate) at the decision; ``enqueue_time`` and
+    ``service_time`` at the enqueue, so a task still queued at the horizon
+    carries its service time; ``start_time`` at the start; ``finish_time`` at
+    the completion; and ``violated`` then, or at the horizon by the censoring
+    rule.  What follows from these is not stored: the queue wait is
+    ``start_time - enqueue_time``, and the transfer delay to the chosen unit
+    comes from the config.  ``build_task_table`` is the only producer and
+    checks every deadline.
     """
 
     task_id: int
@@ -46,22 +49,16 @@ class TaskInstance:
     arrival_time: float
     deadline_abs: float
     chosen_unit: int | None = None
-    transfer_delay: float | None = None
     predicted_delay: float | None = None
     enqueue_time: float | None = None
     start_time: float | None = None
     finish_time: float | None = None
-    queue_wait: float | None = None
     service_time: float | None = None
     violated: bool | None = None
 
     @property
     def completed(self) -> bool:
         return self.finish_time is not None
-
-    def __post_init__(self):
-        if self.deadline_abs <= self.emission_time:
-            raise ValueError(f"task {self.task_id}: deadline_abs must exceed emission_time")
 
 
 def generate_arrivals(
@@ -116,6 +113,8 @@ def build_task_table(
     emissions, arrivals = emissions[order], arrivals[order]
     uavs, types = np.divmod(stream[order], num_types)
     deadlines = emissions + np.array([spec.deadline for spec in tasks])[types]
+    if (deadlines <= emissions).any():
+        raise ValueError("every task's deadline_abs must exceed its emission_time")
     return list(map(
         TaskInstance, range(len(order)), types.tolist(), uavs.tolist(),
         emissions.tolist(), arrivals.tolist(), deadlines.tolist(),

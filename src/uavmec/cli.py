@@ -22,6 +22,7 @@ from .config import (
     load_config,
 )
 from .harness import (
+    checkpoint_kind,
     evaluate_many,
     inspect_checkpoint,
     load_policies,  # noqa: F401  unused here; bench/tracing.py wraps it under this name
@@ -155,6 +156,7 @@ def _evaluate(cfg: AppConfig, out: Path, policies: list, seeds: int, episodes: i
     runs = evaluate_many(cfg, jobs, workers=cfg.experiment.workers, first_episode=placements)
     if placements:
         runs, first = runs
+    out.mkdir(parents=True, exist_ok=True)
     unit_names = [cfg.sim.unit_name(u) for u in range(cfg.sim.num_units)]
     meta = _base_meta(cfg)
     meta.update({**label, "eval_seeds": seeds, "episodes_per_seed": episodes})
@@ -196,7 +198,7 @@ def cmd_evaluate(args, parser) -> int:
     episodes = args.episodes if args.episodes is not None else cfg.experiment.eval_episodes
     if seeds < 1 or episodes < 1:
         parser.error("--seeds and --episodes must be >= 1")
-    out = _out_dir(cfg)
+    out = Path(cfg.experiment.out_dir)  # created once the runs are done
     _evaluate(
         cfg, out, [args.policy], seeds, episodes, {args.policy: args.checkpoint},
         {"policy": args.policy}, placements=args.placements,
@@ -218,9 +220,14 @@ def _parse_checkpoint_args(pairs, policies, parser) -> dict:
             parser.error(f"--checkpoint: policy {policy!r} is not among the compared policies")
         if policy in out:
             parser.error(f"--checkpoint: policy {policy!r} given twice")
-        if not Path(path).is_file():
-            parser.error(f"--checkpoint: not a file: {path}")
         out[policy] = path
+    for policy, path in out.items():
+        try:
+            kind = checkpoint_kind(path)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--checkpoint: {exc}")
+        if kind != policy:
+            parser.error(f"--checkpoint: {path} is a {kind} checkpoint, not {policy}")
     return out
 
 

@@ -380,20 +380,18 @@ def validate_config(cfg: AppConfig) -> None:
 def load_config(path: str | None = None, env=None) -> AppConfig:
     """Build an AppConfig from defaults, an optional YAML file, then env overrides."""
     cfg = AppConfig()
-    merged: dict = {}
+    file_sections: dict = {}
     if path is not None:
         with open(path) as fh:
-            raw = _load_yaml(fh, path) or {}
-        if not isinstance(raw, dict):
+            file_sections = _load_yaml(fh, path) or {}
+        if not isinstance(file_sections, dict):
             raise ConfigError("config file must contain a mapping of sections")
-        merged = raw
-    env_data = _env_overrides(env if env is not None else os.environ)
-    for section, data in env_data.items():
-        if section == "tasks":
-            raise ConfigError("tasks cannot be overridden via environment variables")
-        merged.setdefault(section, {}).update(data)
+    env_sections = _env_overrides(env if env is not None else os.environ)
+    if "tasks" in env_sections:
+        raise ConfigError("tasks cannot be overridden via environment variables")
 
-    for section, data in merged.items():
+    # The file's sections first, then the environment's keys over them.
+    for section, data in [*file_sections.items(), *env_sections.items()]:
         if section == "tasks":
             cfg.tasks = _parse_tasks(data)
             continue

@@ -4,8 +4,9 @@ Drain is piecewise constant: a fixed floor (hover + antenna + CPU idle) runs
 for the whole elapsed mission time, and the CPU adds its busy-minus-idle draw
 while a task is in service.  The battery therefore depends only on the
 elapsed time and the UAV's busy seconds up to it, which its service queue
-keeps (``queues.busy_seconds``).  MEC servers are grid powered and have
-no battery; callers represent them with an infinite battery sentinel.
+keeps (``queues.busy_seconds``).  A battery is read only as the fraction of
+its capacity left.  MEC servers are grid powered and have no battery;
+callers represent them with an infinite battery sentinel.
 """
 
 from __future__ import annotations
@@ -28,24 +29,15 @@ class BatteryModel:
         self.busy_extra_power_w = params.busy_extra_power_w
 
 
-def remaining_batteries(model: BatteryModel, elapsed: float, busy_seconds, unit_wh: float) -> tuple:
-    """Remaining charge of each UAV after ``elapsed`` mission seconds, given
-    the seconds of them its CPU was busy, in units of ``unit_wh`` Wh: 1.0
-    gives Wh (dividing by it is exact), the capacity gives the fraction left.
-    The charge may go negative."""
+def remaining_battery_fractions(model: BatteryModel, elapsed: float, busy_seconds) -> tuple:
+    """Fraction of its capacity each UAV has left after ``elapsed`` mission
+    seconds, given the seconds of them its CPU was busy.  The fraction may go
+    negative."""
     idle = model.constant_power_w * elapsed
     capacity, busy_extra = model.battery_capacity_wh, model.busy_extra_power_w
     return tuple([
-        (capacity - (idle + busy_extra * busy) / 3600.0) / unit_wh for busy in busy_seconds
+        (capacity - (idle + busy_extra * busy) / 3600.0) / capacity for busy in busy_seconds
     ])
-
-
-def remaining_battery_fractions(model: BatteryModel, elapsed: float, busy_seconds) -> tuple:
-    return remaining_batteries(model, elapsed, busy_seconds, model.battery_capacity_wh)
-
-
-def remaining_battery(model: BatteryModel, elapsed: float, busy_seconds: float) -> float:
-    return remaining_batteries(model, elapsed, (busy_seconds,), 1.0)[0]
 
 
 def remaining_battery_fraction(model: BatteryModel, elapsed: float, busy_seconds: float) -> float:

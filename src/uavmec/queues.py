@@ -8,15 +8,17 @@ from dataclasses import dataclass, field
 from .arrivals import TaskInstance
 
 
-def check_violation(task: TaskInstance, deadline: float, iot_delay: float) -> bool:
+def check_violation(task: TaskInstance, deadline: float, iot_delay: float,
+                    transfer_delay: float) -> bool:
     """True iff the end-to-end delay strictly exceeds the class deadline.
 
-    Sum of: sensor-to-UAV hop, optional offload hop, queue wait at the serving
-    unit, and service time.  Exactly meeting the deadline is not a violation.
+    Sum of: sensor-to-UAV hop, the offload hop to the chosen unit (0 when
+    served locally), queue wait at the serving unit (start minus enqueue),
+    and service time.  Exactly meeting the deadline is not a violation.
     """
-    if task.queue_wait is None or task.service_time is None:
-        raise ValueError(f"task {task.task_id} has not finished service")
-    total = iot_delay + task.transfer_delay + (task.queue_wait + task.service_time)
+    if task.start_time is None or task.service_time is None:
+        raise ValueError(f"task {task.task_id} has not started service")
+    total = iot_delay + transfer_delay + ((task.start_time - task.enqueue_time) + task.service_time)
     return total > deadline
 
 

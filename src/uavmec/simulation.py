@@ -32,7 +32,6 @@ from .config import AppConfig
 from .energy import (
     MEC_BATTERY_SENTINEL,
     BatteryModel,
-    remaining_battery,
     remaining_battery_fraction,
     remaining_battery_fractions,
 )
@@ -124,9 +123,12 @@ class EpisodeResult:
 
     ``tasks_in_queue`` includes tasks still propagating to their chosen unit
     at the horizon (committed but not yet enqueued), so generated ==
-    completed + in_queue + in_service always holds.  ``placements`` is the
-    episode's task list in id order, every task decided.  Only learners are
-    scored: ``cumulative_reward`` is None for an agent that does not learn.
+    completed + in_queue + in_service always holds.  ``battery_fraction`` is
+    each UAV's remaining charge as a fraction of its capacity.
+    ``placements`` is the episode's task list in id order, every task decided.
+    Only learners are scored: ``cumulative_reward`` is None for an agent that
+    does not learn.  ``events`` is None unless the episode was run with
+    ``collect_events``.
     """
 
     duration: float
@@ -134,7 +136,6 @@ class EpisodeResult:
     tasks_completed: int
     tasks_in_queue: int
     tasks_in_service: int
-    battery_wh: list
     battery_fraction: list
     violations_by_unit: list
     violations_total: int
@@ -171,6 +172,9 @@ def run_episode(
                  if getattr(p, "wants_transitions", False) else None for p in policies]
     encoders = [getattr(p, "encode", None) for p in policies]
     events: list | None = [] if collect_events else None
+    # Without a log, a zero-length deque discards each entry inside its
+    # append, so no event site tests for the log.
+    log = events.append if collect_events else deque(maxlen=0).append
 
     # What a decision reads but no event changes, built once per episode:
     # per task type its processing time on each unit, code and deadline; per
@@ -195,10 +199,6 @@ def run_episode(
     def push(time, kind, task, unit):
         heapq.heappush(heap, (time, kind, task.task_id, task, unit))
 
-    def log(time, kind, task, unit):
-        if events is not None:
-            events.append((time, kind, task.task_id, unit))
-
     def kick(unit, now):
         """Start the head task of ``unit`` if it is idle with pending work."""
         q = queues[unit]
@@ -207,8 +207,7 @@ def run_episode(
         task = q.pending.popleft()
         q.in_service = task
         task.start_time = now
-        task.queue_wait = now - task.enqueue_time
-        log(now, TASK_START, task, unit)
+        log((now, TASK_START, task.task_id, unit))
         push(now + task.service_time, _COMPLETE, task, unit)
 
     def enqueue(task, unit, now):
@@ -233,7 +232,6 @@ def run_episode(
             raise SimulationError(f"policy for uav{uav} chose nonexistent unit {action!r}")
         action = int(action)
         task.chosen_unit = action
-        task.transfer_delay = transfers[action]
         task.predicted_delay = delays[action]
         if pipelines[uav]:
             pipelines[uav].on_decision(snap, state, action, task.task_id)
@@ -252,18 +250,17 @@ def run_episode(
             sensed = tasks[i]
             now = sensed.arrival_time
             if heap[0] > (now, _ARRIVAL, sensed.task_id):
-                log(now, TASK_ARRIVAL, sensed, sensed.origin_uav)
+                log((now, TASK_ARRIVAL, sensed.task_id, sensed.origin_uav))
                 decide(sensed, now)
                 i += 1
                 continue
         now, kind, _, task, unit = heapq.heappop(heap)
         if kind == _END:
-            if events is not None:
-                events.append((now, EPISODE_END, -1, -1))
+            log((now, EPISODE_END, -1, -1))
             break
         if kind == _ARRIVAL:
             # Only forwarded tasks arrive through the heap, already decided.
-            log(now, TASK_ARRIVAL, task, unit)
+            log((now, TASK_ARRIVAL, task.task_id, unit))
             enqueue(task, unit, now)
         else:  # _COMPLETE
             q = queues[unit]
@@ -272,8 +269,9 @@ def run_episode(
             q.in_service = None
             q.busy_total += now - task.start_time
             task.finish_time = now
-            task.violated = check_violation(task, deadlines[task.type_id], iot_delay)
-            log(now, TASK_COMPLETE, task, unit)
+            task.violated = check_violation(task, deadlines[task.type_id], iot_delay,
+                                            transfer_tables[task.origin_uav][unit])
+            log((now, TASK_COMPLETE, task.task_id, unit))
             if cfg.mdp.deferred_reward and pipelines[task.origin_uav]:
                 pipelines[task.origin_uav].on_task_resolved(task.task_id, task.violated)
             kick(unit, now)
@@ -306,7 +304,6 @@ def run_episode(
         tasks_completed=len(tasks) - in_queue - in_service,
         tasks_in_queue=in_queue,
         tasks_in_service=in_service,
-        battery_wh=[remaining_battery(battery, end_time, b) for b in busy],
         battery_fraction=[remaining_battery_fraction(battery, end_time, b) for b in busy],
         violations_by_unit=violations_by_unit,
         violations_total=sum(violations_by_unit),

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import reference_build_task_table, reference_generate_arrivals
 from uavmec import arrivals
-from uavmec.arrivals import TaskInstance, arrival_rng, build_task_table, generate_arrivals
+from uavmec.arrivals import arrival_rng, build_task_table, generate_arrivals
 from uavmec.config import TaskTypeSpec, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -60,9 +60,17 @@ def test_arrival_times_and_deadlines_are_consistent():
     assert [t.task_id for t in tasks] == list(range(len(tasks)))
 
 
-def test_task_instance_rejects_impossible_deadline():
-    with pytest.raises(ValueError):
-        TaskInstance(0, 0, 0, emission_time=1.0, arrival_time=1.01, deadline_abs=0.5)
+def test_build_task_table_rejects_impossible_deadline():
+    # A 1e-300 s class deadline vanishes when added to any emission time, so
+    # each such task's deadline_abs equals its emission_time.
+    cfg = load_config()
+    cfg.sim.episode_duration = 5.0
+    cfg.tasks[1] = TaskTypeSpec("instant", 0.25, 1e-300, 0.1, 0.05)
+    with pytest.raises(ValueError, match="deadline_abs must exceed"):
+        build_task_table(cfg.sim, cfg.tasks, seed=1, episode=0)
+    # The same table with the class deadline restored is accepted.
+    cfg.tasks[1] = TaskTypeSpec("instant", 0.25, 0.8, 0.1, 0.05)
+    assert build_task_table(cfg.sim, cfg.tasks, seed=1, episode=0)
 
 
 def test_build_task_table_merges_and_renumbers():

@@ -180,6 +180,20 @@ def test_evaluate_missing_checkpoint_file(tiny_config, tmp_path, capsys):
     ])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("checkpoint", ["missing.ckpt", ".", "bad.ckpt"],
+                         ids=["missing", "directory", "malformed"])
+def test_failed_evaluate_leaves_no_out_dir(tiny_config, tmp_path, capsys, checkpoint):
+    (tmp_path / "bad.ckpt").write_text("uavmec-mlp v1\nnot a checkpoint\n")
+    rc = run([
+        "evaluate", "--policy", "dql", "--config", tiny_config,
+        "--out", str(tmp_path / "o"), "--checkpoint", str(tmp_path / checkpoint),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_evaluate_trained_learner(tiny_config, tmp_path):
@@ -414,7 +428,7 @@ def test_compare_rejects_unknown_policy(tiny_config, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_compare_rejects_malformed_checkpoint_flag(tiny_config, tmp_path):
+def test_compare_rejects_malformed_checkpoint_flag(tiny_config, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run([
             "compare", "--policies", "dql", "--config", tiny_config,
@@ -435,6 +449,24 @@ def test_compare_rejects_malformed_checkpoint_flag(tiny_config, tmp_path):
         ])
     assert exc.value.code == 2
     assert not (tmp_path / "o").exists()
+    # The other learner's checkpoint, or a file of no known format, is
+    # refused before dql trains.
+    assert run([
+        "train", "--policy", "dql", "--config", tiny_config, "--out", str(tmp_path / "t"),
+        "--quiet",
+    ]) == 0
+    (tmp_path / "junk.ckpt").write_text("not a checkpoint\n")
+    for path, message in ((tmp_path / "t" / "dql.ckpt", "is a dql checkpoint, not qlearning"),
+                          (tmp_path / "junk.ckpt", "unrecognized checkpoint format")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "compare", "--policies", "qlearning,dql", "--config", tiny_config,
+                "--out", str(tmp_path / "o"), "--checkpoint", f"qlearning={path}",
+            ])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 
@@ -512,6 +544,31 @@ def test_unparsable_config_file_exits_2(tmp_path, capsys):
     rc = run(["evaluate", "--policy", "rr", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"config error: {bad} is not valid YAML")
+
+
+@pytest.mark.parametrize("seed", [None, "3"], ids=["no-env", "env"])
+def test_env_override_on_empty_or_scalar_section_exits_cleanly(tmp_path, monkeypatch, capsys,
+                                                               seed):
+    if seed is not None:
+        monkeypatch.setenv("UAVMEC_SIM__SEED", seed)
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("sim:\n")
+    out = tmp_path / "o"
+    assert run([
+        "evaluate", "--policy", "rr", "--config", str(empty), "--out", str(out),
+        "--seeds", "1", "--episodes", "1",
+    ]) == 0
+    meta, _, _ = read_report(out / "battery.csv")
+    assert meta["master_seed"] == (seed or "1")
+    capsys.readouterr()
+    scalar = tmp_path / "scalar.yaml"
+    scalar.write_text("sim: 5\n")
+    rc = run(["evaluate", "--policy", "rr", "--config", str(scalar), "--out", str(tmp_path / "s")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config section sim must be a mapping")
+    assert "Traceback" not in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

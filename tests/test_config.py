@@ -152,6 +152,17 @@ def test_env_values_parse_as_yaml_scalars():
     assert cfg.experiment.out_dir == "elsewhere"
 
 
+@pytest.mark.parametrize("env", [{}, {"UAVMEC_SIM__SEED": "3"}], ids=["no-env", "env"])
+def test_env_override_on_empty_or_scalar_section(tmp_path, env):
+    # An empty section loads as no keys, with or without an override on it.
+    cfg = load_config(write_yaml(tmp_path, "sim:\n"), env=env)
+    assert cfg.sim.num_uavs == 4
+    assert cfg.sim.seed == (3 if env else 1)
+    # A scalar section is refused the same way whether or not one is given.
+    with pytest.raises(ConfigError, match="config section sim must be a mapping"):
+        load_config(write_yaml(tmp_path, "sim: 5\n"), env=env)
+
+
 def test_unrelated_env_vars_ignored():
     cfg = load_config(env={"PATH": "/usr/bin", "UAVMEC2_SIM__SEED": "9"})
     assert cfg.sim.seed == 1

@@ -8,13 +8,13 @@ from uavmec.config import EnergyParams
 from uavmec.energy import (
     MEC_BATTERY_SENTINEL,
     BatteryModel,
-    remaining_battery,
     remaining_battery_fraction,
     remaining_battery_fractions,
 )
 from uavmec.queues import UnitQueue, busy_seconds
 
 MODEL = BatteryModel(EnergyParams())
+CAPACITY_WH = 570.0
 
 
 def busy_of(intervals):
@@ -23,7 +23,7 @@ def busy_of(intervals):
 
 
 def test_fresh_ledger_holds_full_capacity():
-    assert remaining_battery(MODEL, 0.0, 0.0) == 570.0
+    assert MODEL.battery_capacity_wh == CAPACITY_WH
     assert remaining_battery_fraction(MODEL, 0.0, 0.0) == 1.0
 
 
@@ -31,7 +31,9 @@ def test_idle_drain_worked_example():
     # 360 s of pure hover/antenna/idle drain: 570 - (211+17+4320) * 0.1 h.
     expected = 570.0 - (211 + 17 + 4320) * (360.0 / 3600.0)
     assert expected == pytest.approx(115.2, rel=1e-12)
-    assert remaining_battery(MODEL, 360.0, 0.0) == pytest.approx(115.2, rel=1e-12)
+    assert remaining_battery_fraction(MODEL, 360.0, 0.0) == pytest.approx(
+        115.2 / CAPACITY_WH, rel=1e-12
+    )
 
 
 def test_busy_surcharge_worked_example():
@@ -39,8 +41,8 @@ def test_busy_surcharge_worked_example():
     # 115.2 - (12960-4320) * 0.01 h.
     expected = 115.2 - (12960 - 4320) * (36.0 / 3600.0)
     assert expected == pytest.approx(28.8, rel=1e-12)
-    got = remaining_battery(MODEL, 360.0, busy_of([(100.0, 136.0)]))
-    assert got == pytest.approx(28.8, rel=1e-12)
+    got = remaining_battery_fraction(MODEL, 360.0, busy_of([(100.0, 136.0)]))
+    assert got == pytest.approx(28.8 / CAPACITY_WH, rel=1e-12)
 
 
 def test_fraction_is_plain_ratio():
@@ -50,7 +52,6 @@ def test_fraction_is_plain_ratio():
 
 def test_depleted_battery_reports_negative():
     # One hour of the inflated idle drain.
-    assert remaining_battery(MODEL, 3600.0, 0.0) < 0
     assert remaining_battery_fraction(MODEL, 3600.0, 0.0) < 0
 
 
@@ -59,10 +60,14 @@ def test_busy_interval_logged_after_the_fact_charges_only_its_surcharge():
     # drain alone and adds its CPU surcharge: 115.2 - 8640 * 0.01 h.
     q = UnitQueue(unit_id=0)
     [busy] = busy_seconds([q], 360.0)
-    assert remaining_battery(MODEL, 360.0, busy) == pytest.approx(115.2, rel=1e-12)
+    assert remaining_battery_fraction(MODEL, 360.0, busy) == pytest.approx(
+        115.2 / CAPACITY_WH, rel=1e-12
+    )
     q.busy_total += 136.0 - 100.0
     [busy] = busy_seconds([q], 360.0)
-    assert remaining_battery(MODEL, 360.0, busy) == pytest.approx(28.8, rel=1e-12)
+    assert remaining_battery_fraction(MODEL, 360.0, busy) == pytest.approx(
+        28.8 / CAPACITY_WH, rel=1e-12
+    )
 
 
 def test_mec_sentinel_is_positive_infinity():
@@ -79,7 +84,9 @@ def test_open_interval_counts_up_to_elapsed():
     [busy] = busy_seconds([q], 25.0)
     assert busy == 15.0
     expected = 570.0 - (4548.0 * 25.0 + 8640.0 * 15.0) / 3600.0
-    assert remaining_battery(MODEL, 25.0, busy) == pytest.approx(expected, rel=1e-12)
+    assert remaining_battery_fraction(MODEL, 25.0, busy) == pytest.approx(
+        expected / CAPACITY_WH, rel=1e-12
+    )
     q.in_service = None
     q.busy_total += 30.0 - task.start_time
     assert busy_seconds([q], 30.0)[0] == 20.0
@@ -88,14 +95,14 @@ def test_open_interval_counts_up_to_elapsed():
 
 def test_monotone_in_elapsed_and_busy_time():
     rng = np.random.default_rng(0)
-    prev = remaining_battery(MODEL, 0.0, 0.0)
+    prev = remaining_battery_fraction(MODEL, 0.0, 0.0)
     elapsed = busy = 0.0
     for _ in range(50):
         step = float(rng.uniform(0.1, 5.0))
         elapsed += step
         if rng.random() < 0.5:
             busy += step
-        cur = remaining_battery(MODEL, elapsed, busy)
+        cur = remaining_battery_fraction(MODEL, elapsed, busy)
         assert cur <= prev
         prev = cur
 
@@ -104,8 +111,8 @@ def test_layout_invariance_of_equal_busy_totals():
     # Same elapsed, same total busy seconds, different interval layouts.
     one = busy_of([(0.0, 42.0)])
     many = busy_of([(i * 50.0, i * 50.0 + 4.2) for i in range(10)])
-    assert remaining_battery(MODEL, 500.0, one) == pytest.approx(
-        remaining_battery(MODEL, 500.0, many), rel=1e-12
+    assert remaining_battery_fraction(MODEL, 500.0, one) == pytest.approx(
+        remaining_battery_fraction(MODEL, 500.0, many), rel=1e-12
     )
 
 
@@ -126,7 +133,8 @@ def test_millisecond_integration_oracle():
             power += params.busy_extra_power_w
         drained += power * dt
     oracle = params.battery_capacity_wh - drained / 3600.0
-    got = remaining_battery(BatteryModel(params), elapsed, busy_of(intervals))
+    got = remaining_battery_fraction(BatteryModel(params), elapsed, busy_of(intervals))
+    oracle /= params.battery_capacity_wh
     assert abs(got - oracle) / abs(oracle) < 1e-9
 
 

@@ -148,7 +148,7 @@ def test_checkpoint_roundtrip_preserves_greedy_behavior(desk_cfg, tmp_path):
         assert [t.chosen_unit for t in direct.placements] == [
             t.chosen_unit for t in reloaded.placements
         ]
-        assert direct.battery_wh == reloaded.battery_wh
+        assert direct.battery_fraction == reloaded.battery_fraction
         assert direct.violations_by_unit == reloaded.violations_by_unit
 
 

@@ -167,7 +167,6 @@ def test_metrics_from_episodes_aggregates():
             tasks_completed=completed,
             tasks_in_queue=0,
             tasks_in_service=0,
-            battery_wh=[b * 570.0 for b in battery],
             battery_fraction=list(battery),
             violations_by_unit=list(violations),
             violations_total=sum(violations),

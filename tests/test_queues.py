@@ -24,7 +24,8 @@ def make_task(task_id=0, type_id=0, uav=0, emission=0.0, iot=0.01, deadline=0.3)
 
 
 def make_record(**overrides):
-    """A decided task; ``overrides`` set its identity and placement fields."""
+    """A decided task; ``overrides`` set its identity, placement and service
+    fields (its queue wait is ``start_time - enqueue_time``)."""
     base = dict(
         task_id=0,
         type_id=0,
@@ -33,7 +34,6 @@ def make_record(**overrides):
         arrival_time=0.01,
         deadline_abs=0.3,
         chosen_unit=0,
-        transfer_delay=0.0,
         predicted_delay=0.0,
     )
     base.update(overrides)
@@ -90,49 +90,54 @@ def test_predicted_delay_with_residual_and_pending_work():
 
 
 def test_local_fire_task_within_deadline():
-    rec = make_record(queue_wait=0.0, service_time=0.1)
+    rec = make_record(enqueue_time=0.01, start_time=0.01, service_time=0.1)
     # 0.01 + 0 + 0 + 0.1 = 0.11 <= 0.3
-    assert check_violation(rec, deadline=0.3, iot_delay=IOT) is False
+    assert check_violation(rec, deadline=0.3, iot_delay=IOT, transfer_delay=0.0) is False
 
 
 def test_offloaded_pest_task_misses_deadline():
     rec = make_record(
         type_id=1,
         deadline_abs=0.8,
-        transfer_delay=0.015,
-        queue_wait=0.4,
+        chosen_unit=4,
+        enqueue_time=0.025,
+        start_time=0.425,
         service_time=0.5,
     )
     # 0.01 + 0.015 + 0.4 + 0.5 = 0.925 > 0.8
-    assert check_violation(rec, deadline=0.8, iot_delay=IOT) is True
+    assert check_violation(rec, deadline=0.8, iot_delay=IOT, transfer_delay=0.015) is True
 
 
 def test_growth_task_with_loose_deadline():
     rec = make_record(
         type_id=2,
         deadline_abs=5.0,
-        transfer_delay=0.02,
-        queue_wait=1.5,
+        chosen_unit=1,
+        enqueue_time=0.03,
+        start_time=1.53,
         service_time=2.0,
     )
     # 0.01 + 0.02 + 1.5 + 2.0 = 3.53 <= 5.0
-    assert check_violation(rec, deadline=5.0, iot_delay=IOT) is False
+    assert check_violation(rec, deadline=5.0, iot_delay=IOT, transfer_delay=0.02) is False
 
 
 def test_exactly_meeting_the_deadline_is_not_a_violation():
-    # Power-of-two components keep the sum exact: 0.25 + (0.25 + 0.5) = 1.0.
-    rec = make_record(transfer_delay=0.0, queue_wait=0.25, service_time=0.5)
-    assert check_violation(rec, deadline=1.0, iot_delay=0.25) is False
-    assert check_violation(rec, deadline=0.9999, iot_delay=0.25) is True
+    # Power-of-two components keep the sum exact: 0.25 + ((0.5 - 0.25) + 0.5) = 1.0.
+    rec = make_record(enqueue_time=0.25, start_time=0.5, service_time=0.5)
+    assert check_violation(rec, deadline=1.0, iot_delay=0.25, transfer_delay=0.0) is False
+    assert check_violation(rec, deadline=0.9999, iot_delay=0.25, transfer_delay=0.0) is True
 
 
 def test_unfinished_task_cannot_be_judged():
-    rec = make_record(queue_wait=None, service_time=None)
+    rec = make_record(enqueue_time=None, start_time=None, service_time=None)
     with pytest.raises(ValueError):
-        check_violation(rec, deadline=0.3, iot_delay=IOT)
-    half = make_record(queue_wait=0.1, service_time=None)
+        check_violation(rec, deadline=0.3, iot_delay=IOT, transfer_delay=0.0)
+    queued = make_record(enqueue_time=0.01, start_time=None, service_time=0.1)
     with pytest.raises(ValueError):
-        check_violation(half, deadline=0.3, iot_delay=IOT)
+        check_violation(queued, deadline=0.3, iot_delay=IOT, transfer_delay=0.0)
+    half = make_record(enqueue_time=0.01, start_time=0.11, service_time=None)
+    with pytest.raises(ValueError):
+        check_violation(half, deadline=0.3, iot_delay=IOT, transfer_delay=0.0)
 
 
 def test_enqueue_stamps_the_task():
@@ -140,7 +145,7 @@ def test_enqueue_stamps_the_task():
     task = make_task(task_id=7)
     q.enqueue(task, now=0.5, service_time=0.1)
     assert (task.enqueue_time, task.service_time) == (0.5, 0.1)
-    assert (task.start_time, task.queue_wait, task.finish_time) == (None, None, None)
+    assert (task.start_time, task.finish_time) == (None, None)
     assert not task.completed
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ import pytest
 from helpers import assert_fifo_work_conserving, replay_battery, replay_delays, snapshot_is_sane
 from uavmec import simulation
 from uavmec.arrivals import TaskInstance
-from uavmec.harness import arrival_seed, load_policies, save_checkpoint, train_policy
+from uavmec.config import LEARNER_POLICIES, POLICY_NAMES
+from uavmec.harness import (
+    arrival_seed,
+    load_policies,
+    make_policies,
+    save_checkpoint,
+    train_policy,
+)
 from uavmec.heuristics import HefPolicy, RoundRobinPolicy
 from uavmec.mdp import assemble_reward, compute_reward_parts, encode_state
 from uavmec.simulation import (
@@ -97,7 +105,7 @@ def test_identical_runs_are_bit_identical(cfg):
     a = run_episode(cfg, hef_learners(), arrival_seed=5, collect_events=True)
     b = run_episode(cfg, hef_learners(), arrival_seed=5, collect_events=True)
     assert a.events == b.events
-    assert a.battery_wh == b.battery_wh
+    assert a.battery_fraction == b.battery_fraction
     assert all(isinstance(r, float) for r in a.cumulative_reward)
     assert a.cumulative_reward == b.cumulative_reward
     assert len(a.placements) == len(b.placements)
@@ -124,7 +132,6 @@ def test_zero_duration_episode_is_empty(cfg):
     assert result.tasks_completed == 0
     assert result.tasks_in_queue == 0
     assert result.tasks_in_service == 0
-    assert result.battery_wh == [570.0] * cfg.sim.num_uavs
     assert result.battery_fraction == [1.0] * cfg.sim.num_uavs
     assert result.events == [(0.0, EPISODE_END, -1, -1)]
 
@@ -197,22 +204,21 @@ def test_latency_components_match_event_replay(cfg):
     assert len(completed) == len(oracle) > 500
     for rec in completed:
         wait, service, transfer, violated = oracle[rec.task_id]
-        assert rec.queue_wait == wait
+        assert rec.start_time - rec.enqueue_time == wait
         assert rec.service_time == pytest.approx(service, abs=1e-12)
-        assert rec.transfer_delay == transfer
+        # The record reaches its unit one configured hop after arriving.
+        assert rec.enqueue_time == rec.arrival_time + transfer
         assert rec.violated == violated
 
 
 def test_battery_matches_event_replay(cfg):
     r = run_episode(cfg, hef_policies(cfg), arrival_seed=10, collect_events=True)
     oracle = replay_battery(cfg, r)
-    for got, expected in zip(r.battery_wh, oracle):
-        assert got == pytest.approx(expected, rel=1e-12)
-    for wh, frac in zip(r.battery_wh, r.battery_fraction):
-        assert frac == pytest.approx(wh / 570.0, rel=1e-12)
+    for got, expected_wh in zip(r.battery_fraction, oracle):
+        assert got == pytest.approx(expected_wh / 570.0, rel=1e-12)
     # Busy UAVs drained more than the idle floor alone.
-    idle_only = 570.0 - 4548.0 * cfg.sim.episode_duration / 3600.0
-    assert all(wh < idle_only for wh in r.battery_wh)
+    idle_only = (570.0 - 4548.0 * cfg.sim.episode_duration / 3600.0) / 570.0
+    assert all(frac < idle_only for frac in r.battery_fraction)
 
 
 def test_local_delay_prediction_is_exact(cfg):
@@ -225,7 +231,7 @@ def test_local_delay_prediction_is_exact(cfg):
     ]
     assert len(started_local) > 500
     for rec in started_local:
-        assert rec.predicted_delay == rec.queue_wait + rec.service_time
+        assert rec.predicted_delay == (rec.start_time - rec.enqueue_time) + rec.service_time
 
 
 def test_horizon_censoring_rules(cfg):
@@ -389,13 +395,26 @@ def test_decision_snapshots_are_sane(cfg):
 
 
 def test_event_collection_is_optional(cfg):
-    # Off by default: production runs never read the log.
-    r = run_episode(cfg, rr_policies(cfg), arrival_seed=17)
-    assert r.events is None
-    assert r.tasks_generated > 0
-    logged = run_episode(cfg, rr_policies(cfg), arrival_seed=17, collect_events=True)
-    assert logged.events[-1] == (cfg.sim.episode_duration, EPISODE_END, -1, -1)
-    assert logged.battery_wh == r.battery_wh
+    # Off by default: production runs never read the log.  Keeping it changes
+    # nothing else, for every policy, learners included.
+    for policy in POLICY_NAMES:
+        r = run_episode(cfg, make_policies(policy, cfg, 17, 0), arrival_seed=17)
+        assert r.events is None
+        assert r.tasks_generated > 0
+        logged = run_episode(
+            cfg, make_policies(policy, cfg, 17, 0), arrival_seed=17, collect_events=True
+        )
+        assert logged.events[-1] == (cfg.sim.episode_duration, EPISODE_END, -1, -1)
+        assert [astuple(t) for t in logged.placements] == [astuple(t) for t in r.placements]
+        assert logged.battery_fraction == r.battery_fraction
+        assert logged.violations_by_unit == r.violations_by_unit
+        assert logged.violations_total == r.violations_total
+        assert (logged.tasks_generated, logged.tasks_completed, logged.tasks_in_queue,
+                logged.tasks_in_service) == (r.tasks_generated, r.tasks_completed,
+                                             r.tasks_in_queue, r.tasks_in_service)
+        assert logged.cumulative_reward == r.cumulative_reward
+        if policy in LEARNER_POLICIES:
+            assert all(isinstance(x, float) for x in r.cumulative_reward)
 
 
 class ScriptedPolicy:
