@@ -18,6 +18,8 @@ from .nnet import (
 class TransitionBatch:
     """Transitions stored column-wise: row i of every array is one transition.
 
+    ``terminals`` marks a terminal transition with 1.0 (or True), any other
+    with 0.0 (or False); a sample holds the replay table's float column.
     Iterating yields the rows as ``Transition`` objects.
     """
 
@@ -92,7 +94,7 @@ class ReplayBuffer:
         w = self.state_width
         return TransitionBatch(
             rows[:, :w], rows[:, 2 * w].astype(np.intp), rows[:, 2 * w + 1],
-            rows[:, w:2 * w], rows[:, 2 * w + 2] != 0.0,
+            rows[:, w:2 * w], rows[:, 2 * w + 2],
         )
 
     def __len__(self) -> int:
@@ -118,7 +120,7 @@ def train_batch(
     best = next_q[:, 0].copy()
     for column in range(1, next_q.shape[1]):
         np.maximum(best, next_q[:, column], out=best)
-    targets = batch.rewards + gamma * np.where(batch.terminals, 0.0, 1.0) * best
+    targets = batch.rewards + gamma * (1.0 - batch.terminals) * best
 
     loss, grads = loss_and_grads(net, batch.states, batch.actions, targets)
     adam_step(adam, net.parameters(), grads)

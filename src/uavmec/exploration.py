@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 def epsilon_greedy(q_values, epsilon: float, rng: np.random.Generator) -> int:
     """Pick uniformly with probability epsilon, else the greedy action.
@@ -17,12 +19,17 @@ def epsilon_greedy(q_values, epsilon: float, rng: np.random.Generator) -> int:
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
-    q = np.asarray(q_values, dtype=np.float64)
+    # A learner's row is already a float64 vector; only other input converts.
+    # The dtype test is by identity: an equal but distinct float64 dtype just
+    # takes the conversion, which returns the same array.
+    q = q_values
+    if type(q) is not np.ndarray or q.dtype is not _FLOAT64:
+        q = np.asarray(q_values, dtype=np.float64)
     if q.ndim != 1 or q.size == 0:
         raise ValueError("q_values must be a non-empty vector")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(q.size))
-    return int(np.argmax(q))
+    return int(q.argmax())
 
 
 def epsilon_schedule(

@@ -131,15 +131,19 @@ def violation_penalty(snap: NetworkSnapshot, action: int, cfg: MdpConfig) -> flo
     UAV clean (excluding the deciding UAV and the chosen unit), else the miss
     was unavoidable.  Exactly one branch applies.
     """
-    for unit in range(snap.num_uavs, snap.num_units):
-        if not counterfactual_violation(snap, unit):
+    # counterfactual_violation inlined: one pass over the units in ladder
+    # order, each unit's flag computed at most once.
+    base, deadline = snap.iot_delay, snap.deadline
+    transfers, delays, local = snap.transfer_delays, snap.unit_delays, snap.deciding_uav
+    for unit in range(snap.num_uavs, len(delays)):
+        if not base + transfers[unit] + delays[unit] > deadline:
             return cfg.penalty_mec
-    if not counterfactual_violation(snap, snap.deciding_uav):
+    if not base + transfers[local] + delays[local] > deadline:
         return cfg.penalty_local
     for unit in range(snap.num_uavs):
-        if unit in (snap.deciding_uav, action):
+        if unit == local or unit == action:
             continue
-        if not counterfactual_violation(snap, unit):
+        if not base + transfers[unit] + delays[unit] > deadline:
             return cfg.penalty_other_uav
     return cfg.penalty_unavoidable
 

@@ -14,16 +14,20 @@ from .checkpoint import read_checkpoint, write_checkpoint
 CHECKPOINT_MAGIC = "uavmec-mlp v1"
 
 
-def _split(dims: list, flat: np.ndarray) -> tuple[list, list]:
-    """Views of ``flat`` as the weights and biases of ``dims``, laid out
-    w0, b0, w1, b1, ... in row-major order."""
-    weights, biases, offset = [], [], 0
+def _layout(dims: list) -> list:
+    """(span, shape) of w0, b0, w1, b1, ... in a flat vector of ``dims``,
+    each tensor row-major."""
+    layout, offset = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         end = offset + fan_in * fan_out
-        weights.append(flat[offset:end].reshape(fan_in, fan_out))
-        biases.append(flat[end:end + fan_out])
+        layout.append((slice(offset, end), (fan_in, fan_out)))
+        layout.append((slice(end, end + fan_out), (fan_out,)))
         offset = end + fan_out
-    return weights, biases
+    return layout
+
+
+def _views(flat: np.ndarray, layout: list) -> list:
+    return [flat[span].reshape(shape) for span, shape in layout]
 
 
 class MlpNetwork:
@@ -45,7 +49,8 @@ class MlpNetwork:
 
     def _bind(self, flat: np.ndarray) -> None:
         self.flat = flat
-        self.weights, self.biases = _split(self.dims, flat)
+        views = _views(flat, _layout(self.dims))
+        self.weights, self.biases = views[0::2], views[1::2]
 
     # Copies and pickles carry the vector only, so that the views of the
     # restored network alias its own vector.
@@ -84,12 +89,16 @@ def init_mlp(dims: list, rng: np.random.Generator) -> MlpNetwork:
 
 
 class _Workspace:
-    """Activations, deltas and ReLU masks of one (dims, rows) batch shape."""
+    """Activations, deltas and ReLU masks of one (dims, rows) batch shape,
+    with the shape's parameter layout and each output row's flat offset."""
 
     def __init__(self, dims: tuple, rows: int):
         self.activations = [np.empty((rows, d)) for d in dims[1:]]
         self.deltas = [np.empty((rows, d)) for d in dims[1:]]
         self.masks = [np.empty((rows, d), dtype=bool) for d in dims[1:-1]]
+        self.layout = _layout(dims)
+        self.num_parameters = self.layout[-1][0].stop
+        self.row_offsets = np.arange(rows) * dims[-1]
 
 
 # Shared by every network of a shape (agents, target networks, their copies),
@@ -111,6 +120,9 @@ def _workspace(dims: list, rows: int) -> _Workspace:
 
 def forward(net: MlpNetwork, x) -> np.ndarray:
     """Q-values for a single state (1-d input) or a batch (2-d input)."""
+    # A learner's state: one float64 row of the input width, run as a view.
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (net.dims[0],):
+        return forward_cached(net, x.reshape(1, -1))[-1][0].copy()
     ndim = np.ndim(x)
     if ndim > 2:
         raise ValueError(f"input has {ndim} dimensions, expected 1 or 2")
@@ -145,32 +157,37 @@ def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, tar
 
     loss = mean_i (Q(s_i)[a_i] - y_i)^2.  Returns (loss, grads) with grads
     ordered like net.parameters(): views into one fresh flat vector laid out
-    like ``net.flat``.
+    like ``net.flat``.  Every action must index one of the network's outputs.
     """
     batch = states.shape[0]
     activations = forward_cached(net, states)
     ws = _workspace(net.dims, batch)
     q = activations[-1]
-    idx = np.arange(batch)
-    err = q[idx, actions] - targets
-    loss = float(np.mean(err**2))
+    # Row i's taken Q-value sits at flat index i * outputs + a_i.
+    taken = ws.row_offsets + actions
+    err = q.take(taken) - targets
+    loss = float(np.add.reduce(err * err) / batch)
 
-    grads_w, grads_b = _split(net.dims, np.empty(net.flat.size))
+    grads = _views(np.empty(ws.num_parameters), ws.layout)
+    grads_w, grads_b = grads[0::2], grads[1::2]
     scaled = 2.0 * err / batch
-    delta = ws.deltas[-1]
-    delta.fill(0.0)
-    delta[idx, actions] = scaled
     # The output delta holds one nonzero per row, so its column sums are
     # those values binned by action, added in the same row order.
-    grads_b[-1][...] = np.bincount(actions, weights=scaled, minlength=net.dims[-1])
+    binned = np.bincount(actions, weights=scaled, minlength=net.dims[-1])
+    if binned.size != net.dims[-1]:
+        raise ValueError(f"an action exceeds the network's {net.dims[-1]} outputs")
+    grads_b[-1][...] = binned
+    delta = ws.deltas[-1]
+    delta.fill(0.0)
+    delta.put(taken, scaled)
     for layer in range(net.num_layers - 1, -1, -1):
         np.matmul(activations[layer].T, delta, out=grads_w[layer])
         if layer > 0:
             below = np.matmul(delta, net.weights[layer].T, out=ws.deltas[layer - 1])
             mask = np.greater(activations[layer], 0.0, out=ws.masks[layer - 1])
             delta = np.multiply(below, mask, out=below)
-            np.sum(delta, axis=0, out=grads_b[layer - 1])
-    return loss, [p for pair in zip(grads_w, grads_b) for p in pair]
+            np.add.reduce(delta, axis=0, out=grads_b[layer - 1])
+    return loss, grads
 
 
 class AdamState:
@@ -234,7 +251,7 @@ def adam_step(adam: AdamState, params: list, grads: list) -> None:
 
 def _tensor_line(name: str, tensor: np.ndarray) -> str:
     shape = "x".join(str(s) for s in tensor.shape)
-    values = " ".join(format(v, ".17g") for v in tensor.reshape(-1))
+    values = " ".join(["%.17g"] * tensor.size) % tuple(tensor.reshape(-1).tolist())
     return f"tensor {name} {shape} {values}"
 
 
@@ -244,7 +261,7 @@ def _read_tensor(line: str, name: str, shape: tuple) -> np.ndarray:
     if not line.startswith(head):
         raise ValueError(f"tensor line {line[:len(head)]!r} where {head!r} belongs")
     values = line[len(head):].split(" ")
-    return np.array([float(v) for v in values], dtype=np.float64).reshape(shape)
+    return np.array(list(map(float, values)), dtype=np.float64).reshape(shape)
 
 
 def save_mlp(nets: list, path: str, metadata: dict | None = None) -> None:

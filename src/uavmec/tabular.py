@@ -63,25 +63,27 @@ class DiscretizationGrid:
             battery_bins=rl.battery_bins,
         )
 
-    def delay_bin(self, delay: float) -> int:
-        # The bin np.searchsorted(edges, delay, side="right") gives, NaN included.
-        return bisect_right(self.delay_edges, delay)
-
-    def battery_bin(self, fraction: float) -> int:
-        clamped = min(max(fraction, 0.0), 1.0)
-        return min(int(clamped * self.battery_bins), self.battery_bins - 1)
-
     def key(self, snap: NetworkSnapshot) -> tuple:
-        """(task type, J+ unit delay bins, J UAV battery bins) of a snapshot."""
+        """(task type, J+ unit delay bins, J UAV battery bins) of a snapshot.
+
+        A delay's bin is the one ``np.searchsorted(edges, delay,
+        side="right")`` gives, NaN included.  A battery fraction is clamped to
+        [0, 1] and cut into left-closed bins, 1.0 falling in the top one; a
+        fraction below 1 times the bin count stays below the count in floating
+        point, so only 1.0 and above need the cap.  A NaN fraction raises.
+        """
         if snap.num_uavs != self.num_uavs or len(snap.unit_delays) != self.num_units:
             raise ValueError(
                 f"expected a snapshot of {self.num_uavs} UAVs and {self.num_units} units, "
                 f"got {snap.num_uavs} and {len(snap.unit_delays)}"
             )
+        edges, bins = self.delay_edges, self.battery_bins
+        top = bins - 1
         return (
             snap.task_type,
-            *map(self.delay_bin, snap.unit_delays),
-            *map(self.battery_bin, snap.unit_batteries[: self.num_uavs]),
+            *[bisect_right(edges, d) for d in snap.unit_delays],
+            *[top if b >= 1.0 else int(max(b, 0.0) * bins)
+              for b in snap.unit_batteries[: self.num_uavs]],
         )
 
 
@@ -97,9 +99,15 @@ def q_update(
     bootstrap = 0.0
     if not terminal:
         next_row = table.get(next_key)
-        bootstrap = float(next_row.max()) if next_row is not None else 0.0
-    row[action] += alpha * (reward + gamma * bootstrap - row[action])
-    return float(row[action])
+        if next_row is not None:
+            # np.max's value for a row without NaN; rewards are finite, so
+            # no row holds one.
+            bootstrap = max(next_row.tolist())
+    # Python floats are IEEE doubles: the same arithmetic as on the row's items.
+    q = row.item(action)
+    q += alpha * (reward + gamma * bootstrap - q)
+    row[action] = q
+    return q
 
 
 class QlAgent:
@@ -152,10 +160,12 @@ def dump_qtable(agents: list[QlAgent], path: str, metadata: dict | None = None) 
     """Write all agents' tables as sorted text: one state key and its Q-row per line."""
     blocks = []
     for agent in agents:
+        # "%.17g" of a float is format(x, ".17g"): 17 digits read back exactly.
+        row_format = " ".join(["%.17g"] * agent.num_actions)
+        table = agent.table
         body = [
-            ",".join(str(x) for x in key) + " | "
-            + " ".join(format(x, ".17g") for x in agent.table[key])
-            for key in sorted(agent.table)
+            ",".join(map(str, key)) + " | " + row_format % tuple(table[key].tolist())
+            for key in sorted(table)
         ]
         blocks.append((f"actions {agent.num_actions} states {len(agent.table)}", body))
     write_checkpoint(path, QTABLE_MAGIC, metadata, blocks)
@@ -175,10 +185,10 @@ def _parse_table(header: str, body: list) -> dict:
         if len(fields) != 2:
             raise ValueError("q-table row without one ' | '")
         key_txt, q_txt = fields
-        key = tuple(int(x) for x in key_txt.split(","))
+        key = tuple(map(int, key_txt.split(",")))
         if key in table:
             raise ValueError(f"q-table repeats state key {key_txt}")
-        row = np.array([float(x) for x in q_txt.split()], dtype=np.float64)
+        row = np.array(list(map(float, q_txt.split())), dtype=np.float64)
         if row.size != num_actions:
             raise ValueError(f"q-table row {key_txt} holds {row.size} of {num_actions} actions")
         table[key] = row

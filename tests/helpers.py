@@ -23,8 +23,9 @@ the oracle for the kernel's per-episode decision tables.
 
 ``reference_key`` is the tabular key by way of the deep agent's state
 vector (``encode_state``, then slicing it by position), as the learner once
-computed it.  It is the oracle for ``DiscretizationGrid.key``, which cuts the
-key straight from the snapshot's fields.
+computed it, each delay binned by ``np.searchsorted``.  It is the oracle for
+``DiscretizationGrid.key``, which cuts the key straight from the snapshot's
+fields and bins each field with one comprehension.
 
 ``reference_generate_arrivals`` is the original one-draw-per-task stream
 sampler, a scalar ``rng.exponential`` and a running sum per task.  It is the
@@ -32,6 +33,14 @@ oracle for the bulk draws and ``np.cumsum`` in ``uavmec.arrivals``.
 ``reference_build_task_table`` is the original merge: each stream's records
 from it, one keyed sort of the joined list, then a pass renumbering the ids.
 It is the oracle for the array merge in ``uavmec.arrivals.build_task_table``.
+
+``reference_epsilon_greedy`` (``np.asarray`` and ``np.argmax`` on every
+call), ``reference_q_update`` (the in-place ``row[action] += ...`` step on
+NumPy scalars) and ``reference_qtable_body`` / ``reference_parse_qtable_row``
+(per-value ``format(x, ".17g")`` and per-line ``float()``) are the original
+learner path, kept unchanged.  They are the oracles for the fast paths in
+``uavmec.exploration`` and ``uavmec.tabular``; ``reference_tensor_line`` is the
+same text oracle for ``uavmec.nnet.save_mlp``.
 
 ``snapshot_is_sane`` and ``plateau_threshold`` are structural and
 convergence oracles that only tests use; ``make_snapshot`` builds a
@@ -410,9 +419,15 @@ def reference_key(grid: DiscretizationGrid, snap: NetworkSnapshot) -> tuple:
     if len(state) != expected:
         raise ValueError(f"expected base-layout state of width {expected}, got {len(state)}")
     type_idx = int(round(state[0] * (grid.num_types - 1))) if grid.num_types > 1 else 0
-    delays = tuple(grid.delay_bin(d) for d in state[1 : 1 + grid.num_units])
+    edges = np.asarray(grid.delay_edges)
+    delays = tuple(
+        int(np.searchsorted(edges, d, side="right")) for d in state[1 : 1 + grid.num_units]
+    )
+    # encode_state has clamped the fractions to [0, 1]; 1.0 joins the top bin.
+    bins = grid.battery_bins
     batteries = tuple(
-        grid.battery_bin(b) for b in state[1 + grid.num_units : 1 + grid.num_units + grid.num_uavs]
+        min(int(b * bins), bins - 1)
+        for b in state[1 + grid.num_units : 1 + grid.num_units + grid.num_uavs]
     )
     return (type_idx, *delays, *batteries)
 
@@ -459,3 +474,53 @@ def reference_build_task_table(sim, tasks, seed, episode, rng_for=arrival_rng):
     for i, task in enumerate(table):
         task.task_id = i
     return table
+
+
+def reference_epsilon_greedy(q_values, epsilon: float, rng: np.random.Generator) -> int:
+    """Pick uniformly with probability epsilon, else the greedy action."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must be in [0, 1]")
+    q = np.asarray(q_values, dtype=np.float64)
+    if q.ndim != 1 or q.size == 0:
+        raise ValueError("q_values must be a non-empty vector")
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(q.size))
+    return int(np.argmax(q))
+
+
+def reference_q_update(
+    table: dict, key: tuple, action: int, reward: float, next_key: tuple, num_actions: int,
+    alpha: float, gamma: float, terminal: bool = False,
+) -> float:
+    """One temporal-difference step; returns the updated Q(key, action)."""
+    row = table.get(key)
+    if row is None:
+        row = np.zeros(num_actions, dtype=np.float64)
+        table[key] = row
+    bootstrap = 0.0
+    if not terminal:
+        next_row = table.get(next_key)
+        bootstrap = float(next_row.max()) if next_row is not None else 0.0
+    row[action] += alpha * (reward + gamma * bootstrap - row[action])
+    return float(row[action])
+
+
+def reference_qtable_body(table: dict) -> list:
+    """One agent's q-table as body lines: a sorted state key and its Q-row each."""
+    return [
+        ",".join(str(x) for x in key) + " | " + " ".join(format(x, ".17g") for x in table[key])
+        for key in sorted(table)
+    ]
+
+
+def reference_parse_qtable_row(line: str) -> tuple:
+    """(state key, Q-row) of one body line."""
+    key_txt, q_txt = line.split(" | ")
+    key = tuple(int(x) for x in key_txt.split(","))
+    return key, np.array([float(x) for x in q_txt.split()], dtype=np.float64)
+
+
+def reference_tensor_line(name: str, tensor: np.ndarray) -> str:
+    shape = "x".join(str(s) for s in tensor.shape)
+    values = " ".join(format(v, ".17g") for v in tensor.reshape(-1))
+    return f"tensor {name} {shape} {values}"

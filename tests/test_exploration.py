@@ -1,7 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 
+from helpers import reference_epsilon_greedy, reference_forward_cached
+from uavmec.config import RlConfig
+from uavmec.deep import DqlAgent
 from uavmec.exploration import epsilon_greedy, epsilon_schedule
+from uavmec.nnet import forward
+from uavmec.tabular import DiscretizationGrid, QlAgent
 
 
 def test_greedy_picks_argmax():
@@ -83,3 +90,59 @@ def test_schedule_validation():
         epsilon_schedule(0, 0)
     with pytest.raises(ValueError):
         epsilon_schedule(-1, 10)
+
+
+def check_select_against_reference(agent, states, reference_q):
+    """``agent.select`` against the original ``epsilon_greedy`` on
+    ``reference_q(state)`` with a copy of the agent's generator: the same
+    action, and the same generator state after every call and at the end."""
+    probe = copy.deepcopy(agent.rng)
+    for state in states:
+        want = reference_epsilon_greedy(reference_q(state), agent.epsilon, probe)
+        assert agent.select(state) == want
+        assert agent.rng.bit_generator.state == probe.bit_generator.state
+    assert agent.rng.random() == probe.random()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+def test_dql_select_matches_the_reference_forward_and_draw(epsilon):
+    agent = DqlAgent(6, 3, RlConfig(hidden_sizes=(16, 16)), np.random.default_rng(40))
+    agent.epsilon = epsilon
+    data = np.random.default_rng(41)
+    wide = data.normal(size=(100, 12))
+    # Contiguous rows, strided rows, and the zero state, whose outputs all
+    # equal the zero biases: a tie that breaks on action 0.
+    states = [*data.normal(size=(100, 6)), *(row[::2] for row in wide), np.zeros(6)]
+    check_select_against_reference(
+        agent, states, lambda s: reference_forward_cached(agent.net, s[None])[-1][0])
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+def test_ql_select_matches_the_reference_row_and_draw(epsilon):
+    agent = QlAgent(DiscretizationGrid(2, 3, 3, 5.0), RlConfig(), np.random.default_rng(42))
+    agent.epsilon = epsilon
+    data = np.random.default_rng(43)
+    keys = [tuple(int(x) for x in data.integers(0, 4, size=6)) for _ in range(200)]
+    for key in keys[::2]:
+        agent.table[key] = data.normal(size=3)
+    agent.table[keys[-1]] = np.zeros(3)
+    check_select_against_reference(
+        agent, keys, lambda k: agent.table.get(k, np.zeros(3)))
+    assert len(agent.table) == len(set(keys[::2]) | {keys[-1]})
+
+
+def test_forward_keeps_its_refusals_and_conversions():
+    agent = DqlAgent(6, 3, RlConfig(hidden_sizes=(8,)), np.random.default_rng(44))
+    with pytest.raises(ValueError):
+        forward(agent.net, np.zeros((2, 6, 6)))
+    for bad in (np.zeros(5), np.zeros(7), np.zeros((2, 5))):
+        with pytest.raises(ValueError):
+            forward(agent.net, bad)
+    state = np.arange(6.0)
+    q = forward(agent.net, state)
+    assert q.shape == (3,)
+    # Integer and list input convert; every result is the caller's own copy.
+    assert forward(agent.net, np.arange(6)).tobytes() == q.tobytes()
+    assert forward(agent.net, list(range(6))).tobytes() == q.tobytes()
+    q[:] = 0.0
+    assert forward(agent.net, state).tobytes() != q.tobytes()

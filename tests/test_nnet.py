@@ -4,7 +4,10 @@ import pickle
 import numpy as np
 import pytest
 
+from helpers import reference_tensor_line
+from uavmec.checkpoint import write_checkpoint
 from uavmec.nnet import (
+    CHECKPOINT_MAGIC,
     AdamState,
     MlpNetwork,
     adam_step,
@@ -273,6 +276,42 @@ def test_save_load_roundtrip_is_exact(tmp_path):
         assert back.dims == orig.dims
         for a, b in zip(orig.parameters(), back.parameters()):
             assert np.array_equal(a, b)
+
+
+def test_loss_and_grads_refuses_actions_outside_the_outputs():
+    # The taken Q-values are gathered by flat index, where an out-of-range
+    # action would read the next row; every such batch must still be refused.
+    net = init_mlp([4, 5, 3], np.random.default_rng(11))
+    states, targets = np.ones((4, 4)), np.zeros(4)
+    for bad in ([0, 3, 1, 2], [0, 1, 2, 3], [0, -1, 1, 2], [-1, 0, 1, 2]):
+        with pytest.raises((IndexError, ValueError)):
+            loss_and_grads(net, states, np.array(bad), targets)
+
+
+def test_save_is_byte_equal_to_the_per_value_writer(tmp_path):
+    """Parameters holding signed zeros, subnormals, huge and integral values
+    write the text the per-value format(x, ".17g") writer wrote, and read
+    back bit for bit."""
+    rng = np.random.default_rng(10)
+    nets = [init_mlp([6, 8, 3], rng) for _ in range(2)]
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -2.0, 1e16]
+    for net in nets:
+        picks = rng.random(net.flat.size) < 0.3
+        net.flat[picks] = rng.choice(specials, size=int(picks.sum()))
+    meta = {"policy": "dql"}
+    save_mlp(nets, str(tmp_path / "fast.mlp"), metadata=meta)
+    blocks = [
+        ("dims " + " ".join(str(d) for d in net.dims),
+         [reference_tensor_line(f"{kind}{layer}", p)
+          for layer, pair in enumerate(zip(net.weights, net.biases))
+          for kind, p in zip("wb", pair)])
+        for net in nets
+    ]
+    write_checkpoint(str(tmp_path / "reference.mlp"), CHECKPOINT_MAGIC, meta, blocks)
+    assert (tmp_path / "fast.mlp").read_bytes() == (tmp_path / "reference.mlp").read_bytes()
+    loaded, _ = load_mlp(str(tmp_path / "fast.mlp"))
+    for orig, back in zip(nets, loaded):
+        assert back.flat.tobytes() == orig.flat.tobytes()
 
 
 def test_load_rejects_wrong_magic(tmp_path):

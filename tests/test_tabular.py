@@ -5,7 +5,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import PEST, make_snapshot, reference_key
+from helpers import (
+    PEST,
+    make_snapshot,
+    reference_key,
+    reference_parse_qtable_row,
+    reference_q_update,
+    reference_qtable_body,
+)
+from uavmec.checkpoint import write_checkpoint
 from uavmec import tabular
 from uavmec.config import RlConfig
 from uavmec.harness import train_policy
@@ -31,6 +39,21 @@ def make_grid(delay_bins=8, battery_bins=10):
         delay_floor=0.01,
         battery_bins=battery_bins,
     )
+
+
+def delay_bins_of(grid, delay):
+    """The key's delay bins for a snapshot whose every unit delay is ``delay``."""
+    key = grid.key(make_snapshot()._replace(unit_delays=(delay,) * grid.num_units))
+    assert len(set(key[1:1 + grid.num_units])) == 1
+    return key[1]
+
+
+def battery_bins_of(grid, fraction):
+    """The key's battery bins for a snapshot whose every UAV holds ``fraction``."""
+    key = grid.key(make_snapshot()._replace(
+        unit_batteries=(fraction,) * grid.num_uavs + (math.inf,)))
+    assert len(set(key[1 + grid.num_units:])) == 1
+    return key[-1]
 
 
 def test_grid_edges_span_floor_to_twice_deadline():
@@ -61,8 +84,8 @@ def test_delay_bin_matches_searchsorted(delay_bins, pick):
     else:
         delay = pick
     expected = int(np.searchsorted(edges, delay, side="right"))
-    assert grid.delay_bin(delay) == expected
-    assert grid.delay_bin(np.float64(delay)) == expected
+    assert delay_bins_of(grid, delay) == expected
+    assert delay_bins_of(grid, np.float64(delay)) == expected
 
 
 def test_fresh_fire_state_key():
@@ -70,7 +93,10 @@ def test_fresh_fire_state_key():
     key = grid.key(make_snapshot())  # fire task, idle fleet, full batteries
     assert key[0] == 0  # task class index
     # Delays fall in low geometric bins; full batteries land in the top bin.
-    assert key[1:6] == tuple(grid.delay_bin(d) for d in (0.1, 0.1, 0.1, 0.1, 0.05))
+    edges = np.asarray(grid.delay_edges)
+    assert key[1:6] == tuple(
+        int(np.searchsorted(edges, d, side="right")) for d in (0.1, 0.1, 0.1, 0.1, 0.05)
+    )
     assert key[6:] == (9, 9, 9, 9)
     assert all(0 < b < grid.delay_bins for b in key[1:6])
 
@@ -144,22 +170,22 @@ def test_training_keys_match_the_state_vector_oracle(desk_cfg, monkeypatch):
 
 def test_delay_above_top_edge_clamps_to_last_bin():
     grid = make_grid()
-    assert grid.delay_bin(1e9) == grid.delay_bins - 1
-    assert grid.delay_bin(10.0001) == grid.delay_bins - 1
-    assert grid.delay_bin(0.0) == 0
-    assert grid.delay_bin(0.005) == 0
+    assert delay_bins_of(grid, 1e9) == grid.delay_bins - 1
+    assert delay_bins_of(grid, 10.0001) == grid.delay_bins - 1
+    assert delay_bins_of(grid, 0.0) == 0
+    assert delay_bins_of(grid, 0.005) == 0
 
 
 def test_battery_bin_clamps_and_partitions():
     grid = make_grid()
-    assert grid.battery_bin(-0.5) == 0
-    assert grid.battery_bin(0.0) == 0
-    assert grid.battery_bin(0.05) == 0
-    assert grid.battery_bin(0.999) == 9
-    assert grid.battery_bin(1.0) == 9
-    assert grid.battery_bin(2.0) == 9
+    assert battery_bins_of(grid, -0.5) == 0
+    assert battery_bins_of(grid, 0.0) == 0
+    assert battery_bins_of(grid, 0.05) == 0
+    assert battery_bins_of(grid, 0.999) == 9
+    assert battery_bins_of(grid, 1.0) == 9
+    assert battery_bins_of(grid, 2.0) == 9
     # Bins are left-closed tenths.
-    assert grid.battery_bin(0.35) == 3
+    assert battery_bins_of(grid, 0.35) == 3
 
 
 def test_key_width_validation():
@@ -224,6 +250,68 @@ def test_q_values_stay_inside_reward_fixed_point_bounds():
     for row in table.values():
         assert np.all(row <= hi + 1e-9)
         assert np.all(row >= lo - 1e-9)
+
+
+def test_q_update_is_byte_equal_to_the_numpy_scalar_step():
+    """Python-float arithmetic against the original in-place update on the
+    row's NumPy scalars: the same tables, bit for bit, and the same returns."""
+    rng = np.random.default_rng(31)
+    tables = [{}, {}]
+    keys = [(i,) for i in range(40)]
+    for step in range(4000):
+        key = keys[rng.integers(len(keys))]
+        # Some successors are never updated, so their rows stay absent.
+        next_key = (100 + int(rng.integers(5)),) if step % 7 == 0 else keys[rng.integers(len(keys))]
+        action = int(rng.integers(4))
+        reward = float(rng.choice([rng.uniform(-41.0, 2.0), 0.0, -0.0, 2.0, -1e-300]))
+        alpha, gamma = float(rng.choice([0.05, 1.0, 0.0])), float(rng.choice([0.85, 0.0]))
+        terminal = bool(rng.random() < 0.2)
+        got = q_update(tables[0], key, action, reward, next_key, 4, alpha, gamma, terminal)
+        want = reference_q_update(tables[1], key, action, reward, next_key, 4, alpha, gamma, terminal)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert tables[0].keys() == tables[1].keys()
+    for key in tables[0]:
+        assert tables[0][key].tobytes() == tables[1][key].tobytes()
+    assert not any(key[0] >= 100 for key in tables[0])
+
+
+def qtable_oracle_agents():
+    """Two agents whose rows hold signed zeros, subnormals, huge, integral and
+    negative values beside random ones."""
+    rng = np.random.default_rng(8)
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -2.0, 1e16, 0.1, -41.0]
+    agents = [QlAgent(make_grid(), RlConfig(), np.random.default_rng(i)) for i in range(2)]
+    for agent in agents:
+        for _ in range(60):
+            key = tuple(int(x) for x in rng.integers(0, 48, size=10))
+            row = rng.uniform(-41, 2, size=5)
+            picks = rng.random(5) < 0.5
+            row[picks] = rng.choice(specials, size=int(picks.sum()))
+            agent.table[key] = row
+    return agents
+
+
+def test_dump_is_byte_equal_to_the_per_value_writer(tmp_path):
+    agents = qtable_oracle_agents()
+    meta = {"policy": "qlearning", "episodes": 3}
+    dump_qtable(agents, str(tmp_path / "fast.qtab"), metadata=meta)
+    blocks = [(f"actions {a.num_actions} states {len(a.table)}", reference_qtable_body(a.table))
+              for a in agents]
+    write_checkpoint(str(tmp_path / "reference.qtab"), QTABLE_MAGIC, meta, blocks)
+    assert (tmp_path / "fast.qtab").read_bytes() == (tmp_path / "reference.qtab").read_bytes()
+
+
+def test_load_is_byte_equal_to_the_per_line_parser(tmp_path):
+    agents = qtable_oracle_agents()
+    path = tmp_path / "table.qtab"
+    dump_qtable(agents, str(path))
+    tables, _ = load_qtable(str(path))
+    for agent, table in zip(agents, tables):
+        reference = dict(map(reference_parse_qtable_row, reference_qtable_body(agent.table)))
+        assert list(table) == list(reference)
+        for key, row in table.items():
+            assert row.dtype == np.float64
+            assert row.tobytes() == reference[key].tobytes() == agent.table[key].tobytes()
 
 
 def test_agent_ingest_matches_manual_update():
