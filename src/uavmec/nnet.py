@@ -97,7 +97,6 @@ class _Workspace:
         self.deltas = [np.empty((rows, d)) for d in dims[1:]]
         self.masks = [np.empty((rows, d), dtype=bool) for d in dims[1:-1]]
         self.layout = _layout(dims)
-        self.num_parameters = self.layout[-1][0].stop
         self.row_offsets = np.arange(rows) * dims[-1]
 
 
@@ -168,7 +167,7 @@ def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, tar
     err = q.take(taken) - targets
     loss = float(np.add.reduce(err * err) / batch)
 
-    grads = _views(np.empty(ws.num_parameters), ws.layout)
+    grads = _views(np.empty(net.flat.size), ws.layout)
     grads_w, grads_b = grads[0::2], grads[1::2]
     scaled = 2.0 * err / batch
     # The output delta holds one nonzero per row, so its column sums are

@@ -167,7 +167,7 @@ def dump_qtable(agents: list[QlAgent], path: str, metadata: dict | None = None) 
             ",".join(map(str, key)) + " | " + row_format % tuple(table[key].tolist())
             for key in sorted(table)
         ]
-        blocks.append((f"actions {agent.num_actions} states {len(agent.table)}", body))
+        blocks.append((f"actions {agent.num_actions} states {len(table)}", body))
     write_checkpoint(path, QTABLE_MAGIC, metadata, blocks)
 
 
