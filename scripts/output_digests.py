@@ -1,0 +1,87 @@
+"""Digests of the outputs that a speed-only change must leave byte-identical.
+
+Runs a fixed set of commands against the checkout's own ``src/`` into a
+temporary directory, then prints one ``sha256  file`` line per output file
+and each command's standard output with the output directory masked.  Run it
+on two checkouts and diff the results:
+
+    python3 scripts/output_digests.py > before.txt   # in the old checkout
+    python3 scripts/output_digests.py > after.txt    # in the new one
+    diff before.txt after.txt
+
+The set, each command in a fresh process with one worker:
+
+- a desk ``compare`` of all five policies, with immediate and with deferred
+  rewards (100 tabular and 5 deep training episodes, 5 evaluation episodes
+  on 3 seeds);
+- a paper ``evaluate --placements`` of rr, hef and qhef (2 seeds, 1 episode);
+- a 3-episode paper ``train`` of each learner.
+
+It takes about ten seconds on one core.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DESK = str(ROOT / "configs" / "desk.yaml")
+PAPER = str(ROOT / "configs" / "paper.yaml")
+SEED = "1701"
+DESK_BUDGETS = {
+    "UAVMEC_EXPERIMENT__TRAIN_EPISODES_QLEARNING": "100",
+    "UAVMEC_EXPERIMENT__TRAIN_EPISODES_DQL": "5",
+    "UAVMEC_EXPERIMENT__EVAL_EPISODES": "5",
+}
+
+# (name, extra environment, command-line arguments before --out)
+RUNS = [
+    ("desk-compare-immediate", DESK_BUDGETS,
+     ["compare", "--config", DESK, "--policies", "rr,hef,qhef,qlearning,dql", "--seeds", "3"]),
+    ("desk-compare-deferred", {**DESK_BUDGETS, "UAVMEC_MDP__DEFERRED_REWARD": "true"},
+     ["compare", "--config", DESK, "--policies", "rr,hef,qhef,qlearning,dql", "--seeds", "3"]),
+    *[(f"paper-evaluate-{policy}", {},
+       ["evaluate", "--config", PAPER, "--policy", policy, "--seeds", "2", "--episodes", "1",
+        "--placements"])
+      for policy in ("rr", "hef", "qhef")],
+    *[(f"paper-train-{policy}", {},
+       ["train", "--config", PAPER, "--policy", policy, "--episodes", "3"])
+      for policy in ("qlearning", "dql")],
+]
+
+
+def run(name: str, extra_env: dict, args: list, work: Path) -> list:
+    """Run one command into ``work/name``; its digest and stdout lines."""
+    out = work / name
+    env = {k: v for k, v in os.environ.items() if not k.startswith("UAVMEC_")}
+    env.update(extra_env)
+    env["UAVMEC_EXPERIMENT__WORKERS"] = "1"
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "uavmec.cli", *args, "--seed", SEED, "--out", str(out)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"{name} exited with {proc.returncode}:\n{proc.stderr}")
+    lines = [f"== {name}"]
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"{digest}  {name}/{path.relative_to(out)}")
+    lines.extend(proc.stdout.replace(str(out), "<out>").splitlines())
+    return lines
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="uavmec-digests-") as tmp:
+        for name, extra_env, args in RUNS:
+            print("\n".join(run(name, extra_env, args, Path(tmp))), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -122,8 +122,9 @@ def train_batch(
         np.maximum(best, next_q[:, column], out=best)
     targets = batch.rewards + gamma * (1.0 - batch.terminals) * best
 
-    loss, grads = loss_and_grads(net, batch.states, batch.actions, targets)
-    adam_step(adam, net.parameters(), grads)
+    loss, grads = loss_and_grads(net, batch.states, batch.actions, targets, in_workspace=True)
+    # The flat vectors behind the views: no view needs checking at every step.
+    adam_step(adam, net.flat, grads[0].base)
     return loss
 
 
@@ -174,11 +175,13 @@ class DqlAgent:
     def ingest(self, t: Transition) -> None:
         """Store ``t`` and, once replay can fill a batch, train one step.
 
-        The action must index one of the network's outputs: the replay table
-        would store a float or out-of-range action without complaint.
+        The action must be an integer, not a bool, that indexes one of the
+        network's outputs: the replay table would store a float, bool or
+        out-of-range action without complaint.
         """
         actions = self.net.dims[-1]
-        if not (isinstance(t.action, (int, np.integer)) and 0 <= t.action < actions):
+        if type(t.action) is bool or not (
+                isinstance(t.action, (int, np.integer)) and 0 <= t.action < actions):
             raise ValueError(f"action {t.action!r} is not an integer in [0, {actions})")
         self.buffer.push(t)
         if len(self.buffer) < self.batch_size:

@@ -43,9 +43,6 @@ class NetworkSnapshot(NamedTuple):
     def num_units(self) -> int:
         return len(self.unit_delays)
 
-    def is_mec(self, unit: int) -> bool:
-        return unit >= self.num_uavs
-
 
 @dataclass
 class Transition:
@@ -112,11 +109,17 @@ def battery_tier(snap: NetworkSnapshot, action: int, cfg: MdpConfig) -> float:
     taxes any battery and always earns the top tier.
     """
     high, low, mid = cfg.tier_values
-    if snap.is_mec(action):
+    num_uavs = snap.num_uavs
+    if action >= num_uavs:
         return high
-    expected = list(snap.unit_batteries[: snap.num_uavs])
-    expected[action] -= snap.proc_times[action] * snap.busy_frac_per_sec
-    diff = expected[action] - max(expected)
+    batteries = snap.unit_batteries
+    expected = batteries[action] - snap.proc_times[action] * snap.busy_frac_per_sec
+    # The fleet maximum of the expected levels, read in place.
+    top = expected
+    for unit in range(num_uavs):
+        if unit != action and batteries[unit] > top:
+            top = batteries[unit]
+    diff = expected - top
     if diff >= -cfg.energy_threshold:
         return high
     if diff <= -2.0 * cfg.energy_threshold:

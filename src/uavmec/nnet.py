@@ -90,7 +90,8 @@ def init_mlp(dims: list, rng: np.random.Generator) -> MlpNetwork:
 
 class _Workspace:
     """Activations, deltas and ReLU masks of one (dims, rows) batch shape,
-    with the shape's parameter layout and each output row's flat offset."""
+    with the shape's parameter layout, each output row's flat offset and a
+    gradient vector with its views."""
 
     def __init__(self, dims: tuple, rows: int):
         self.activations = [np.empty((rows, d)) for d in dims[1:]]
@@ -98,6 +99,8 @@ class _Workspace:
         self.masks = [np.empty((rows, d), dtype=bool) for d in dims[1:-1]]
         self.layout = _layout(dims)
         self.row_offsets = np.arange(rows) * dims[-1]
+        self.grad = np.empty(self.layout[-1][0].stop)
+        self.grads = _views(self.grad, self.layout)
 
 
 # Shared by every network of a shape (agents, target networks, their copies),
@@ -119,9 +122,15 @@ def _workspace(dims: list, rows: int) -> _Workspace:
 
 def forward(net: MlpNetwork, x) -> np.ndarray:
     """Q-values for a single state (1-d input) or a batch (2-d input)."""
-    # A learner's state: one float64 row of the input width, run as a view.
+    # A learner's state: one float64 row of the input width.  A 1-d product
+    # runs matmul's loop for a one-row batch, so the bits are the same; small
+    # fresh arrays cost less than the workspace's bookkeeping.
     if type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (net.dims[0],):
-        return forward_cached(net, x.reshape(1, -1))[-1][0].copy()
+        weights, biases = net.weights, net.biases
+        last = len(weights) - 1
+        for layer in range(last):
+            x = np.maximum(x @ weights[layer] + biases[layer], 0.0)
+        return x @ weights[last] + biases[last]
     ndim = np.ndim(x)
     if ndim > 2:
         raise ValueError(f"input has {ndim} dimensions, expected 1 or 2")
@@ -151,12 +160,15 @@ def forward_cached(net: MlpNetwork, x: np.ndarray):
     return activations
 
 
-def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, targets: np.ndarray):
+def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, targets: np.ndarray,
+                   in_workspace: bool = False):
     """MSE over the taken actions' Q-values, with gradients for every parameter.
 
     loss = mean_i (Q(s_i)[a_i] - y_i)^2.  Returns (loss, grads) with grads
-    ordered like net.parameters(): views into one fresh flat vector laid out
-    like ``net.flat``.  Every action must index one of the network's outputs.
+    ordered like net.parameters(): views into one flat vector laid out like
+    ``net.flat``.  That vector is fresh, or with ``in_workspace`` the batch
+    shape's own, which the next such call overwrites.  Every action must
+    index one of the network's outputs.
     """
     batch = states.shape[0]
     activations = forward_cached(net, states)
@@ -167,7 +179,7 @@ def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, tar
     err = q.take(taken) - targets
     loss = float(np.add.reduce(err * err) / batch)
 
-    grads = _views(np.empty(net.flat.size), ws.layout)
+    grads = ws.grads if in_workspace else _views(np.empty(net.flat.size), ws.layout)
     grads_w, grads_b = grads[0::2], grads[1::2]
     scaled = 2.0 * err / batch
     # The output delta holds one nonzero per row, so its column sums are
@@ -221,13 +233,18 @@ def _flat(tensors: list) -> np.ndarray:
     return flat
 
 
-def adam_step(adam: AdamState, params: list, grads: list) -> None:
+def adam_step(adam: AdamState, params, grads) -> None:
     """One in-place update of every parameter.
 
-    ``params`` and ``grads`` are views of one flat vector each, as
-    ``MlpNetwork.parameters`` and ``loss_and_grads`` return them.
+    ``params`` and ``grads`` are each one flat vector laid out like the
+    network's ``flat``, or the views of one, as ``MlpNetwork.parameters`` and
+    ``loss_and_grads`` return them.
     """
-    p, g = _flat(params), _flat(grads)
+    p = params if type(params) is np.ndarray else _flat(params)
+    g = grads if type(grads) is np.ndarray else _flat(grads)
+    if p.shape != adam.m.shape or g.shape != adam.m.shape:
+        raise ValueError(f"parameters {p.shape} and gradients {g.shape} do not fit "
+                         f"the optimizer's {adam.m.shape}")
     adam.t += 1
     b1, b2 = adam.beta1, adam.beta2
     bias1 = 1.0 - b1**adam.t

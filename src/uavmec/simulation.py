@@ -64,28 +64,39 @@ class _AgentPipeline:
     """Turns one learner's decision stream into ordered transitions.
 
     A decision's state is the policy's own, what its ``encode`` returned; the
-    pipeline never looks inside it.  Each decision is queued once, as the
-    ``Transition`` it will ingest.  Its successor state is the state of the
-    same agent's next decision; its reward is known at once, or in deferred
-    mode when the task resolves.  Transitions are released in decision order.
+    pipeline never looks inside it.  Its successor state is the state of the
+    same agent's next decision, and transitions are ingested in decision
+    order.  With immediate rewards a decision's reward is known at once, so
+    only the last decision waits, for its successor.  In deferred mode a
+    decision is queued as the ``Transition`` it will ingest until its task
+    resolves and its successor is known.
     """
 
     def __init__(self, policy, mdp_cfg, terminal_on_end: bool):
         self.policy = policy
         self.cfg = mdp_cfg
+        self.deferred = mdp_cfg.deferred_reward
         self.terminal_on_end = terminal_on_end
+        # Immediate mode: (state, action, reward) of the last decision.
+        self.last: tuple | None = None
+        # Deferred mode: queued transitions, and each unresolved task's
+        # transition with its tier and penalty.
         self.pending: deque = deque()
         self.by_task: dict[int, tuple] = {}
         self.cumulative_reward = 0.0
 
     def on_decision(self, snap: NetworkSnapshot, state, action: int, task_id: int) -> None:
         tier, v_hat, penalty = compute_reward_parts(action, snap, self.cfg)
+        if not self.deferred:
+            reward = assemble_reward(tier, v_hat, penalty)
+            self.cumulative_reward += reward
+            last = self.last
+            if last is not None:
+                self.policy.ingest(Transition(last[0], last[1], last[2], state, False))
+            self.last = (state, action, reward)
+            return
         t = Transition(state, action, None, None, False)
-        if self.cfg.deferred_reward:
-            self.by_task[task_id] = (t, tier, penalty)
-        else:
-            t.reward = assemble_reward(tier, v_hat, penalty)
-            self.cumulative_reward += t.reward
+        self.by_task[task_id] = (t, tier, penalty)
         if self.pending and self.pending[-1].next_state is None:
             self.pending[-1].next_state = state
         self.pending.append(t)
@@ -98,16 +109,22 @@ class _AgentPipeline:
         self._flush()
 
     def finish(self) -> None:
+        """Ingest the last decision as terminal, with itself as successor,
+        under ``terminal_on_end``; else drop it: without a successor there is
+        nothing to bootstrap from, and its reward has already counted."""
         if self.by_task:
             raise SimulationError("unresolved deferred rewards at episode end")
+        if not self.deferred:
+            if self.last is not None and self.terminal_on_end:
+                state, action, reward = self.last
+                self.policy.ingest(Transition(state, action, reward, state, True))
+            return
         if self.pending and self.pending[-1].next_state is None:
             tail = self.pending[-1]
             if self.terminal_on_end:
                 tail.next_state = tail.state
                 tail.terminal = True
             else:
-                # No successor to bootstrap from; the reward already
-                # counted, the experience is dropped.
                 self.pending.pop()
         self._flush()
 
@@ -228,7 +245,11 @@ def run_episode(
         encode = encoders[uav]
         state = snap if encode is None else encode(snap)
         action = policies[uav].select(state)
-        if not isinstance(action, (int, np.integer)) or not 0 <= action < num_units:
+        # A plain int passes the type test at once; a bool is an int to
+        # isinstance, but no unit.
+        if ((type(action) is not int
+             and (type(action) is bool or not isinstance(action, (int, np.integer))))
+                or not 0 <= action < num_units):
             raise SimulationError(f"policy for uav{uav} chose nonexistent unit {action!r}")
         action = int(action)
         task.chosen_unit = action

@@ -160,39 +160,49 @@ def dump_qtable(agents: list[QlAgent], path: str, metadata: dict | None = None) 
     """Write all agents' tables as sorted text: one state key and its Q-row per line."""
     blocks = []
     for agent in agents:
-        # "%.17g" of a float is format(x, ".17g"): 17 digits read back exactly.
-        row_format = " ".join(["%.17g"] * agent.num_actions)
+        # One "%" per line, over the grid's key and the row: "%d" of an int
+        # is its str, and "%.17g" of a float is format(x, ".17g"), 17 digits
+        # that read back exactly.
+        grid = agent.grid
+        line_format = (",".join(["%d"] * (1 + grid.num_units + grid.num_uavs)) + " | "
+                       + " ".join(["%.17g"] * agent.num_actions))
         table = agent.table
-        body = [
-            ",".join(map(str, key)) + " | " + row_format % tuple(table[key].tolist())
-            for key in sorted(table)
-        ]
+        body = [line_format % (*key, *table[key].tolist()) for key in sorted(table)]
         blocks.append((f"actions {agent.num_actions} states {len(table)}", body))
     write_checkpoint(path, QTABLE_MAGIC, metadata, blocks)
 
 
 def _parse_table(header: str, body: list) -> dict:
-    """One agent's q-table; every row holds the header's action count."""
+    """One agent's q-table; every row holds the header's action count.
+
+    Each value is read once, in row order, into one list, and the table's
+    rows are the rows of the one array made from it.
+    """
     fields = header.split()
     if len(fields) != 4 or fields[0] != "actions" or fields[2] != "states":
         raise ValueError(f"q-table header {header!r}")
     num_actions, num_states = int(fields[1]), int(fields[3])
     if len(body) != num_states:
         raise ValueError(f"q-table declares {num_states} states, holds {len(body)}")
-    table: dict = {}
+    keys: dict = {}  # insertion-ordered, for the repeat check
+    values: list = []
     for line in body:
         fields = line.split(" | ")
         if len(fields) != 2:
             raise ValueError("q-table row without one ' | '")
         key_txt, q_txt = fields
         key = tuple(map(int, key_txt.split(",")))
-        if key in table:
+        if key in keys:
             raise ValueError(f"q-table repeats state key {key_txt}")
-        row = np.array(list(map(float, q_txt.split())), dtype=np.float64)
-        if row.size != num_actions:
-            raise ValueError(f"q-table row {key_txt} holds {row.size} of {num_actions} actions")
-        table[key] = row
-    return table
+        keys[key] = None
+        row = q_txt.split()
+        values += map(float, row)
+        if len(row) != num_actions:
+            raise ValueError(f"q-table row {key_txt} holds {len(row)} of {num_actions} actions")
+    if not keys:
+        return {}
+    rows = np.array(values, dtype=np.float64).reshape(len(keys), num_actions)
+    return dict(zip(keys, rows))
 
 
 def load_qtable(path: str) -> tuple[list[dict], dict]:

@@ -42,20 +42,35 @@ learner path, kept unchanged.  They are the oracles for the fast paths in
 ``uavmec.exploration`` and ``uavmec.tabular``; ``reference_tensor_line`` is the
 same text oracle for ``uavmec.nnet.save_mlp``.
 
+``ReferenceAgentPipeline`` is the original decision pipeline, kept
+unchanged: every decision is queued as a ``Transition`` in a deque, which a
+flush loop releases once its reward and successor are known.  It is the
+oracle for ``uavmec.simulation._AgentPipeline``, which in immediate-reward
+mode holds only the last decision.
+
+``reference_battery_tier`` is the original tier rule, which copies the
+UAV batteries into a list, charges the chosen one and compares it against
+the list's maximum.  It is the oracle for ``uavmec.mdp.battery_tier``.
+
 ``snapshot_is_sane`` and ``plateau_threshold`` are structural and
 convergence oracles that only tests use; ``make_snapshot`` builds a
 hand-made decision snapshot of the default 4 UAV + 1 MEC fleet.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
 from uavmec.arrivals import TaskInstance, arrival_rng
 from uavmec.config import AppConfig
-from uavmec.mdp import NetworkSnapshot, Transition, encode_state, type_code
+from uavmec.mdp import (
+    NetworkSnapshot, Transition, assemble_reward, compute_reward_parts, encode_state, type_code,
+)
 from uavmec.nnet import AdamState, MlpNetwork, adam_step, forward, loss_and_grads
-from uavmec.simulation import EpisodeResult, TASK_ARRIVAL, TASK_COMPLETE, TASK_START
+from uavmec.simulation import (
+    EpisodeResult, SimulationError, TASK_ARRIVAL, TASK_COMPLETE, TASK_START,
+)
 from uavmec.tabular import DiscretizationGrid
 
 FIRE, PEST, GROWTH = 0, 1, 2
@@ -524,3 +539,72 @@ def reference_tensor_line(name: str, tensor: np.ndarray) -> str:
     shape = "x".join(str(s) for s in tensor.shape)
     values = " ".join(format(v, ".17g") for v in tensor.reshape(-1))
     return f"tensor {name} {shape} {values}"
+
+
+class ReferenceAgentPipeline:
+    """Turns one learner's decision stream into ordered transitions.
+
+    Each decision is queued once, as the ``Transition`` it will ingest.  Its
+    successor state is the state of the same agent's next decision; its
+    reward is known at once, or in deferred mode when the task resolves.
+    Transitions are released in decision order.
+    """
+
+    def __init__(self, policy, mdp_cfg, terminal_on_end: bool):
+        self.policy = policy
+        self.cfg = mdp_cfg
+        self.terminal_on_end = terminal_on_end
+        self.pending: deque = deque()
+        self.by_task: dict[int, tuple] = {}
+        self.cumulative_reward = 0.0
+
+    def on_decision(self, snap: NetworkSnapshot, state, action: int, task_id: int) -> None:
+        tier, v_hat, penalty = compute_reward_parts(action, snap, self.cfg)
+        t = Transition(state, action, None, None, False)
+        if self.cfg.deferred_reward:
+            self.by_task[task_id] = (t, tier, penalty)
+        else:
+            t.reward = assemble_reward(tier, v_hat, penalty)
+            self.cumulative_reward += t.reward
+        if self.pending and self.pending[-1].next_state is None:
+            self.pending[-1].next_state = state
+        self.pending.append(t)
+        self._flush()
+
+    def on_task_resolved(self, task_id: int, violated: bool) -> None:
+        t, tier, penalty = self.by_task.pop(task_id)
+        t.reward = assemble_reward(tier, violated, penalty)
+        self.cumulative_reward += t.reward
+        self._flush()
+
+    def finish(self) -> None:
+        if self.by_task:
+            raise SimulationError("unresolved deferred rewards at episode end")
+        if self.pending and self.pending[-1].next_state is None:
+            tail = self.pending[-1]
+            if self.terminal_on_end:
+                tail.next_state = tail.state
+                tail.terminal = True
+            else:
+                self.pending.pop()
+        self._flush()
+
+    def _flush(self) -> None:
+        pending = self.pending
+        while pending and pending[0].reward is not None and pending[0].next_state is not None:
+            self.policy.ingest(pending.popleft())
+
+
+def reference_battery_tier(snap: NetworkSnapshot, action: int, cfg) -> float:
+    """Tier value for how the chosen unit's expected battery compares to the fleet."""
+    high, low, mid = cfg.tier_values
+    if action >= snap.num_uavs:
+        return high
+    expected = list(snap.unit_batteries[: snap.num_uavs])
+    expected[action] -= snap.proc_times[action] * snap.busy_frac_per_sec
+    diff = expected[action] - max(expected)
+    if diff >= -cfg.energy_threshold:
+        return high
+    if diff <= -2.0 * cfg.energy_threshold:
+        return low
+    return mid

@@ -386,8 +386,9 @@ def test_agent_select_uses_current_network():
 def test_ingest_refuses_actions_outside_the_network():
     agent = DqlAgent(4, 3, small_rl(), np.random.default_rng(0))
     agent.ingest(make_transition(0, action=np.int64(2)))
-    # A float table would store 2.7 as 2, and action -1 would train the last column.
-    for bad in (2.7, 2.0, -1, 3, None):
+    # A float table would store 2.7 as 2, action -1 would train the last
+    # column, and True would train column 1.
+    for bad in (2.7, 2.0, -1, 3, None, True, False):
         with pytest.raises(ValueError, match=r"is not an integer in \[0, 3\)"):
             agent.ingest(make_transition(1, action=bad))
     assert len(agent.buffer) == 1

@@ -277,13 +277,25 @@ def test_checkpoint_without_an_agent_count_is_refused(tmp_path, capsys, count_li
      "invalid literal for int() with base 10: 'x'"),
     (load_qtable, "agents 1\nagent 0 actions 1 states 1\n1 | zz\n",
      "could not convert string to float: 'zz'"),
+    # A bad row in the middle of a block: the bulk read refuses it as the
+    # per-row read did, and an earlier row's unparsable value comes first.
+    (load_qtable, "agents 1\nagent 0 actions 2 states 3\n1,2 | 0 1\n1,3 | 2\n1,4 | 3 4\n",
+     "q-table row 1,3 holds 1 of 2 actions"),
+    (load_qtable, "agents 1\nagent 0 actions 2 states 4\n1,2 | 0 1\n1,3 | 2 3\n1,3 | 4 5\n"
+     "1,4 | 6 7\n", "q-table repeats state key 1,3"),
+    (load_qtable, "agents 1\nagent 0 actions 2 states 3\n1,2 | 0 1\n1,3 | 2 zz\n1,4 | 4 5\n",
+     "could not convert string to float: 'zz'"),
+    (load_qtable, "agents 1\nagent 0 actions 2 states 3\n1,2 | 0 1\n1,3 | zz 2\n1,3 | 4\n",
+     "could not convert string to float: 'zz'"),
     (load_mlp, "agents 1\nagent 0 dims 10 x 5\n", "invalid literal for int() with base 10: 'x'"),
     (load_mlp, "agents 1\nagent 0 dims 5\n", "mlp header 'dims 5' does not fit 0 tensor lines"),
     (load_mlp, "agents 1\nagent 0 dims 1 1\ntensor w0 1x1 1 2\ntensor b0 1 0\n",
      "cannot reshape array of size 2 into shape (1,1)"),
 ], ids=["meta-without-equals", "agent-without-header", "row-without-separator",
         "repeated-state-key", "header-count-not-a-number", "key-not-a-number",
-        "q-value-not-a-number", "mlp-dims-not-a-number", "mlp-without-layers",
+        "q-value-not-a-number", "mid-block-row-too-short", "mid-block-repeated-key",
+        "mid-block-q-value-not-a-number", "mid-block-q-value-before-repeated-key",
+        "mlp-dims-not-a-number", "mlp-without-layers",
         "tensor-values-do-not-fit-shape"])
 def test_malformed_checkpoint_lines_are_refused_with_the_path(tmp_path, capsys, load, text,
                                                                message):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from uavmec.config import MdpConfig
-from helpers import FIRE, GROWTH, PEST, make_snapshot, snapshot_is_sane
+from helpers import (
+    FIRE, GROWTH, PEST, make_snapshot, reference_battery_tier, snapshot_is_sane,
+)
 from uavmec.mdp import (
     assemble_reward,
     battery_tier,
@@ -222,6 +224,26 @@ def test_battery_tier_charges_expected_service_drain():
     busy = 0.05  # 0.1 s of fire service drains 0.005 = 5 * threshold
     snap = make_snapshot(batteries=(1.0, 1.0, 1.0, 1.0), busy_frac_per_sec=busy)
     assert battery_tier(snap, 0, CFG) == 0.0
+
+
+def test_battery_tier_matches_the_list_copy_rule():
+    """Every action of fleets of 1-4 UAVs, with tied, negative and
+    near-threshold levels on a dyadic grid beside random ones."""
+    rng = np.random.default_rng(31)
+    e = 0.03125
+    grid = [1.0, 1.0 - e, 1.0 - 2 * e, 1.0 - 1.5 * e, 0.5, 0.0, -0.25]
+    for case in range(3000):
+        num_uavs = int(rng.integers(1, 5))
+        levels = [float(rng.choice(grid)) if rng.random() < 0.7 else float(rng.uniform(-0.1, 1.0))
+                  for _ in range(num_uavs)]
+        snap = make_snapshot(
+            batteries=tuple(levels), num_uavs=num_uavs,
+            backlogs=(0.0,) * (num_uavs + 1), deciding_uav=int(rng.integers(num_uavs)),
+            busy_frac_per_sec=float(rng.choice([0.0, 0.0042105, 0.3125])),
+        )
+        cfg = MdpConfig(energy_threshold=e if case % 2 else CFG.energy_threshold)
+        for action in range(num_uavs + 1):
+            assert battery_tier(snap, action, cfg) == reference_battery_tier(snap, action, cfg)
 
 
 def test_violation_penalty_excludes_chosen_and_deciding_from_other_branch():

@@ -248,6 +248,46 @@ def test_adam_refuses_tensors_that_are_not_views_of_one_vector():
     assert np.array_equal(net.flat, np.zeros(6))
 
 
+def test_adam_on_flat_vectors_equals_adam_on_their_views():
+    rng = np.random.default_rng(14)
+    net = init_mlp([3, 5, 2], rng)
+    twin = net.copy()
+    adam, twin_adam = AdamState(net.parameters()), AdamState(twin.parameters())
+    for _ in range(4):
+        grads = init_mlp([3, 5, 2], rng).parameters()
+        adam_step(adam, net.parameters(), grads)
+        adam_step(twin_adam, twin.flat, grads[0].base)
+    assert net.flat.tobytes() == twin.flat.tobytes()
+    assert adam.m.tobytes() == twin_adam.m.tobytes()
+    assert adam.v.tobytes() == twin_adam.v.tobytes()
+
+
+def test_adam_refuses_flat_vectors_of_another_size():
+    net = zero_net([2, 2])
+    adam = AdamState(net.parameters())
+    for p, g in ((net.flat, np.zeros(5)), (np.zeros(7), np.zeros(6)), (net.flat, np.zeros((6, 1)))):
+        with pytest.raises(ValueError, match="do not fit"):
+            adam_step(adam, p, g)
+    assert adam.t == 0 and not adam.m.any()
+
+
+def test_workspace_gradients_equal_fresh_ones_and_are_reused():
+    rng = np.random.default_rng(15)
+    net = init_mlp([4, 6, 3], rng)
+    states, actions = rng.normal(size=(8, 4)), rng.integers(0, 3, size=8)
+    targets = rng.normal(size=8)
+    loss, fresh = loss_and_grads(net, states, actions, targets)
+    ws_loss, grads = loss_and_grads(net, states, actions, targets, in_workspace=True)
+    assert ws_loss == loss
+    for mine, theirs in zip(grads, fresh):
+        assert mine.tobytes() == theirs.tobytes()
+    assert all(g.base is grads[0].base for g in grads)
+    _, again = loss_and_grads(net, states + 1.0, actions, targets, in_workspace=True)
+    assert again[0].base is grads[0].base
+    # The fresh result does not share the workspace.
+    assert not np.shares_memory(fresh[0], again[0])
+
+
 def test_training_drives_loss_down_on_frozen_batch():
     rng = np.random.default_rng(7)
     net = init_mlp([4, 16, 3], rng)

@@ -1,13 +1,22 @@
 import math
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import assert_fifo_work_conserving, replay_battery, replay_delays, snapshot_is_sane
+from helpers import (
+    ReferenceAgentPipeline,
+    assert_fifo_work_conserving,
+    replay_battery,
+    replay_delays,
+    snapshot_is_sane,
+)
 from uavmec import simulation
 from uavmec.arrivals import TaskInstance
-from uavmec.config import LEARNER_POLICIES, POLICY_NAMES
+from uavmec.config import LEARNER_POLICIES, POLICY_NAMES, load_config
 from uavmec.harness import (
     arrival_seed,
     load_policies,
@@ -266,7 +275,12 @@ def test_invalid_policy_actions_raise(cfg):
         def select(self, snap):
             return -1
 
-    for bad in (OutOfRange, WrongType, Negative):
+    class Boolean(AlwaysLocalPolicy):
+        # True == 1 names an existing unit, but a bool is no unit index.
+        def select(self, snap):
+            return True
+
+    for bad in (OutOfRange, WrongType, Negative, Boolean):
         policies = [bad()] + [AlwaysLocalPolicy() for _ in range(3)]
         with pytest.raises(SimulationError):
             run_episode(cfg, policies, arrival_seed=1)
@@ -299,6 +313,63 @@ def test_learner_transitions_chain_and_sum_to_reward(desk_cfg):
         assert kept[-1].terminal
         assert np.array_equal(kept[-1].next_state, kept[-1].state)
         assert sum(t.reward for t in kept) == r.cumulative_reward[uav]
+
+
+class RandomRecordingLearner:
+    """Seeded uniform placements over every unit; records each ingested
+    transition as its field tuple.  Its state is the snapshot itself."""
+
+    def __init__(self, num_units: int, seed: int, learns: bool):
+        self.num_units = num_units
+        self.rng = np.random.default_rng(seed)
+        self.wants_transitions = learns
+        self.ingested = []
+
+    def select(self, snap):
+        return int(self.rng.integers(self.num_units))
+
+    def ingest(self, t):
+        self.ingested.append(astuple(t))
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A small generated config, its arrival seed, and which UAVs learn."""
+    cfg = load_config()
+    sim = cfg.sim
+    sim.num_uavs = draw(st.integers(1, 3))
+    sim.num_mecs = draw(st.integers(0, 2))
+    sim.episode_duration = draw(st.sampled_from([0.25, 1.0, 2.5]))
+    # Zero, equal, or the default unequal link delays.
+    links = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.01, 0.01, 0.01), (0.0, 0.02, 0.02),
+                                  (0.01, 0.015, 0.02)]))
+    sim.iot_to_uav_delay, sim.uav_to_uav_delay, sim.uav_to_mec_delay = links
+    cfg.mdp.deferred_reward = draw(st.booleans())
+    cfg.rl.terminal_on_episode_end = draw(st.booleans())
+    learns = draw(st.lists(st.booleans(), min_size=sim.num_uavs, max_size=sim.num_uavs))
+    return cfg, draw(st.integers(0, 2**16)), learns
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=pipeline_cases())
+def test_pipeline_ingests_what_the_deque_oracle_ingests(case):
+    """The same transitions, in the same order, and the same rewards as the
+    original queue-and-flush pipeline, in both reward modes and with and
+    without a terminal tail, over generated fleets and workloads."""
+    cfg, seed, learns = case
+
+    def run():
+        learners = [RandomRecordingLearner(cfg.sim.num_units, seed + uav, learns[uav])
+                    for uav in range(cfg.sim.num_uavs)]
+        result = run_episode(cfg, learners, arrival_seed=seed)
+        return result.cumulative_reward, [learner.ingested for learner in learners]
+
+    rewards, ingested = run()
+    with mock.patch.object(simulation, "_AgentPipeline", ReferenceAgentPipeline):
+        expected_rewards, expected_ingested = run()
+    assert rewards == expected_rewards
+    assert ingested == expected_ingested
+    assert [r is None for r in rewards] == [not learner for learner in learns]
 
 
 def test_tail_transition_dropped_without_terminal_flag(desk_cfg):
