@@ -3,6 +3,12 @@
 Hidden layers use ReLU, the output layer is linear.  Training minimizes the
 mean squared error on the Q-value of the taken action only; gradients do not
 flow through the other outputs.
+
+Each layer is one folded block ``[W ; b]`` of shape (fan_in + 1, fan_out):
+its input carries a trailing column of ones, so ``[a | 1] @ [W ; b]`` is the
+layer's pre-activation in one matrix product, the bias entering as the last
+term of each dot product.  Backprop is folded the same way: ``[a | 1].T @
+delta`` is the weight and the bias gradient in one product.
 """
 
 from __future__ import annotations
@@ -14,28 +20,29 @@ from .checkpoint import read_checkpoint, write_checkpoint
 CHECKPOINT_MAGIC = "uavmec-mlp v1"
 
 
-def _layout(dims: list) -> list:
-    """(span, shape) of w0, b0, w1, b1, ... in a flat vector of ``dims``,
-    each tensor row-major."""
-    layout, offset = [], 0
+def _blocks(flat: np.ndarray, dims: list) -> list:
+    """Each layer's (fan_in + 1, fan_out) block ``[W ; b]`` as a view of
+    ``flat``, which holds w0, b0, w1, b1, ... each row-major."""
+    blocks, offset = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        end = offset + fan_in * fan_out
-        layout.append((slice(offset, end), (fan_in, fan_out)))
-        layout.append((slice(end, end + fan_out), (fan_out,)))
-        offset = end + fan_out
-    return layout
+        end = offset + (fan_in + 1) * fan_out
+        blocks.append(flat[offset:end].reshape(fan_in + 1, fan_out))
+        offset = end
+    return blocks
 
 
-def _views(flat: np.ndarray, layout: list) -> list:
-    return [flat[span].reshape(shape) for span, shape in layout]
+def _split(blocks: list) -> list:
+    """The row views w0, b0, w1, b1, ... of the layer blocks."""
+    return [p for block in blocks for p in (block[:-1], block[-1])]
 
 
 class MlpNetwork:
     """Weights and biases for dims[0] -> dims[1] -> ... -> dims[-1].
 
-    All parameters live in one flat float64 vector, ``flat``; ``weights[l]``
-    (dims[l], dims[l+1]) and ``biases[l]`` (dims[l+1],) are views into it.
-    The constructor copies the given arrays into a fresh vector.
+    All parameters live in one flat float64 vector, ``flat``.  ``blocks[l]``
+    is layer l's (dims[l] + 1, dims[l+1]) block ``[W ; b]`` in it, and
+    ``weights[l]`` and ``biases[l]`` are that block's rows.  The constructor
+    copies the given arrays into a fresh vector.
     """
 
     def __init__(self, dims: list, weights: list, biases: list):
@@ -49,8 +56,9 @@ class MlpNetwork:
 
     def _bind(self, flat: np.ndarray) -> None:
         self.flat = flat
-        views = _views(flat, _layout(self.dims))
-        self.weights, self.biases = views[0::2], views[1::2]
+        self.blocks = _blocks(flat, self.dims)
+        self.weights = [block[:-1] for block in self.blocks]
+        self.biases = [block[-1] for block in self.blocks]
 
     # Copies and pickles carry the vector only, so that the views of the
     # restored network alias its own vector.
@@ -63,11 +71,11 @@ class MlpNetwork:
 
     @property
     def num_layers(self) -> int:
-        return len(self.weights)
+        return len(self.blocks)
 
     def parameters(self) -> list:
         """Views of every parameter tensor in the order of ``flat``."""
-        return [p for pair in zip(self.weights, self.biases) for p in pair]
+        return _split(self.blocks)
 
     def copy(self) -> "MlpNetwork":
         return MlpNetwork(self.dims, self.weights, self.biases)
@@ -89,18 +97,22 @@ def init_mlp(dims: list, rng: np.random.Generator) -> MlpNetwork:
 
 
 class _Workspace:
-    """Activations, deltas and ReLU masks of one (dims, rows) batch shape,
-    with the shape's parameter layout, each output row's flat offset and a
-    gradient vector with its views."""
+    """Layer inputs ``[a | 1]`` (the ones column set once) with views of their
+    ``a`` parts, deltas and ReLU masks of one (dims, rows) batch shape, each
+    output row's flat offset and a gradient vector with its views.  A mask
+    spans a whole input, which is contiguous and so cheaper to compare."""
 
     def __init__(self, dims: tuple, rows: int):
-        self.activations = [np.empty((rows, d)) for d in dims[1:]]
+        self.inputs = [np.ones((rows, d + 1)) for d in dims[:-1]]
+        self.activations = [a[:, :-1] for a in self.inputs]
+        self.q = np.empty((rows, dims[-1]))
         self.deltas = [np.empty((rows, d)) for d in dims[1:]]
-        self.masks = [np.empty((rows, d), dtype=bool) for d in dims[1:-1]]
-        self.layout = _layout(dims)
+        masks = [np.empty((rows, d + 1), dtype=bool) for d in dims[1:-1]]
+        self.masks = [(mask, mask[:, :-1]) for mask in masks]
         self.row_offsets = np.arange(rows) * dims[-1]
-        self.grad = np.empty(self.layout[-1][0].stop)
-        self.grads = _views(self.grad, self.layout)
+        self.grad = np.empty(sum((n_in + 1) * n_out for n_in, n_out in zip(dims, dims[1:])))
+        self.grad_blocks = _blocks(self.grad, dims)
+        self.grads = _split(self.grad_blocks)
 
 
 # Shared by every network of a shape (agents, target networks, their copies),
@@ -122,42 +134,34 @@ def _workspace(dims: list, rows: int) -> _Workspace:
 
 def forward(net: MlpNetwork, x) -> np.ndarray:
     """Q-values for a single state (1-d input) or a batch (2-d input)."""
-    # A learner's state: one float64 row of the input width.  A 1-d product
-    # runs matmul's loop for a one-row batch, so the bits are the same; small
-    # fresh arrays cost less than the workspace's bookkeeping.
+    # A learner's state, one float64 row of the input width, runs as a
+    # one-row batch without the checks below.
     if type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (net.dims[0],):
-        weights, biases = net.weights, net.biases
-        last = len(weights) - 1
-        for layer in range(last):
-            x = np.maximum(x @ weights[layer] + biases[layer], 0.0)
-        return x @ weights[last] + biases[last]
+        return forward_cached(net, x[None])[-1][0].copy()
     ndim = np.ndim(x)
     if ndim > 2:
         raise ValueError(f"input has {ndim} dimensions, expected 1 or 2")
-    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if a.shape[1] != net.dims[0]:
-        raise ValueError(f"input width {a.shape[1]} != network input {net.dims[0]}")
-    q = forward_cached(net, a)[-1]
+    q = forward_cached(net, np.atleast_2d(np.asarray(x, dtype=np.float64)))[-1]
     return q[0].copy() if ndim == 1 else q.copy()
 
 
 def forward_cached(net: MlpNetwork, x: np.ndarray):
-    """Batch forward keeping post-activation values per layer for backprop.
+    """Batch forward keeping every layer's input ``[a | 1]`` for backprop.
 
-    The layers after the input are the shared workspace's arrays, which the
-    next batch of the same shape overwrites.
+    Returns those inputs, then the output Q-values: the shared workspace's
+    arrays, which the next batch of the same shape overwrites.
     """
-    a = np.asarray(x, dtype=np.float64)
-    workspace = _workspace(net.dims, a.shape[0])
-    activations = [a]
-    last = net.num_layers - 1
-    for layer, (w, b, out) in enumerate(zip(net.weights, net.biases, workspace.activations)):
-        a = np.matmul(a, w, out=out)
-        a += b
-        if layer != last:
-            np.maximum(a, 0.0, out=a)
-        activations.append(a)
-    return activations
+    rows, width = np.shape(x)
+    if width != net.dims[0]:
+        raise ValueError(f"input width {width} != network input {net.dims[0]}")
+    ws = _workspace(net.dims, rows)
+    inputs = ws.inputs
+    ws.activations[0][...] = x
+    for layer, block in enumerate(net.blocks[:-1]):
+        np.matmul(inputs[layer], block, out=ws.activations[layer + 1])
+        np.maximum(inputs[layer + 1], 0.0, out=inputs[layer + 1])
+    np.matmul(inputs[-1], net.blocks[-1], out=ws.q)
+    return [*inputs, ws.q]
 
 
 def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, targets: np.ndarray,
@@ -170,35 +174,29 @@ def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, tar
     shape's own, which the next such call overwrites.  Every action must
     index one of the network's outputs.
     """
+    # bincount refuses a negative action, and one past the outputs widens it.
+    if np.bincount(actions, minlength=net.dims[-1]).size != net.dims[-1]:
+        raise ValueError(f"an action exceeds the network's {net.dims[-1]} outputs")
     batch = states.shape[0]
-    activations = forward_cached(net, states)
+    q = forward_cached(net, states)[-1]
     ws = _workspace(net.dims, batch)
-    q = activations[-1]
     # Row i's taken Q-value sits at flat index i * outputs + a_i.
     taken = ws.row_offsets + actions
     err = q.take(taken) - targets
     loss = float(np.add.reduce(err * err) / batch)
 
-    grads = ws.grads if in_workspace else _views(np.empty(net.flat.size), ws.layout)
-    grads_w, grads_b = grads[0::2], grads[1::2]
-    scaled = 2.0 * err / batch
-    # The output delta holds one nonzero per row, so its column sums are
-    # those values binned by action, added in the same row order.
-    binned = np.bincount(actions, weights=scaled, minlength=net.dims[-1])
-    if binned.size != net.dims[-1]:
-        raise ValueError(f"an action exceeds the network's {net.dims[-1]} outputs")
-    grads_b[-1][...] = binned
+    blocks = ws.grad_blocks if in_workspace else _blocks(np.empty(net.flat.size), net.dims)
     delta = ws.deltas[-1]
     delta.fill(0.0)
-    delta.put(taken, scaled)
+    delta.put(taken, 2.0 * err / batch)
     for layer in range(net.num_layers - 1, -1, -1):
-        np.matmul(activations[layer].T, delta, out=grads_w[layer])
+        np.matmul(ws.inputs[layer].T, delta, out=blocks[layer])
         if layer > 0:
             below = np.matmul(delta, net.weights[layer].T, out=ws.deltas[layer - 1])
-            mask = np.greater(activations[layer], 0.0, out=ws.masks[layer - 1])
-            delta = np.multiply(below, mask, out=below)
-            np.add.reduce(delta, axis=0, out=grads_b[layer - 1])
-    return loss, grads
+            mask, live = ws.masks[layer - 1]
+            np.greater(ws.inputs[layer], 0.0, out=mask)
+            delta = np.multiply(below, live, out=below)
+    return loss, ws.grads if in_workspace else _split(blocks)
 
 
 class AdamState:

@@ -11,11 +11,15 @@ objects, batches assembled with ``np.stack`` and list comprehensions.  They
 are the oracle for the one-table ring in ``uavmec.deep``.
 
 ``ReferenceAdamState``, ``reference_forward_cached``,
-``reference_loss_and_grads`` and ``reference_adam_step`` are the original
-network step, kept unchanged: every temporary is a fresh array and Adam runs
-per parameter array.  With ``reference_train_step`` they are the oracle for
-the shared workspaces, the flat parameter and gradient vectors and the flat
-Adam update in ``uavmec.nnet``.
+``reference_loss_and_grads`` and ``reference_adam_step`` are the network step
+with every temporary a fresh array and Adam run per parameter array.  Each
+layer is the folded product ``[a | 1] @ [W ; b]`` built with ``np.hstack``
+and ``np.vstack``, and each bias gradient is the last row of ``[a | 1].T @
+delta``.  With ``reference_train_step`` they are the oracle for the shared
+workspaces, the folded layer blocks, the flat parameter and gradient vectors
+and the flat Adam update in ``uavmec.nnet``.  ``reference_unfolded_train_step``
+is the same step in the original arithmetic, ``a @ W + b`` and column sums
+for the bias gradients; it bounds how far the folding moved the rounding.
 
 ``reference_snapshots`` rebuilds every decision snapshot of an episode from
 the config and the event log, each field on its own at each decision.  It is
@@ -268,13 +272,21 @@ class ReferenceAdamState:
         self.v = [np.zeros_like(p) for p in params]
 
 
-def reference_forward_cached(net: MlpNetwork, x: np.ndarray):
-    """Batch forward keeping post-activation values per layer for backprop."""
+def _with_ones(a: np.ndarray) -> np.ndarray:
+    return np.hstack([a, np.ones((a.shape[0], 1))])
+
+
+def reference_forward_cached(net: MlpNetwork, x: np.ndarray, folded: bool = True):
+    """Batch forward keeping post-activation values per layer for backprop.
+
+    ``folded`` computes each layer as ``[a | 1] @ [W ; b]``, else as
+    ``a @ W + b``.
+    """
     activations = [np.asarray(x, dtype=np.float64)]
     last = net.num_layers - 1
     a = activations[0]
     for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w + b
+        a = _with_ones(a) @ np.vstack([w, b]) if folded else a @ w + b
         if layer != last:
             a = np.maximum(a, 0.0)
         activations.append(a)
@@ -282,14 +294,16 @@ def reference_forward_cached(net: MlpNetwork, x: np.ndarray):
 
 
 def reference_loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray,
-                             targets: np.ndarray):
+                             targets: np.ndarray, folded: bool = True):
     """MSE over the taken actions' Q-values, with gradients for every parameter.
 
     loss = mean_i (Q(s_i)[a_i] - y_i)^2.  Returns (loss, grads) with grads
-    ordered like net.parameters().
+    ordered like net.parameters().  ``folded`` takes each layer's weight and
+    bias gradients from one product ``[a | 1].T @ delta``, else the bias
+    gradient is ``delta``'s column sums.
     """
     batch = states.shape[0]
-    activations = reference_forward_cached(net, states)
+    activations = reference_forward_cached(net, states, folded)
     q = activations[-1]
     idx = np.arange(batch)
     taken = q[idx, actions]
@@ -302,8 +316,12 @@ def reference_loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.nd
     grads_b = [None] * net.num_layers
     for layer in range(net.num_layers - 1, -1, -1):
         a_prev = activations[layer]
-        grads_w[layer] = a_prev.T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+        if folded:
+            both = _with_ones(a_prev).T @ delta
+            grads_w[layer], grads_b[layer] = both[:-1], both[-1]
+        else:
+            grads_w[layer] = a_prev.T @ delta
+            grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ net.weights[layer].T) * (activations[layer] > 0.0)
     grads = []
@@ -327,16 +345,24 @@ def reference_adam_step(adam: ReferenceAdamState, params: list, grads: list) -> 
 
 
 def reference_train_step(net: MlpNetwork, adam: ReferenceAdamState, batch, gamma: float,
-                         target_net: MlpNetwork | None = None) -> float:
+                         target_net: MlpNetwork | None = None, folded: bool = True) -> float:
     """``uavmec.deep.train_batch`` on a ``TransitionBatch`` by the reference path."""
     live = np.where(batch.terminals, 0.0, 1.0)
     bootstrap_net = target_net if target_net is not None else net
-    next_q = reference_forward_cached(bootstrap_net, batch.next_states)[-1]
+    next_q = reference_forward_cached(bootstrap_net, batch.next_states, folded)[-1]
     targets = batch.rewards + gamma * live * next_q.max(axis=1)
 
-    loss, grads = reference_loss_and_grads(net, batch.states, batch.actions, targets)
+    loss, grads = reference_loss_and_grads(net, batch.states, batch.actions, targets, folded)
     reference_adam_step(adam, net.parameters(), grads)
     return loss
+
+
+def reference_unfolded_train_step(net: MlpNetwork, adam: ReferenceAdamState, batch, gamma: float,
+                                  target_net: MlpNetwork | None = None) -> float:
+    """The reference step with each layer as ``a @ W + b`` and each bias
+    gradient a column sum, as the network computed before its layers were
+    folded."""
+    return reference_train_step(net, adam, batch, gamma, target_net, folded=False)
 
 
 def reference_snapshots(cfg: AppConfig, result: EpisodeResult) -> list:

@@ -328,6 +328,16 @@ def test_loss_and_grads_refuses_actions_outside_the_outputs():
             loss_and_grads(net, states, np.array(bad), targets)
 
 
+def test_loss_and_grads_refuses_states_of_another_width():
+    # The batch is copied into the layer-0 input [a | 1], where a one-column
+    # batch would broadcast; it must be refused like any other width.
+    net = init_mlp([4, 5, 3], np.random.default_rng(11))
+    actions, targets = np.zeros(6, dtype=np.intp), np.zeros(6)
+    for states in (np.ones((6, 1)), np.ones((6, 5)), np.ones(4)):
+        with pytest.raises(ValueError):
+            loss_and_grads(net, states, actions, targets)
+
+
 def test_save_is_byte_equal_to_the_per_value_writer(tmp_path):
     """Parameters holding signed zeros, subnormals, huge and integral values
     write the text the per-value format(x, ".17g") writer wrote, and read
@@ -391,6 +401,47 @@ def test_cloned_network_tensors_view_its_own_vector(clone):
         assert np.array_equal(mine, theirs + 1.0)
     dup.copy_from(net)
     assert np.array_equal(dup.weights[1], net.weights[1])
+
+
+def same_view(a, b):
+    """``a`` and ``b`` view the same memory with the same shape and strides."""
+    return (a.__array_interface__["data"] == b.__array_interface__["data"]
+            and a.shape == b.shape and a.strides == b.strides)
+
+
+def assert_folded(net):
+    """Every layer's weights and biases are the rows of one (fan_in + 1,
+    fan_out) block ``[W ; b]`` of ``net.flat``, in layer order."""
+    offset = 0
+    for layer, (fan_in, fan_out) in enumerate(zip(net.dims[:-1], net.dims[1:])):
+        end = offset + (fan_in + 1) * fan_out
+        block = net.flat[offset:end].reshape(fan_in + 1, fan_out)
+        assert same_view(net.blocks[layer], block)
+        assert same_view(net.weights[layer], block[:-1])
+        assert same_view(net.biases[layer], block[-1])
+        assert net.weights[layer].base is net.flat and net.biases[layer].base is net.flat
+        offset = end
+    assert offset == net.flat.size
+
+
+@pytest.mark.parametrize("dims", [[6, 32, 32, 3], [10, 32, 32, 5]], ids=["desk", "paper"])
+def test_layers_are_folded_blocks_of_the_flat_vector(dims, tmp_path):
+    net = init_mlp(dims, np.random.default_rng(12))
+    save_mlp([net], str(tmp_path / "net.mlp"))
+    (loaded,), _ = load_mlp(str(tmp_path / "net.mlp"))
+    for clone in (net, net.copy(), copy.deepcopy(net), pickle.loads(pickle.dumps(net)), loaded):
+        assert_folded(clone)
+        assert clone.flat.tobytes() == net.flat.tobytes()
+
+
+@pytest.mark.parametrize("dims", [[6, 32, 32, 3], [10, 32, 32, 5]], ids=["desk", "paper"])
+def test_single_state_forward_is_bit_equal_to_its_one_row_batch(dims):
+    rng = np.random.default_rng(13)
+    net = init_mlp(dims, rng)
+    net.flat += rng.normal(scale=0.1, size=net.flat.size)  # nonzero biases
+    wide = rng.normal(size=(50, 2 * dims[0]))
+    for x in [*rng.normal(size=(50, dims[0])), *(row[::2] for row in wide), np.zeros(dims[0])]:
+        assert forward(net, x).tobytes() == forward(net, x[None])[0].tobytes()
 
 
 def test_constructor_refuses_tensors_that_do_not_fit_dims():
