@@ -13,11 +13,16 @@ The set, each command in a fresh process with one worker:
 
 - a desk ``compare`` of all five policies, with immediate and with deferred
   rewards (100 tabular and 5 deep training episodes, 5 evaluation episodes
-  on 3 seeds);
+  on 3 seeds), and the deferred one again without a terminal transition at
+  the episode end;
 - a paper ``evaluate --placements`` of rr, hef and qhef (2 seeds, 1 episode);
-- a 3-episode paper ``train`` of each learner.
+- a 3-episode paper ``train`` of each learner;
+- a 5-episode desk ``train`` of the deep learner on the extended state
+  layout with a target network (about 437 steps per agent, so at least two
+  target syncs).
 
-It takes about ten seconds on one core.
+Every setting is passed through ``UAVMEC_*`` variables, so the script runs
+unchanged on older checkouts.  It takes about fifteen seconds on one core.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ RUNS = [
      ["compare", "--config", DESK, "--policies", "rr,hef,qhef,qlearning,dql", "--seeds", "3"]),
     ("desk-compare-deferred", {**DESK_BUDGETS, "UAVMEC_MDP__DEFERRED_REWARD": "true"},
      ["compare", "--config", DESK, "--policies", "rr,hef,qhef,qlearning,dql", "--seeds", "3"]),
+    ("desk-compare-deferred-open-end",
+     {**DESK_BUDGETS, "UAVMEC_MDP__DEFERRED_REWARD": "true",
+      "UAVMEC_RL__TERMINAL_ON_EPISODE_END": "false"},
+     ["compare", "--config", DESK, "--policies", "rr,hef,qhef,qlearning,dql", "--seeds", "3"]),
     *[(f"paper-evaluate-{policy}", {},
        ["evaluate", "--config", PAPER, "--policy", policy, "--seeds", "2", "--episodes", "1",
         "--placements"])
@@ -52,6 +61,9 @@ RUNS = [
     *[(f"paper-train-{policy}", {},
        ["train", "--config", PAPER, "--policy", policy, "--episodes", "3"])
       for policy in ("qlearning", "dql")],
+    ("desk-train-dql-extended-target",
+     {"UAVMEC_MDP__STATE_LAYOUT": "extended", "UAVMEC_RL__TARGET_NETWORK": "true"},
+     ["train", "--config", DESK, "--policy", "dql", "--episodes", "5"]),
 ]
 
 

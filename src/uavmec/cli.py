@@ -17,7 +17,6 @@ from .config import (
     ConfigError,
     LEARNER_POLICIES,
     POLICY_NAMES,
-    STATE_LAYOUTS,
     config_hash,
     load_config,
 )
@@ -45,13 +44,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides sim.seed)")
     parser.add_argument("--out", help="output directory (overrides experiment.out_dir)")
-    parser.add_argument(
-        "--state-layout", choices=STATE_LAYOUTS, help="state vector layout for the deep agent"
-    )
-    parser.add_argument(
-        "--target-network", choices=("on", "off"),
-        help="bootstrap deep targets from a periodically synced copy",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,10 +93,6 @@ def _resolve_config(args) -> AppConfig:
         cfg.sim.seed = args.seed
     if getattr(args, "out", None) is not None:
         cfg.experiment.out_dir = args.out
-    if getattr(args, "state_layout", None) is not None:
-        cfg.mdp.state_layout = args.state_layout
-    if getattr(args, "target_network", None) is not None:
-        cfg.rl.target_network = args.target_network == "on"
     return cfg
 
 

@@ -123,7 +123,7 @@ def train_batch(
     targets = batch.rewards + gamma * (1.0 - batch.terminals) * best
 
     loss, grads = loss_and_grads(net, batch.states, batch.actions, targets, in_workspace=True)
-    # The flat vectors behind the views: no view needs checking at every step.
+    # The gradient views share one flat vector, which Adam takes whole.
     adam_step(adam, net.flat, grads[0].base)
     return loss
 
@@ -155,7 +155,7 @@ class DqlAgent:
         dims = [state_width, *rl.hidden_sizes, num_actions]
         self.net = init_mlp(dims, rng)
         self.adam = AdamState(
-            self.net.parameters(), lr=rl.adam_lr, beta1=rl.adam_beta1,
+            self.net.flat.size, lr=rl.adam_lr, beta1=rl.adam_beta1,
             beta2=rl.adam_beta2, eps=rl.adam_eps,
         )
         self.buffer = ReplayBuffer(rl.replay_capacity)

@@ -133,8 +133,8 @@ def _frozen_learners(policy: str, cfg: AppConfig, parsed: tuple, master_seed: in
         grid = agents[0].grid
         key_width = 1 + grid.num_units + grid.num_uavs
         for agent, table in zip(agents, models):
-            # load_qtable holds every row to the stored action count, and one
-            # grid made every key of a table, so the first entry stands for all.
+            # load_qtable holds every row to the stored action count and every
+            # key to the first key's width, so the first entry stands for all.
             for key, row in table.items():
                 if row.size != agent.num_actions or len(key) != key_width:
                     raise ValueError(
@@ -196,23 +196,23 @@ def train_policy(
     policy: str,
     episodes: int,
     master_seed: int,
-    seed_index: int = 0,
     checkpoint_dir=None,
     log_every: int = 0,
 ):
     """Train one learner for a fixed number of episodes.
 
     Returns (agents, reward_series) where reward_series[agent][episode] is the
-    agent's cumulative shaped reward in that episode.  Arrival streams differ
-    per episode but are fully determined by (master seed, seed index, episode).
+    agent's cumulative shaped reward in that episode.  Training runs on seed
+    index 0: arrival streams differ per episode but are fully determined by
+    (master seed, episode).
     """
     if policy not in LEARNER_POLICIES:
         raise ConfigError(f"policy {policy!r} does not train (expected one of {LEARNER_POLICIES})")
     if episodes < 1:
         raise ConfigError("training needs at least one episode")
-    agents = make_policies(policy, cfg, master_seed, seed_index)
+    agents = make_policies(policy, cfg, master_seed, 0)
     rl = cfg.rl
-    seed = arrival_seed(master_seed, seed_index)
+    seed = arrival_seed(master_seed, 0)
     rewards = [[] for _ in agents]
     every = cfg.experiment.checkpoint_every
     for ep in range(episodes):

@@ -17,11 +17,11 @@ class RoundRobinPolicy:
 
     wants_transitions = False
 
-    def __init__(self, num_units: int, start: int = 0):
+    def __init__(self, num_units: int):
         if num_units < 1:
             raise ValueError("round robin needs at least one unit")
         self.num_units = num_units
-        self.counter = start % num_units
+        self.counter = 0
 
     def select(self, snap: NetworkSnapshot) -> int:
         choice = self.counter

@@ -133,16 +133,14 @@ def _workspace(dims: list, rows: int) -> _Workspace:
 
 
 def forward(net: MlpNetwork, x) -> np.ndarray:
-    """Q-values for a single state (1-d input) or a batch (2-d input)."""
-    # A learner's state, one float64 row of the input width, runs as a
-    # one-row batch without the checks below.
-    if type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (net.dims[0],):
+    """Q-values for a single state (1-d input, run as a one-row batch) or a
+    batch (2-d input)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
         return forward_cached(net, x[None])[-1][0].copy()
-    ndim = np.ndim(x)
-    if ndim > 2:
-        raise ValueError(f"input has {ndim} dimensions, expected 1 or 2")
-    q = forward_cached(net, np.atleast_2d(np.asarray(x, dtype=np.float64)))[-1]
-    return q[0].copy() if ndim == 1 else q.copy()
+    if x.ndim != 2:
+        raise ValueError(f"input has {x.ndim} dimensions, expected 1 or 2")
+    return forward_cached(net, x)[-1].copy()
 
 
 def forward_cached(net: MlpNetwork, x: np.ndarray):
@@ -202,47 +200,31 @@ def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, tar
 class AdamState:
     """First/second moment accumulators with bias correction.
 
-    The moments and the update's two scratch vectors are flat, laid out like
-    the network's ``flat`` vector, so a step runs each operation once over
-    all parameters.
+    The moments and the update's two scratch vectors are flat, ``size``
+    entries laid out like the network's ``flat`` vector, so a step runs each
+    operation once over all parameters.
     """
 
-    def __init__(self, params: list, lr: float = 0.001, beta1: float = 0.9,
+    def __init__(self, size: int, lr: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        size = sum(p.size for p in params)
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self._step = np.zeros(size)
         self._denom = np.zeros(size)
 
 
-def _flat(tensors: list) -> np.ndarray:
-    """The one flat vector that ``tensors`` (as from ``MlpNetwork.parameters``
-    or ``loss_and_grads``) are views of."""
-    flat = tensors[0].base
-    if (flat is None or flat.ndim != 1 or any(t.base is not flat for t in tensors)
-            or sum(t.size for t in tensors) != flat.size):
-        raise ValueError("tensors are not views of one flat vector")
-    return flat
-
-
-def adam_step(adam: AdamState, params, grads) -> None:
-    """One in-place update of every parameter.
-
-    ``params`` and ``grads`` are each one flat vector laid out like the
-    network's ``flat``, or the views of one, as ``MlpNetwork.parameters`` and
-    ``loss_and_grads`` return them.
-    """
-    p = params if type(params) is np.ndarray else _flat(params)
-    g = grads if type(grads) is np.ndarray else _flat(grads)
-    if p.shape != adam.m.shape or g.shape != adam.m.shape:
-        raise ValueError(f"parameters {p.shape} and gradients {g.shape} do not fit "
-                         f"the optimizer's {adam.m.shape}")
+def adam_step(adam: AdamState, p: np.ndarray, g: np.ndarray) -> None:
+    """One in-place update of the flat parameter vector ``p`` (a network's
+    ``flat``) from the flat gradient vector ``g`` laid out like it."""
+    if not (isinstance(p, np.ndarray) and isinstance(g, np.ndarray)
+            and p.shape == g.shape == adam.m.shape):
+        raise ValueError(f"parameters and gradients do not fit the optimizer's "
+                         f"flat vector of shape {adam.m.shape}")
     adam.t += 1
     b1, b2 = adam.beta1, adam.beta2
     bias1 = 1.0 - b1**adam.t

@@ -173,7 +173,8 @@ def dump_qtable(agents: list[QlAgent], path: str, metadata: dict | None = None) 
 
 
 def _parse_table(header: str, body: list) -> dict:
-    """One agent's q-table; every row holds the header's action count.
+    """One agent's q-table; every row holds the header's action count and
+    every key as many entries as the block's first key.
 
     Each value is read once, in row order, into one list, and the table's
     rows are the rows of the one array made from it.
@@ -186,12 +187,18 @@ def _parse_table(header: str, body: list) -> dict:
         raise ValueError(f"q-table declares {num_states} states, holds {len(body)}")
     keys: dict = {}  # insertion-ordered, for the repeat check
     values: list = []
+    width = None
     for line in body:
         fields = line.split(" | ")
         if len(fields) != 2:
             raise ValueError("q-table row without one ' | '")
         key_txt, q_txt = fields
         key = tuple(map(int, key_txt.split(",")))
+        if width is None:
+            width = len(key)
+        elif len(key) != width:
+            raise ValueError(f"q-table key {key_txt} has {len(key)} entries, "
+                             f"the block's first key has {width}")
         if key in keys:
             raise ValueError(f"q-table repeats state key {key_txt}")
         keys[key] = None

@@ -6,8 +6,9 @@ alone, without touching the kernel's incremental bookkeeping.  It is the
 oracle for the violation flags and the battery levels.
 
 ``ReplayBuffer`` and ``train_batch`` below are the original object-list
-replay memory and batch step, kept unchanged: a list of ``Transition``
-objects, batches assembled with ``np.stack`` and list comprehensions.  They
+replay memory and batch step: a list of ``Transition`` objects, batches
+assembled with ``np.stack`` and list comprehensions, kept unchanged but for
+handing Adam the flat vectors behind the parameter and gradient views.  They
 are the oracle for the one-table ring in ``uavmec.deep``.
 
 ``ReferenceAdamState``, ``reference_forward_cached``,
@@ -254,7 +255,7 @@ def train_batch(
     targets = rewards + gamma * live * next_q.max(axis=1)
 
     loss, grads = loss_and_grads(net, states, actions, targets)
-    adam_step(adam, net.parameters(), grads)
+    adam_step(adam, net.flat, grads[0].base)
     return loss
 
 

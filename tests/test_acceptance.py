@@ -23,8 +23,8 @@ from uavmec.arrivals import arrival_rng, generate_arrivals
 from uavmec.cli import main
 from uavmec.config import load_config
 from uavmec.energy import MEC_BATTERY_SENTINEL
-from uavmec.exploration import epsilon_greedy
-from uavmec.harness import arrival_seed, make_policies, train_policy
+from uavmec.exploration import epsilon_greedy, epsilon_schedule
+from uavmec.harness import arrival_seed, make_policies
 from uavmec.mdp import NetworkSnapshot, assemble_reward, compute_reward_parts
 from uavmec.metrics import (
     convergence_episode,
@@ -173,6 +173,25 @@ def test_mlp_gradients_match_finite_differences_broadly():
 # --- desk-scale training: convergence speed and policy orderings ---------------
 
 
+def train_on_seed_index(cfg, policy, episodes, seed_index):
+    """The training loop of ``harness.train_policy``, which trains on seed
+    index 0, run on the learners and arrival streams of ``seed_index``."""
+    agents = make_policies(policy, cfg, MASTER_SEED, seed_index)
+    seed = arrival_seed(MASTER_SEED, seed_index)
+    rl = cfg.rl
+    rewards = [[] for _ in agents]
+    for ep in range(episodes):
+        eps = epsilon_schedule(
+            ep, episodes, rl.epsilon_start, rl.epsilon_end, rl.epsilon_decay_fraction
+        )
+        for agent in agents:
+            agent.epsilon = eps
+        result = run_episode(cfg, agents, seed, episode_index=ep)
+        for series, r in zip(rewards, result.cumulative_reward):
+            series.append(r)
+    return agents, rewards
+
+
 @pytest.fixture(scope="module")
 def plateau_training():
     """Train both learners to plateau on the desk setup, 5 seeds each.
@@ -188,9 +207,7 @@ def plateau_training():
         for seed_index in range(SPEEDUP_SEEDS):
             cfg = desk_config()
             cfg.rl.epsilon_decay_fraction = EPSILON_DECAY_EPISODES / budget
-            agents, rewards = train_policy(
-                cfg, policy, budget, MASTER_SEED, seed_index=seed_index
-            )
+            agents, rewards = train_on_seed_index(cfg, policy, budget, seed_index)
             mean_curve = list(np.mean(np.asarray(rewards), axis=0))
             smoothed, _, _ = moving_average(mean_curve, SMOOTH_WINDOW)
             threshold = plateau_threshold(smoothed, 0.9, 0.1)

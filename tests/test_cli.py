@@ -240,12 +240,14 @@ def test_evaluate_refuses_a_qtable_of_another_grid(tiny_config, tmp_path, monkey
     assert "checkpoint delay_bins is 48, config expects 8" in capsys.readouterr().err
 
 
-def test_evaluate_refuses_a_network_of_another_state_layout(tiny_config, tmp_path, capsys):
+def test_evaluate_refuses_a_network_of_another_state_layout(tiny_config, tmp_path, monkeypatch,
+                                                            capsys):
     out = tmp_path / "out"
+    monkeypatch.setenv("UAVMEC_MDP__STATE_LAYOUT", "extended")
     assert run([
         "train", "--policy", "dql", "--config", tiny_config, "--out", str(out), "--quiet",
-        "--state-layout", "extended",
     ]) == 0
+    monkeypatch.delenv("UAVMEC_MDP__STATE_LAYOUT")
     rc = run([
         "evaluate", "--policy", "dql", "--config", tiny_config,
         "--out", str(tmp_path / "eval"), "--checkpoint", str(out / "dql.ckpt"), "--seeds", "1",

@@ -88,7 +88,7 @@ def check_ring_against_oracle(target_network, capacity, pushes, train_every):
     data_rng = np.random.default_rng(5)
     init = init_mlp([width, 12, actions], np.random.default_rng(6))
     nets = [init.copy(), init.copy()]
-    adams = [AdamState(net.parameters()) for net in nets]
+    adams = [AdamState(net.flat.size) for net in nets]
     targets = [init.copy(), init.copy()] if target_network else [None, None]
     rngs = [np.random.default_rng(7), np.random.default_rng(7)]
     buffers = [ReplayBuffer(capacity), oracle.ReplayBuffer(capacity)]
@@ -165,7 +165,7 @@ def test_train_batch_is_byte_equal_to_the_reference_step(target_network, batch_s
     inits = [init_mlp([width, 16, 16, actions], np.random.default_rng(s)) for s in (22, 23)]
     nets = [net.copy() for net in inits]
     refs = [net.copy() for net in inits]
-    adams = [AdamState(net.parameters(), lr=0.01) for net in nets]
+    adams = [AdamState(net.flat.size, lr=0.01) for net in nets]
     ref_adams = [oracle.ReferenceAdamState(net.parameters(), lr=0.01) for net in refs]
     targets = [net.copy() for net in inits] if target_network else [None, None]
     for step in range(60):
@@ -192,7 +192,7 @@ def test_folded_step_stays_within_rounding_of_the_unfolded_step(target_network):
     data_rng = np.random.default_rng(31)
     init = init_mlp([width, 16, 16, actions], np.random.default_rng(32))
     net, ref = init.copy(), init.copy()
-    adam = AdamState(net.parameters(), lr=0.01)
+    adam = AdamState(net.flat.size, lr=0.01)
     ref_adam = oracle.ReferenceAdamState(ref.parameters(), lr=0.01)
     target = init.copy() if target_network else None
     for step in range(60):
@@ -263,7 +263,7 @@ def test_gamma_zero_targets_are_rewards():
     actions = np.array([t.action for t in transitions])
     before = forward(net, states)[np.arange(4), actions]
     rewards = np.array([t.reward for t in transitions])
-    loss = train_batch(net, AdamState(net.parameters()), batch_of(transitions), gamma=0.0)
+    loss = train_batch(net, AdamState(net.flat.size), batch_of(transitions), gamma=0.0)
     # Pre-step loss is the MSE against the plain rewards.
     assert loss == pytest.approx(float(np.mean((before - rewards) ** 2)))
 
@@ -274,7 +274,7 @@ def test_terminal_transitions_do_not_bootstrap():
     net = zero_net([4, 2])
     net.biases[0][:] = 1000.0
     batch = batch_of([make_transition(0, action=0, reward=3.0, terminal=True)])
-    loss = train_batch(net, AdamState(net.parameters()), batch, gamma=0.9)
+    loss = train_batch(net, AdamState(net.flat.size), batch, gamma=0.9)
     # prediction 1000 vs target 3: loss = 997^2
     assert loss == pytest.approx(997.0**2)
 
@@ -283,7 +283,7 @@ def test_live_transitions_bootstrap_from_max_next_q():
     net = zero_net([4, 2])
     net.biases[0][:] = [1.0, 5.0]
     batch = batch_of([make_transition(0, action=0, reward=3.0, terminal=False)])
-    loss = train_batch(net, AdamState(net.parameters()), batch, gamma=0.5)
+    loss = train_batch(net, AdamState(net.flat.size), batch, gamma=0.5)
     # target = 3 + 0.5 * max(1, 5) = 5.5; prediction = 1.
     assert loss == pytest.approx(4.5**2)
 
@@ -294,7 +294,7 @@ def test_bootstrap_uses_target_network_when_given():
     frozen = zero_net([4, 2])
     frozen.biases[0][:] = [0.0, 2.0]
     batch = batch_of([make_transition(0, action=0, reward=3.0, terminal=False)])
-    loss = train_batch(net, AdamState(net.parameters()), batch, gamma=0.5, target_net=frozen)
+    loss = train_batch(net, AdamState(net.flat.size), batch, gamma=0.5, target_net=frozen)
     # target = 3 + 0.5 * max over the FROZEN net = 3 + 1 = 4; prediction = 1.
     assert loss == pytest.approx(3.0**2)
 

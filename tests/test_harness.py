@@ -287,6 +287,8 @@ def test_checkpoint_without_an_agent_count_is_refused(tmp_path, capsys, count_li
      "could not convert string to float: 'zz'"),
     (load_qtable, "agents 1\nagent 0 actions 2 states 3\n1,2 | 0 1\n1,3 | zz 2\n1,3 | 4\n",
      "could not convert string to float: 'zz'"),
+    (load_qtable, "agents 1\nagent 0 actions 1 states 3\n1,2 | 0\n1,3 | 1\n1,2,4 | 2\n",
+     "q-table key 1,2,4 has 3 entries, the block's first key has 2"),
     (load_mlp, "agents 1\nagent 0 dims 10 x 5\n", "invalid literal for int() with base 10: 'x'"),
     (load_mlp, "agents 1\nagent 0 dims 5\n", "mlp header 'dims 5' does not fit 0 tensor lines"),
     (load_mlp, "agents 1\nagent 0 dims 1 1\ntensor w0 1x1 1 2\ntensor b0 1 0\n",
@@ -295,6 +297,7 @@ def test_checkpoint_without_an_agent_count_is_refused(tmp_path, capsys, count_li
         "repeated-state-key", "header-count-not-a-number", "key-not-a-number",
         "q-value-not-a-number", "mid-block-row-too-short", "mid-block-repeated-key",
         "mid-block-q-value-not-a-number", "mid-block-q-value-before-repeated-key",
+        "key-width-differs",
         "mlp-dims-not-a-number", "mlp-without-layers",
         "tensor-values-do-not-fit-shape"])
 def test_malformed_checkpoint_lines_are_refused_with_the_path(tmp_path, capsys, load, text,

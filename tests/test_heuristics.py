@@ -57,13 +57,6 @@ def test_round_robin_cycles_all_units():
     assert picks == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1]
 
 
-def test_round_robin_start_offset_wraps():
-    policy = RoundRobinPolicy(num_units=5, start=3)
-    snap = make_snapshot()
-    assert [policy.select(snap) for _ in range(4)] == [3, 4, 0, 1]
-    assert RoundRobinPolicy(num_units=5, start=7).select(snap) == 2
-
-
 def test_round_robin_rejects_empty_fleet():
     with pytest.raises(ValueError):
         RoundRobinPolicy(num_units=0)

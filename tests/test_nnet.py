@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from helpers import reference_tensor_line
+from helpers import ReferenceAdamState, reference_adam_step, reference_tensor_line
 from uavmec.checkpoint import write_checkpoint
 from uavmec.nnet import (
     CHECKPOINT_MAGIC,
@@ -75,6 +75,9 @@ def test_forward_rejects_wrong_width():
         forward(net, np.zeros((5, 2)))
     with pytest.raises(ValueError):
         forward(zero_net([10, 3]), np.zeros((2, 10, 10)))
+    for x in (np.zeros(()), 0.0, np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError, match="dimensions, expected 1 or 2"):
+            forward(net, x)
 
 
 def test_results_are_not_overwritten_by_later_calls_of_the_same_shape():
@@ -199,9 +202,9 @@ def test_adam_first_step_is_signed_learning_rate():
     # the epsilon regularizer.
     net = zero_net([1, 1])
     params = net.parameters()
-    adam = AdamState(params, lr=0.001)
+    adam = AdamState(net.flat.size, lr=0.001)
     gradient = MlpNetwork([1, 1], [np.array([[0.5]])], [np.array([-2.0])])
-    adam_step(adam, params, gradient.parameters())
+    adam_step(adam, net.flat, gradient.flat)
     assert params[0][0, 0] == pytest.approx(-0.001, rel=1e-6)
     assert params[1][0] == pytest.approx(0.001, rel=1e-6)
 
@@ -211,8 +214,8 @@ def test_adam_zero_grad_keeps_params_exactly():
     net = init_mlp([3, 4, 2], rng)
     before = [p.copy() for p in net.parameters()]
     params = net.parameters()
-    adam = AdamState(params)
-    adam_step(adam, params, zero_net([3, 4, 2]).parameters())
+    adam = AdamState(net.flat.size)
+    adam_step(adam, net.flat, zero_net([3, 4, 2]).flat)
     for b, p in zip(before, params):
         assert np.array_equal(b, p)
 
@@ -223,14 +226,14 @@ def full_net(dims, value):
 
 
 def test_adam_equal_grads_give_equal_updates():
-    p1 = full_net([2, 2], 3.0).parameters()
-    p2 = full_net([2, 2], 3.0).parameters()
-    a1 = AdamState(p1, lr=0.01)
-    a2 = AdamState(p2, lr=0.01)
-    g = full_net([2, 2], 0.7).parameters()
+    n1, n2 = full_net([2, 2], 3.0), full_net([2, 2], 3.0)
+    p1, p2 = n1.parameters(), n2.parameters()
+    a1 = AdamState(n1.flat.size, lr=0.01)
+    a2 = AdamState(n2.flat.size, lr=0.01)
+    g = full_net([2, 2], 0.7).flat
     for _ in range(5):
-        adam_step(a1, p1, g)
-        adam_step(a2, p2, g)
+        adam_step(a1, n1.flat, g)
+        adam_step(a2, n2.flat, g)
     for mine, theirs in zip(p1, p2):
         assert np.array_equal(mine, theirs)
     # All entries saw the same gradient history, so they stay equal.
@@ -238,33 +241,43 @@ def test_adam_equal_grads_give_equal_updates():
 
 
 def test_adam_refuses_tensors_that_are_not_views_of_one_vector():
-    net = zero_net([2, 2])
-    params = net.parameters()
-    adam = AdamState(params)
-    loose = [np.zeros((2, 2)), np.zeros(2)]  # right shapes, but separate arrays
-    for p, g in ((params, loose), (loose, params), (params, params[:1])):
-        with pytest.raises(ValueError, match="views of one flat vector"):
+    # Adam takes the flat vectors themselves: a list of views, or a vector
+    # of another length, is refused and nothing moves.
+    net = full_net([2, 2], 1.0)
+    adam = AdamState(net.flat.size)
+    adam_step(adam, net.flat, np.full(6, 0.5))
+    before = [net.flat.copy(), adam.m.copy(), adam.v.copy()]
+    grads = full_net([2, 2], 0.5)
+    for p, g in ((net.parameters(), grads.flat), (net.flat, grads.parameters()),
+                 (net.flat, np.zeros(5))):
+        with pytest.raises(ValueError, match="do not fit"):
             adam_step(adam, p, g)
-    assert np.array_equal(net.flat, np.zeros(6))
+    assert adam.t == 1
+    for mine, theirs in zip(before, (net.flat, adam.m, adam.v)):
+        assert mine.tobytes() == theirs.tobytes()
 
 
 def test_adam_on_flat_vectors_equals_adam_on_their_views():
+    # The flat step against the per-array oracle on the views of the same
+    # values: equal bit for bit, parameters and moments.
     rng = np.random.default_rng(14)
     net = init_mlp([3, 5, 2], rng)
     twin = net.copy()
-    adam, twin_adam = AdamState(net.parameters()), AdamState(twin.parameters())
+    adam = AdamState(net.flat.size)
+    ref_adam = ReferenceAdamState(twin.parameters())
     for _ in range(4):
-        grads = init_mlp([3, 5, 2], rng).parameters()
-        adam_step(adam, net.parameters(), grads)
-        adam_step(twin_adam, twin.flat, grads[0].base)
+        grads = init_mlp([3, 5, 2], rng)
+        adam_step(adam, net.flat, grads.flat)
+        reference_adam_step(ref_adam, twin.parameters(), grads.parameters())
     assert net.flat.tobytes() == twin.flat.tobytes()
-    assert adam.m.tobytes() == twin_adam.m.tobytes()
-    assert adam.v.tobytes() == twin_adam.v.tobytes()
+    assert adam.t == ref_adam.t
+    assert adam.m.tobytes() == np.concatenate([m.reshape(-1) for m in ref_adam.m]).tobytes()
+    assert adam.v.tobytes() == np.concatenate([v.reshape(-1) for v in ref_adam.v]).tobytes()
 
 
 def test_adam_refuses_flat_vectors_of_another_size():
     net = zero_net([2, 2])
-    adam = AdamState(net.parameters())
+    adam = AdamState(net.flat.size)
     for p, g in ((net.flat, np.zeros(5)), (np.zeros(7), np.zeros(6)), (net.flat, np.zeros((6, 1)))):
         with pytest.raises(ValueError, match="do not fit"):
             adam_step(adam, p, g)
@@ -294,12 +307,11 @@ def test_training_drives_loss_down_on_frozen_batch():
     states = rng.normal(size=(32, 4))
     actions = rng.integers(0, 3, size=32)
     targets = rng.normal(size=32)
-    params = net.parameters()
-    adam = AdamState(params, lr=0.01)
+    adam = AdamState(net.flat.size, lr=0.01)
     first, _ = loss_and_grads(net, states, actions, targets)
     for _ in range(200):
         _, grads = loss_and_grads(net, states, actions, targets)
-        adam_step(adam, params, grads)
+        adam_step(adam, net.flat, grads[0].base)
     final, _ = loss_and_grads(net, states, actions, targets)
     assert final < 0.01 * first
 
@@ -441,7 +453,9 @@ def test_single_state_forward_is_bit_equal_to_its_one_row_batch(dims):
     net.flat += rng.normal(scale=0.1, size=net.flat.size)  # nonzero biases
     wide = rng.normal(size=(50, 2 * dims[0]))
     for x in [*rng.normal(size=(50, dims[0])), *(row[::2] for row in wide), np.zeros(dims[0])]:
-        assert forward(net, x).tobytes() == forward(net, x[None])[0].tobytes()
+        q = forward(net, x).tobytes()
+        assert q == forward(net, x[None])[0].tobytes()
+        assert q == forward(net, x.tolist()).tobytes() == forward(net, tuple(x)).tobytes()
 
 
 def test_constructor_refuses_tensors_that_do_not_fit_dims():
