@@ -9,12 +9,15 @@ on two checkouts and diff the results:
     python3 scripts/output_digests.py > after.txt    # in the new one
     diff before.txt after.txt
 
-The set, each command in a fresh process with one worker:
+The set, each command in a fresh process with one worker unless its own
+environment sets ``UAVMEC_EXPERIMENT__WORKERS``:
 
 - a desk ``compare`` of all five policies, with immediate and with deferred
   rewards (100 tabular and 5 deep training episodes, 5 evaluation episodes
   on 3 seeds), and the deferred one again without a terminal transition at
   the episode end;
+- the immediate desk ``compare`` again with two workers, whose file digests
+  must equal the one-worker run's (the config hash leaves ``workers`` out);
 - a paper ``evaluate --placements`` of rr, hef and qhef (2 seeds, 1 episode);
 - a 3-episode paper ``train`` of each learner;
 - a 5-episode desk ``train`` of the deep learner on the extended state
@@ -48,6 +51,8 @@ DESK_BUDGETS = {
 RUNS = [
     ("desk-compare-immediate", DESK_BUDGETS,
      ["compare", "--config", DESK, "--policies", "rr,hef,qhef,qlearning,dql", "--seeds", "3"]),
+    ("desk-compare-immediate-two-workers", {**DESK_BUDGETS, "UAVMEC_EXPERIMENT__WORKERS": "2"},
+     ["compare", "--config", DESK, "--policies", "rr,hef,qhef,qlearning,dql", "--seeds", "3"]),
     ("desk-compare-deferred", {**DESK_BUDGETS, "UAVMEC_MDP__DEFERRED_REWARD": "true"},
      ["compare", "--config", DESK, "--policies", "rr,hef,qhef,qlearning,dql", "--seeds", "3"]),
     ("desk-compare-deferred-open-end",
@@ -71,8 +76,8 @@ def run(name: str, extra_env: dict, args: list, work: Path) -> list:
     """Run one command into ``work/name``; its digest and stdout lines."""
     out = work / name
     env = {k: v for k, v in os.environ.items() if not k.startswith("UAVMEC_")}
-    env.update(extra_env)
     env["UAVMEC_EXPERIMENT__WORKERS"] = "1"
+    env.update(extra_env)
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "uavmec.cli", *args, "--seed", SEED, "--out", str(out)],

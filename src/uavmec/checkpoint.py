@@ -44,16 +44,20 @@ def write_checkpoint(path, magic: str, metadata: dict | None, blocks: list) -> N
 
 
 def read_magic(path) -> str:
-    """The first line of a file, which names a checkpoint's format."""
-    with open(path) as fh:
+    """The first line of a file, which names a checkpoint's format.  A byte
+    that is not UTF-8 reads as U+FFFD, so such a line names no format."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
         return fh.readline().strip()
 
 
 def read_checkpoint(path, magic: str, parse_block) -> tuple[dict, list]:
     """(metadata, ``parse_block(header, body lines)`` of each agent) of a
     ``magic`` file; a ``parse_block`` ValueError is raised again with the path."""
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ValueError(f"malformed checkpoint, not UTF-8 text: {path}") from None
     lines = text.splitlines()
     if not lines or lines[0] != magic:
         raise ValueError(f"not a {magic} checkpoint: {path}")

@@ -382,7 +382,8 @@ def load_config(path: str | None = None, env=None) -> AppConfig:
     cfg = AppConfig()
     file_sections: dict = {}
     if path is not None:
-        with open(path) as fh:
+        # Bytes, so that PyYAML decodes them and names the file in a decode error.
+        with open(path, "rb") as fh:
             file_sections = _load_yaml(fh, path) or {}
         if not isinstance(file_sections, dict):
             raise ConfigError("config file must contain a mapping of sections")

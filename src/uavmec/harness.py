@@ -3,7 +3,10 @@
 Seed policy: arrival streams depend only on (master seed, seed index), so all
 policies face identical workloads seed by seed (paired comparison); agent
 streams additionally hash in the policy name, so learners and rolls are
-decorrelated across policies.
+decorrelated across policies.  A frozen learner (epsilon 0, no reward
+pipeline) draws nothing from its stream and never writes to its q-table or
+network, so evaluation shares the learners frozen from one checkpoint across
+all of its seeds.
 """
 
 from __future__ import annotations
@@ -104,22 +107,11 @@ def _read_checkpoint(policy: str, checkpoint) -> tuple[list, dict]:
 
 
 def load_policies(policy: str, cfg: AppConfig, checkpoint, master_seed: int, seed_index: int) -> list:
-    """Policies ready for evaluation; learners are loaded frozen and greedy."""
+    """Policies ready for evaluation; learners are loaded frozen and greedy,
+    so one list of them serves every seed of an evaluation."""
     if policy not in LEARNER_POLICIES:
         return make_policies(policy, cfg, master_seed, seed_index)
-    return _frozen_learners(
-        policy, cfg, _read_checkpoint(policy, checkpoint), master_seed, seed_index
-    )
-
-
-def _frozen_learners(policy: str, cfg: AppConfig, parsed: tuple, master_seed: int,
-                     seed_index: int) -> list:
-    """Fresh learners holding a parsed checkpoint's models, frozen and greedy.
-
-    Frozen agents never write to their q-table or network, so agents built
-    from one parse may share its models.
-    """
-    models, meta = parsed
+    models, meta = _read_checkpoint(policy, checkpoint)
     agents = make_policies(policy, cfg, master_seed, seed_index)
     for key, value in agents[0].input_meta.items():
         if meta.get(key) != str(value):
@@ -237,11 +229,9 @@ def train_policy(
 
 
 def _eval_job(args):
-    cfg, policy, master_seed, seed_index, episodes_per_seed, parsed, keep_first = args
-    if parsed is None:
+    cfg, policy, master_seed, seed_index, episodes_per_seed, policies, keep_first = args
+    if policies is None:  # a heuristic: fresh policies for this seed
         policies = make_policies(policy, cfg, master_seed, seed_index)
-    else:
-        policies = _frozen_learners(policy, cfg, parsed, master_seed, seed_index)
     seed = arrival_seed(master_seed, seed_index)
     episodes = [
         run_episode(cfg, policies, seed, episode_index=ep) for ep in range(episodes_per_seed)
@@ -253,18 +243,20 @@ def _eval_job(args):
 def evaluate_many(cfg: AppConfig, jobs: list, workers: int = 1, first_episode: bool = False):
     """Run (policy, seed, checkpoint) evaluation jobs, optionally in parallel.
 
-    Each distinct learner checkpoint is parsed once, here, and shared by its
-    jobs.  Results come back in job order regardless of worker scheduling, so
-    reports stay deterministic.  Returns the jobs' ``RunMetrics``; with
+    Each distinct learner checkpoint is loaded once, here, with the seeds of
+    its first job, and all its jobs share the frozen learners.  Results come
+    back in job order regardless of worker scheduling, so reports stay
+    deterministic.  Returns the jobs' ``RunMetrics``; with
     ``first_episode``, returns ``(runs, result)`` where ``result`` is the
     ``EpisodeResult`` of the first job's first episode.
     """
-    parsed: dict = {}
-    for policy, _, _, _, checkpoint in jobs:
-        if policy in LEARNER_POLICIES and (policy, checkpoint) not in parsed:
-            parsed[policy, checkpoint] = _read_checkpoint(policy, checkpoint)
+    frozen: dict = {}
+    for policy, master_seed, seed_index, _, checkpoint in jobs:
+        if policy in LEARNER_POLICIES and (policy, checkpoint) not in frozen:
+            frozen[policy, checkpoint] = load_policies(
+                policy, cfg, checkpoint, master_seed, seed_index)
     args = [
-        (cfg, policy, master_seed, seed_index, episodes, parsed.get((policy, checkpoint)),
+        (cfg, policy, master_seed, seed_index, episodes, frozen.get((policy, checkpoint)),
          first_episode and i == 0)
         for i, (policy, master_seed, seed_index, episodes, checkpoint) in enumerate(jobs)
     ]

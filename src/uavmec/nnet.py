@@ -51,23 +51,16 @@ class MlpNetwork:
         if ([np.shape(w) for w in weights] != layers
                 or [np.shape(b) for b in biases] != [(n_out,) for _, n_out in layers]):
             raise ValueError(f"weight or bias shapes do not fit dims {self.dims}")
-        self._bind(np.concatenate(
-            [p.reshape(-1) for pair in zip(weights, biases) for p in pair], dtype=np.float64))
-
-    def _bind(self, flat: np.ndarray) -> None:
-        self.flat = flat
-        self.blocks = _blocks(flat, self.dims)
+        self.flat = np.concatenate(
+            [p.reshape(-1) for pair in zip(weights, biases) for p in pair], dtype=np.float64)
+        self.blocks = _blocks(self.flat, self.dims)
         self.weights = [block[:-1] for block in self.blocks]
         self.biases = [block[-1] for block in self.blocks]
 
-    # Copies and pickles carry the vector only, so that the views of the
+    # Copies and pickles rebuild through the constructor, so the views of the
     # restored network alias its own vector.
-    def __getstate__(self) -> dict:
-        return {"dims": self.dims, "flat": self.flat}
-
-    def __setstate__(self, state: dict) -> None:
-        self.dims = state["dims"]
-        self._bind(state["flat"])
+    def __reduce__(self):
+        return MlpNetwork, (self.dims, self.weights, self.biases)
 
     @property
     def num_layers(self) -> int:
@@ -252,12 +245,16 @@ def _tensor_line(name: str, tensor: np.ndarray) -> str:
 
 
 def _read_tensor(line: str, name: str, shape: tuple) -> np.ndarray:
-    """The values of a tensor line, which must name ``name`` and ``shape``."""
+    """The values of a tensor line, which must name ``name`` and ``shape``
+    and hold finite numbers only."""
     head = f"tensor {name} {'x'.join(map(str, shape))} "
     if not line.startswith(head):
         raise ValueError(f"tensor line {line[:len(head)]!r} where {head!r} belongs")
     values = line[len(head):].split(" ")
-    return np.array(list(map(float, values)), dtype=np.float64).reshape(shape)
+    tensor = np.array(list(map(float, values)), dtype=np.float64).reshape(shape)
+    if not np.isfinite(tensor).all():
+        raise ValueError(f"tensor {name} holds a non-finite value")
+    return tensor
 
 
 def save_mlp(nets: list, path: str, metadata: dict | None = None) -> None:

@@ -173,8 +173,8 @@ def dump_qtable(agents: list[QlAgent], path: str, metadata: dict | None = None) 
 
 
 def _parse_table(header: str, body: list) -> dict:
-    """One agent's q-table; every row holds the header's action count and
-    every key as many entries as the block's first key.
+    """One agent's q-table; every row holds the header's action count of
+    finite Q-values and every key as many entries as the block's first key.
 
     Each value is read once, in row order, into one list, and the table's
     rows are the rows of the one array made from it.
@@ -209,6 +209,10 @@ def _parse_table(header: str, body: list) -> dict:
     if not keys:
         return {}
     rows = np.array(values, dtype=np.float64).reshape(len(keys), num_actions)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        key = list(keys)[finite.all(axis=1).argmin()]
+        raise ValueError(f"q-table row {','.join(map(str, key))} holds a non-finite Q-value")
     return dict(zip(keys, rows))
 
 

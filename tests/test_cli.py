@@ -542,10 +542,12 @@ def test_badly_typed_config_value_exits_2(tiny_config, tmp_path, monkeypatch, ca
 
 def test_unparsable_config_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("sim: [\n")
-    rc = run(["evaluate", "--policy", "rr", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith(f"config error: {bad} is not valid YAML")
+    # YAML that does not parse, and a comment that is not UTF-8.
+    for content in (b"sim: [\n", b"sim:\n  num_uavs: 2\n# caf\xe9\n"):
+        bad.write_bytes(content)
+        rc = run(["evaluate", "--policy", "rr", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {bad} is not valid YAML")
 
 
 @pytest.mark.parametrize("seed", [None, "3"], ids=["no-env", "env"])

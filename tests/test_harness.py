@@ -293,18 +293,29 @@ def test_checkpoint_without_an_agent_count_is_refused(tmp_path, capsys, count_li
     (load_mlp, "agents 1\nagent 0 dims 5\n", "mlp header 'dims 5' does not fit 0 tensor lines"),
     (load_mlp, "agents 1\nagent 0 dims 1 1\ntensor w0 1x1 1 2\ntensor b0 1 0\n",
      "cannot reshape array of size 2 into shape (1,1)"),
+    # "\udcff" is written as the byte 0xff, which is not UTF-8.
+    (load_qtable, "agents 1\nagent 0 actions 2 states 2\n1,2 | 0 1\n1,3 | 2 3\udcff\n",
+     "not UTF-8 text"),
+    (load_mlp, "agents 1\nagent 0 dims 1 1\ntensor w0 1x1 1\udcff\ntensor b0 1 0\n",
+     "not UTF-8 text"),
+    (load_qtable, "agents 1\nagent 0 actions 2 states 2\n1,2 | 0 1\n1,3 | inf 2\n",
+     "q-table row 1,3 holds a non-finite Q-value"),
+    (load_mlp, "agents 1\nagent 0 dims 1 1\ntensor w0 1x1 nan\ntensor b0 1 0\n",
+     "tensor w0 holds a non-finite value"),
 ], ids=["meta-without-equals", "agent-without-header", "row-without-separator",
         "repeated-state-key", "header-count-not-a-number", "key-not-a-number",
         "q-value-not-a-number", "mid-block-row-too-short", "mid-block-repeated-key",
         "mid-block-q-value-not-a-number", "mid-block-q-value-before-repeated-key",
         "key-width-differs",
         "mlp-dims-not-a-number", "mlp-without-layers",
-        "tensor-values-do-not-fit-shape"])
+        "tensor-values-do-not-fit-shape",
+        "q-table-row-not-utf8", "tensor-line-not-utf8",
+        "q-value-infinite", "tensor-value-nan"])
 def test_malformed_checkpoint_lines_are_refused_with_the_path(tmp_path, capsys, load, text,
                                                                message):
     path = tmp_path / "malformed.ckpt"
     magic = {load_qtable: tabular.QTABLE_MAGIC, load_mlp: nnet.CHECKPOINT_MAGIC}[load]
-    path.write_text(f"{magic}\n{text}")
+    path.write_bytes(f"{magic}\n{text}".encode(errors="surrogateescape"))
     with pytest.raises(ValueError, match=re.escape(f"malformed checkpoint, {message}: {path}")):
         load(str(path))
     assert main(["inspect-checkpoint", str(path)]) == 1
@@ -315,9 +326,11 @@ def test_malformed_checkpoint_lines_are_refused_with_the_path(tmp_path, capsys, 
 
 def test_checkpoint_kind_rejects_other_files(tmp_path):
     path = tmp_path / "nonsense.ckpt"
-    path.write_text("hello\n")
-    with pytest.raises(ValueError):
-        checkpoint_kind(path)
+    # Text, and a first line that is not UTF-8, as a PNG file's is.
+    for content in (b"hello\n", b"\x89PNG\r\n\x1a\n\x00\x00"):
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"unrecognized checkpoint format: {path}")):
+            checkpoint_kind(path)
 
 
 def test_inspect_checkpoint_summarizes(desk_cfg, tmp_path):
@@ -360,41 +373,47 @@ def test_evaluate_policy_is_deterministic_and_paired(desk_cfg):
 
 
 def test_evaluation_leaves_learners_frozen(desk_cfg, tmp_path):
-    agents, _ = train_policy(desk_cfg, "qlearning", 2, master_seed=1)
-    path = tmp_path / "q.ckpt"
-    save_checkpoint("qlearning", agents, path, desk_cfg, 1, 2)
-    loaded = load_policies("qlearning", desk_cfg, str(path), 1, 0)
-    tables_before = [{k: v.copy() for k, v in a.table.items()} for a in loaded]
-    run_episode(desk_cfg, loaded, arrival_seed(1, 1000))
-    for agent, before in zip(loaded, tables_before):
-        assert set(agent.table) == set(before)
-        for k in before:
-            assert np.array_equal(agent.table[k], before[k])
+    def state(agent):
+        """What a frozen learner must not change: its stream, epsilon and model."""
+        if isinstance(agent, DqlAgent):
+            model = agent.net.flat.tobytes()
+        else:
+            model = {k: v.tobytes() for k, v in agent.table.items()}
+        return agent.rng.bit_generator.state, agent.epsilon, model
+
+    for policy in ("qlearning", "dql"):
+        agents, _ = train_policy(desk_cfg, policy, 2, master_seed=1)
+        path = tmp_path / f"{policy}.ckpt"
+        save_checkpoint(policy, agents, path, desk_cfg, 1, 2)
+        loaded = load_policies(policy, desk_cfg, str(path), 1, 0)
+        before = [state(a) for a in loaded]
+        # One list serves every seed, as in evaluate_many.
+        for seed_index in (0, 1):
+            run_episode(desk_cfg, loaded, arrival_seed(1, seed_index))
+        assert [state(a) for a in loaded] == before
 
 
 def test_evaluation_parses_each_checkpoint_once(desk_cfg, tmp_path, monkeypatch):
-    agents, _ = train_policy(desk_cfg, "qlearning", 2, master_seed=1)
-    path = tmp_path / "q.ckpt"
-    save_checkpoint("qlearning", agents, path, desk_cfg, 1, 2)
-    parses = []
-    original = harness.load_qtable
-
-    def counting_load(p):
-        parses.append(p)
-        return original(p)
-
-    monkeypatch.setattr(harness, "load_qtable", counting_load)
-    runs = evaluate(desk_cfg, "qlearning", range(3), checkpoint=str(path))
-    assert len(parses) == 1
-    jobs = [(p, 1, s, 1, str(path) if p == "qlearning" else None)
-            for p in ("qlearning", "rr") for s in range(2)]
-    assert evaluate_many(desk_cfg, jobs)[:2] == runs[:2]
-    assert len(parses) == 2
+    paths = {}
+    for policy in ("qlearning", "dql"):
+        agents, _ = train_policy(desk_cfg, policy, 2, master_seed=1)
+        paths[policy] = str(tmp_path / f"{policy}.ckpt")
+        save_checkpoint(policy, agents, paths[policy], desk_cfg, 1, 2)
+    parses = {name: count_calls(monkeypatch, harness, name)
+              for name in ("load_qtable", "load_mlp")}
+    jobs = [(p, 1, s, 1, paths.get(p)) for p in ("qlearning", "rr", "dql") for s in range(3)]
+    by_workers = []
+    for workers in (1, 2):
+        for calls in parses.values():
+            calls.clear()
+        by_workers.append(evaluate_many(desk_cfg, jobs, workers=workers))
+        assert [len(calls) for calls in parses.values()] == [1, 1]
+    assert by_workers[0] == by_workers[1]
     # The same results as loading the checkpoint afresh for every seed.
-    for seed_index, run in enumerate(runs):
-        policies = load_policies("qlearning", desk_cfg, str(path), 1, seed_index)
+    for (policy, _, seed_index, _, checkpoint), run in zip(jobs, by_workers[0]):
+        policies = load_policies(policy, desk_cfg, checkpoint, 1, seed_index)
         episode = run_episode(desk_cfg, policies, arrival_seed(1, seed_index))
-        assert run == metrics_from_episodes("qlearning", seed_index, [episode])
+        assert run == metrics_from_episodes(policy, seed_index, [episode])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
