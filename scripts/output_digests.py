@@ -19,7 +19,8 @@ environment sets ``UAVMEC_EXPERIMENT__WORKERS``:
 - the immediate desk ``compare`` again with two workers, whose file digests
   must equal the one-worker run's (the config hash leaves ``workers`` out);
 - a paper ``evaluate --placements`` of rr, hef and qhef (2 seeds, 1 episode);
-- a 3-episode paper ``train`` of each learner;
+- a 3-episode paper ``train`` of each learner, and an ``evaluate
+  --placements`` of each of those checkpoints (2 seeds, 1 episode);
 - a 5-episode desk ``train`` of the deep learner on the extended state
   layout with a target network (about 437 steps per agent, so at least two
   target syncs).
@@ -41,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DESK = str(ROOT / "configs" / "desk.yaml")
 PAPER = str(ROOT / "configs" / "paper.yaml")
 SEED = "1701"
+WORK = "<work>"  # stands for the directory that holds every run's output
 DESK_BUDGETS = {
     "UAVMEC_EXPERIMENT__TRAIN_EPISODES_QLEARNING": "100",
     "UAVMEC_EXPERIMENT__TRAIN_EPISODES_DQL": "5",
@@ -66,6 +68,11 @@ RUNS = [
     *[(f"paper-train-{policy}", {},
        ["train", "--config", PAPER, "--policy", policy, "--episodes", "3"])
       for policy in ("qlearning", "dql")],
+    *[(f"paper-evaluate-{policy}-checkpoint", {},
+       ["evaluate", "--config", PAPER, "--policy", policy,
+        "--checkpoint", f"{WORK}/paper-train-{policy}/{policy}.ckpt",
+        "--seeds", "2", "--episodes", "1", "--placements"])
+      for policy in ("qlearning", "dql")],
     ("desk-train-dql-extended-target",
      {"UAVMEC_MDP__STATE_LAYOUT": "extended", "UAVMEC_RL__TARGET_NETWORK": "true"},
      ["train", "--config", DESK, "--policy", "dql", "--episodes", "5"]),
@@ -79,6 +86,7 @@ def run(name: str, extra_env: dict, args: list, work: Path) -> list:
     env["UAVMEC_EXPERIMENT__WORKERS"] = "1"
     env.update(extra_env)
     env["PYTHONPATH"] = str(ROOT / "src")
+    args = [arg.replace(WORK, str(work)) for arg in args]
     proc = subprocess.run(
         [sys.executable, "-m", "uavmec.cli", *args, "--seed", SEED, "--out", str(out)],
         env=env, capture_output=True, text=True, check=False,

@@ -286,6 +286,9 @@ def _load_yaml(source, where: str):
     try:
         return yaml.safe_load(source)
     except yaml.YAMLError as exc:
+        # A ReaderError names the codec that failed, or "unicode" for a refused character.
+        if isinstance(exc, yaml.reader.ReaderError) and exc.encoding != "unicode":
+            raise ConfigError(f"{where} is not {exc.encoding.upper()} text") from None
         raise ConfigError(f"{where} is not valid YAML: {exc}") from None
 
 

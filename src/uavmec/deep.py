@@ -147,8 +147,6 @@ class DqlAgent:
         state_layout: str = "paper10",
     ):
         self.state_layout = state_layout
-        # What the network is fitted to; a checkpoint records it.
-        self.input_meta = {"state_layout": state_layout}
         self.rng = rng
         self.gamma = rl.discount
         self.batch_size = rl.batch_size
@@ -164,6 +162,19 @@ class DqlAgent:
         self.train_steps = 0
         self.epsilon = 0.0
         self.last_loss: float | None = None
+
+    @classmethod
+    def frozen(cls, net: MlpNetwork, state_layout: str) -> "DqlAgent":
+        """A greedy learner over ``net``: epsilon 0, no stream, nothing to train."""
+        agent = cls.__new__(cls)
+        agent.net, agent.state_layout = net, state_layout
+        agent.rng, agent.epsilon, agent.wants_transitions = None, 0.0, False
+        return agent
+
+    @property
+    def input_meta(self) -> dict:
+        """What the network is fitted to; a checkpoint records it."""
+        return {"state_layout": self.state_layout}
 
     def encode(self, snap: NetworkSnapshot) -> np.ndarray:
         """The decision's state: its vector in this agent's layout."""

@@ -3,10 +3,10 @@
 Seed policy: arrival streams depend only on (master seed, seed index), so all
 policies face identical workloads seed by seed (paired comparison); agent
 streams additionally hash in the policy name, so learners and rolls are
-decorrelated across policies.  A frozen learner (epsilon 0, no reward
-pipeline) draws nothing from its stream and never writes to its q-table or
-network, so evaluation shares the learners frozen from one checkpoint across
-all of its seeds.
+decorrelated across policies.  Learners train only in ``training_loop`` and
+are frozen only by ``load_policies``, from a checkpoint's models alone (epsilon
+0, no stream, no training state), so a frozen learner never changes and an
+evaluation shares the learners of one checkpoint across all of its seeds.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .deep import DqlAgent
 from .exploration import epsilon_schedule
 from .heuristics import HefPolicy, QhefPolicy, RoundRobinPolicy
 from .mdp import state_width
-from .metrics import RunMetrics, metrics_from_episodes
+from .metrics import metrics_from_episodes
 from .nnet import CHECKPOINT_MAGIC as MLP_MAGIC
 from .nnet import load_mlp, save_mlp
 from .simulation import run_episode
@@ -44,6 +44,20 @@ def agent_rng(master_seed: int, policy: str, seed_index: int, uav: int) -> np.ra
     return np.random.default_rng(derive_seed("agent", master_seed, policy, seed_index, uav))
 
 
+def _grid(cfg: AppConfig) -> DiscretizationGrid:
+    """The tabular learners' discretization of this config's snapshots."""
+    sim = cfg.sim
+    return DiscretizationGrid.from_config(
+        sim.num_uavs, sim.num_mecs, len(cfg.tasks), cfg.max_deadline, cfg.rl)
+
+
+def _network_dims(cfg: AppConfig) -> list:
+    """The deep learners' layer widths: state, hidden layers, one Q-value per unit."""
+    sim = cfg.sim
+    width = state_width(sim.num_uavs, sim.num_mecs, cfg.mdp.state_layout)
+    return [width, *cfg.rl.hidden_sizes, sim.num_units]
+
+
 def make_policies(policy: str, cfg: AppConfig, master_seed: int, seed_index: int) -> list:
     """Fresh policy objects, one per UAV."""
     sim = cfg.sim
@@ -56,19 +70,16 @@ def make_policies(policy: str, cfg: AppConfig, master_seed: int, seed_index: int
     if policy == "qhef":
         return [QhefPolicy() for _ in range(sim.num_uavs)]
     if policy == "qlearning":
-        grid = DiscretizationGrid.from_config(
-            sim.num_uavs, sim.num_mecs, len(cfg.tasks), cfg.max_deadline, cfg.rl
-        )
+        grid = _grid(cfg)
         return [
             QlAgent(grid, cfg.rl, agent_rng(master_seed, policy, seed_index, u))
             for u in range(sim.num_uavs)
         ]
     if policy == "dql":
-        layout = cfg.mdp.state_layout
-        width = state_width(sim.num_uavs, sim.num_mecs, layout)
+        dims = _network_dims(cfg)
         return [
-            DqlAgent(width, sim.num_units, cfg.rl,
-                     agent_rng(master_seed, policy, seed_index, u), state_layout=layout)
+            DqlAgent(dims[0], dims[-1], cfg.rl, agent_rng(master_seed, policy, seed_index, u),
+                     state_layout=cfg.mdp.state_layout)
             for u in range(sim.num_uavs)
         ]
     raise ConfigError(f"unknown policy: {policy!r} (expected one of {POLICY_NAMES})")
@@ -107,44 +118,33 @@ def _read_checkpoint(policy: str, checkpoint) -> tuple[list, dict]:
 
 
 def load_policies(policy: str, cfg: AppConfig, checkpoint, master_seed: int, seed_index: int) -> list:
-    """Policies ready for evaluation; learners are loaded frozen and greedy,
-    so one list of them serves every seed of an evaluation."""
+    """Policies ready for evaluation.  Learners are built frozen from the
+    checkpoint's models and take no seed, so one list of them serves every
+    seed of an evaluation."""
     if policy not in LEARNER_POLICIES:
         return make_policies(policy, cfg, master_seed, seed_index)
     models, meta = _read_checkpoint(policy, checkpoint)
-    agents = make_policies(policy, cfg, master_seed, seed_index)
+    if len(models) != cfg.sim.num_uavs:
+        raise ValueError(f"checkpoint holds {len(models)} agents, "
+                         f"config expects {cfg.sim.num_uavs}: {checkpoint}")
+    if policy == "qlearning":
+        grid = _grid(cfg)
+        agents = [QlAgent.frozen(grid, table) for table in models]
+        # A key holds the task type, one delay bin per unit, one battery bin per
+        # UAV.  load_qtable holds each table's rows and keys to its first entry.
+        width = 1 + grid.num_units + grid.num_uavs
+        what, want = "q-table actions and key entries", [grid.num_units, width]
+        shapes = [[row.size, len(key)] for key, row in (next(iter(t.items())) for t in models if t)]
+    else:
+        agents = [DqlAgent.frozen(net, cfg.mdp.state_layout) for net in models]
+        what, want, shapes = "network dims", _network_dims(cfg), [net.dims for net in models]
     for key, value in agents[0].input_meta.items():
         if meta.get(key) != str(value):
-            raise ValueError(
-                f"checkpoint {key} is {meta.get(key, 'missing')}, config expects {value}"
-            )
-    if len(models) != len(agents):
-        raise ValueError(f"checkpoint holds {len(models)} agents, config expects {len(agents)}")
-    if policy == "qlearning":
-        # A key holds the task type, one delay bin per unit, one battery bin per UAV.
-        grid = agents[0].grid
-        key_width = 1 + grid.num_units + grid.num_uavs
-        for agent, table in zip(agents, models):
-            # load_qtable holds every row to the stored action count and every
-            # key to the first key's width, so the first entry stands for all.
-            for key, row in table.items():
-                if row.size != agent.num_actions or len(key) != key_width:
-                    raise ValueError(
-                        f"checkpoint q-table has {row.size} actions and {len(key)}-entry keys, "
-                        f"config expects {agent.num_actions} and {key_width}"
-                    )
-                break
-            agent.table = table
-    else:
-        for agent, net in zip(agents, models):
-            if net.dims != agent.net.dims:
-                raise ValueError(
-                    f"checkpoint network dims {net.dims} do not match config {agent.net.dims}"
-                )
-            agent.net = net
-    for agent in agents:
-        agent.epsilon = 0.0
-        agent.wants_transitions = False  # frozen: no updates during evaluation
+            raise ValueError(f"checkpoint {key} is {meta.get(key, 'missing')}, "
+                             f"config expects {value}: {checkpoint}")
+    for shape in shapes:
+        if shape != want:
+            raise ValueError(f"checkpoint {what} {shape} do not match config {want}: {checkpoint}")
     return agents
 
 
@@ -183,6 +183,19 @@ def inspect_checkpoint(path) -> str:
 # --- training --------------------------------------------------------------
 
 
+def training_loop(cfg: AppConfig, agents: list, seed: int, episodes: int):
+    """Train ``agents`` on the arrival streams of ``seed`` under the config's
+    epsilon schedule; yields ``(epsilon, EpisodeResult)`` for each episode."""
+    rl = cfg.rl
+    for ep in range(episodes):
+        eps = epsilon_schedule(
+            ep, episodes, rl.epsilon_start, rl.epsilon_end, rl.epsilon_decay_fraction
+        )
+        for agent in agents:
+            agent.epsilon = eps
+        yield eps, run_episode(cfg, agents, seed, episode_index=ep)
+
+
 def train_policy(
     cfg: AppConfig,
     policy: str,
@@ -203,26 +216,18 @@ def train_policy(
     if episodes < 1:
         raise ConfigError("training needs at least one episode")
     agents = make_policies(policy, cfg, master_seed, 0)
-    rl = cfg.rl
-    seed = arrival_seed(master_seed, 0)
-    rewards = [[] for _ in agents]
     every = cfg.experiment.checkpoint_every
-    for ep in range(episodes):
-        eps = epsilon_schedule(
-            ep, episodes, rl.epsilon_start, rl.epsilon_end, rl.epsilon_decay_fraction
-        )
-        for agent in agents:
-            agent.epsilon = eps
-        result = run_episode(cfg, agents, seed, episode_index=ep)
-        for i, r in enumerate(result.cumulative_reward):
-            rewards[i].append(r)
-        if log_every and (ep + 1) % log_every == 0:
-            mean_r = float(np.mean([series[-1] for series in rewards]))
-            print(f"[{policy}] episode {ep + 1}/{episodes} eps={eps:.3f} mean_reward={mean_r:.2f}")
-        if checkpoint_dir is not None and every and (ep + 1) % every == 0 and ep + 1 < episodes:
-            path = Path(checkpoint_dir) / f"{policy}_ep{ep + 1}.ckpt"
-            save_checkpoint(policy, agents, path, cfg, master_seed, ep + 1)
-    return agents, rewards
+    per_episode = []
+    loop = training_loop(cfg, agents, arrival_seed(master_seed, 0), episodes)
+    for done, (eps, result) in enumerate(loop, start=1):
+        per_episode.append(result.cumulative_reward)
+        if log_every and done % log_every == 0:
+            mean_r = float(np.mean(result.cumulative_reward))
+            print(f"[{policy}] episode {done}/{episodes} eps={eps:.3f} mean_reward={mean_r:.2f}")
+        if checkpoint_dir is not None and every and done % every == 0 and done < episodes:
+            path = Path(checkpoint_dir) / f"{policy}_ep{done}.ckpt"
+            save_checkpoint(policy, agents, path, cfg, master_seed, done)
+    return agents, [list(series) for series in zip(*per_episode)]
 
 
 # --- evaluation ------------------------------------------------------------
@@ -243,8 +248,8 @@ def _eval_job(args):
 def evaluate_many(cfg: AppConfig, jobs: list, workers: int = 1, first_episode: bool = False):
     """Run (policy, seed, checkpoint) evaluation jobs, optionally in parallel.
 
-    Each distinct learner checkpoint is loaded once, here, with the seeds of
-    its first job, and all its jobs share the frozen learners.  Results come
+    Each distinct learner checkpoint is loaded once, here, and all its jobs
+    share the frozen learners, which hold no stream to seed.  Results come
     back in job order regardless of worker scheduling, so reports stay
     deterministic.  Returns the jobs' ``RunMetrics``; with
     ``first_episode``, returns ``(runs, result)`` where ``result`` is the

@@ -128,8 +128,19 @@ class QlAgent:
         self.rng = rng
         self.epsilon = 0.0
         self.table: dict[tuple, np.ndarray] = {}
-        # What the table is fitted to; a checkpoint records it.
-        self.input_meta = {"state_layout": "paper10", **grid.meta}
+
+    @classmethod
+    def frozen(cls, grid: DiscretizationGrid, table: dict) -> "QlAgent":
+        """A greedy learner over ``table``: epsilon 0, no stream, nothing to train."""
+        agent = cls.__new__(cls)
+        agent.grid, agent.num_actions, agent.table = grid, grid.num_units, table
+        agent.rng, agent.epsilon, agent.wants_transitions = None, 0.0, False
+        return agent
+
+    @property
+    def input_meta(self) -> dict:
+        """What the table is fitted to; a checkpoint records it."""
+        return {"state_layout": "paper10", **self.grid.meta}
 
     def q_values(self, key: tuple) -> np.ndarray:
         row = self.table.get(key)

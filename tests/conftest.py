@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uavmec.config import AppConfig, load_config
+from uavmec.harness import save_checkpoint, train_policy
 
 
 @pytest.fixture
@@ -12,6 +13,22 @@ def cfg() -> AppConfig:
 
 @pytest.fixture
 def desk_cfg() -> AppConfig:
+    return desk_config()
+
+
+@pytest.fixture(scope="session")
+def desk_checkpoints(tmp_path_factory) -> dict:
+    """Each learner's checkpoint after two ``desk_cfg`` training episodes
+    under master seed 1, by policy; tests that change one copy it first."""
+    directory, cfg, paths = tmp_path_factory.mktemp("desk"), desk_config(), {}
+    for policy in ("qlearning", "dql"):
+        agents, _ = train_policy(cfg, policy, 2, master_seed=1)
+        paths[policy] = directory / f"{policy}.ckpt"
+        save_checkpoint(policy, agents, paths[policy], cfg, 1, 2)
+    return paths
+
+
+def desk_config() -> AppConfig:
     """Small, under-saturated network for fast end-to-end tests."""
     cfg = load_config()
     cfg.sim.num_uavs = 2

@@ -23,8 +23,10 @@ from uavmec.arrivals import arrival_rng, generate_arrivals
 from uavmec.cli import main
 from uavmec.config import load_config
 from uavmec.energy import MEC_BATTERY_SENTINEL
-from uavmec.exploration import epsilon_greedy, epsilon_schedule
-from uavmec.harness import arrival_seed, make_policies
+from uavmec.exploration import epsilon_greedy
+from uavmec.harness import (
+    arrival_seed, load_policies, make_policies, save_checkpoint, training_loop,
+)
 from uavmec.mdp import NetworkSnapshot, assemble_reward, compute_reward_parts
 from uavmec.metrics import (
     convergence_episode,
@@ -173,25 +175,6 @@ def test_mlp_gradients_match_finite_differences_broadly():
 # --- desk-scale training: convergence speed and policy orderings ---------------
 
 
-def train_on_seed_index(cfg, policy, episodes, seed_index):
-    """The training loop of ``harness.train_policy``, which trains on seed
-    index 0, run on the learners and arrival streams of ``seed_index``."""
-    agents = make_policies(policy, cfg, MASTER_SEED, seed_index)
-    seed = arrival_seed(MASTER_SEED, seed_index)
-    rl = cfg.rl
-    rewards = [[] for _ in agents]
-    for ep in range(episodes):
-        eps = epsilon_schedule(
-            ep, episodes, rl.epsilon_start, rl.epsilon_end, rl.epsilon_decay_fraction
-        )
-        for agent in agents:
-            agent.epsilon = eps
-        result = run_episode(cfg, agents, seed, episode_index=ep)
-        for series, r in zip(rewards, result.cumulative_reward):
-            series.append(r)
-    return agents, rewards
-
-
 @pytest.fixture(scope="module")
 def plateau_training():
     """Train both learners to plateau on the desk setup, 5 seeds each.
@@ -207,8 +190,11 @@ def plateau_training():
         for seed_index in range(SPEEDUP_SEEDS):
             cfg = desk_config()
             cfg.rl.epsilon_decay_fraction = EPSILON_DECAY_EPISODES / budget
-            agents, rewards = train_on_seed_index(cfg, policy, budget, seed_index)
-            mean_curve = list(np.mean(np.asarray(rewards), axis=0))
+            agents = make_policies(policy, cfg, MASTER_SEED, seed_index)
+            seed = arrival_seed(MASTER_SEED, seed_index)
+            rewards = [result.cumulative_reward
+                       for _, result in training_loop(cfg, agents, seed, budget)]
+            mean_curve = list(np.mean(np.asarray(rewards), axis=1))
             smoothed, _, _ = moving_average(mean_curve, SMOOTH_WINDOW)
             threshold = plateau_threshold(smoothed, 0.9, 0.1)
             episode = convergence_episode(smoothed, threshold, PATIENCE)
@@ -236,17 +222,19 @@ def _pooled_eval(cfg, policies, name):
 
 
 @pytest.fixture(scope="module")
-def policy_outcomes(plateau_training):
-    """Greedy 10-seed evaluation of all five policies on shared workloads."""
+def policy_outcomes(plateau_training, tmp_path_factory):
+    """Greedy 10-seed evaluation of all five policies on shared workloads;
+    each learner is evaluated as its checkpoint loads."""
     outcomes = {}
     for policy in ("rr", "hef", "qhef"):
         cfg = desk_config()
         outcomes[policy] = _pooled_eval(cfg, make_policies(policy, cfg, MASTER_SEED, 0), policy)
+    directory = tmp_path_factory.mktemp("plateau")
     for policy, (cfg, agents) in plateau_training["seed0"].items():
-        for agent in agents:
-            agent.epsilon = 0.0
-            agent.wants_transitions = False
-        outcomes[policy] = _pooled_eval(cfg, agents, policy)
+        path = directory / f"{policy}.ckpt"
+        save_checkpoint(policy, agents, path, cfg, MASTER_SEED, dict(TRAIN_BUDGETS)[policy])
+        frozen = load_policies(policy, cfg, str(path), MASTER_SEED, 0)
+        outcomes[policy] = _pooled_eval(cfg, frozen, policy)
     return outcomes
 
 

@@ -36,6 +36,17 @@ def tiny_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def tiny_checkpoints(tmp_path_factory) -> dict:
+    """Each learner's checkpoint from ``train`` on the tiny config, by policy."""
+    out = tmp_path_factory.mktemp("tiny")
+    (out / "tiny.yaml").write_text(TINY_YAML)
+    for policy in ("qlearning", "dql"):
+        assert run(["train", "--policy", policy, "--config", str(out / "tiny.yaml"),
+                    "--out", str(out), "--quiet"]) == 0
+    return {policy: out / f"{policy}.ckpt" for policy in ("qlearning", "dql")}
+
+
 def read_report(path):
     """Split a report file into (metadata dict, header, data rows)."""
     meta = {}
@@ -196,64 +207,56 @@ def test_failed_evaluate_leaves_no_out_dir(tiny_config, tmp_path, capsys, checkp
     assert not (tmp_path / "o").exists()
 
 
-def test_evaluate_trained_learner(tiny_config, tmp_path):
+def test_evaluate_trained_learner(tiny_config, tiny_checkpoints, tmp_path):
     out = tmp_path / "out"
-    assert run([
-        "train", "--policy", "qlearning", "--config", tiny_config, "--out", str(out), "--quiet"
-    ]) == 0
     rc = run([
         "evaluate", "--policy", "qlearning", "--config", tiny_config,
-        "--out", str(out), "--checkpoint", str(out / "qlearning.ckpt"), "--seeds", "1",
+        "--out", str(out), "--checkpoint", str(tiny_checkpoints["qlearning"]), "--seeds", "1",
     ])
     assert rc == 0
     meta, _, rows = read_report(out / "summary.csv")
     assert rows[0][0] == "qlearning"
 
 
-def test_evaluate_refuses_a_qtable_of_another_network(tiny_config, tmp_path, monkeypatch, capsys):
-    out = tmp_path / "out"
-    assert run([
-        "train", "--policy", "qlearning", "--config", tiny_config, "--out", str(out), "--quiet"
-    ]) == 0
+@pytest.fixture
+def refusal(tiny_config, tmp_path, monkeypatch, capsys):
+    """``refusal(policy, name, trained, evaluated)`` trains ``policy`` with the
+    variable ``name`` set to ``trained``, evaluates its checkpoint with it set
+    to ``evaluated``, and returns the error output, the path shown as <path>."""
+    def refuse(policy, name, trained, evaluated):
+        out = tmp_path / "out"
+        monkeypatch.setenv(name, trained)
+        assert run(["train", "--policy", policy, "--config", tiny_config, "--out", str(out),
+                    "--quiet"]) == 0
+        monkeypatch.setenv(name, evaluated)
+        path = str(out / f"{policy}.ckpt")
+        assert run(["evaluate", "--policy", policy, "--config", tiny_config, "--out",
+                    str(tmp_path / "eval"), "--checkpoint", path, "--seeds", "1"]) == 1
+        return capsys.readouterr().err.replace(path, "<path>")
+    return refuse
+
+
+def test_evaluate_refuses_a_qtable_of_another_network(refusal):
     # Same UAVs, one more MEC: every stored row and key is one entry short.
-    monkeypatch.setenv("UAVMEC_SIM__NUM_MECS", "2")
-    rc = run([
-        "evaluate", "--policy", "qlearning", "--config", tiny_config,
-        "--out", str(tmp_path / "eval"), "--checkpoint", str(out / "qlearning.ckpt"), "--seeds", "1",
-    ])
-    assert rc == 1
-    assert "checkpoint q-table has 3 actions" in capsys.readouterr().err
+    assert refusal("qlearning", "UAVMEC_SIM__NUM_MECS", "1", "2") == (
+        "error: checkpoint q-table actions and key entries [3, 6] do not match config [4, 7]: "
+        "<path>\n")
 
 
-def test_evaluate_refuses_a_qtable_of_another_grid(tiny_config, tmp_path, monkeypatch, capsys):
-    out = tmp_path / "out"
-    monkeypatch.setenv("UAVMEC_RL__DELAY_BINS", "48")
-    assert run([
-        "train", "--policy", "qlearning", "--config", tiny_config, "--out", str(out), "--quiet"
-    ]) == 0
-    monkeypatch.setenv("UAVMEC_RL__DELAY_BINS", "8")
-    rc = run([
-        "evaluate", "--policy", "qlearning", "--config", tiny_config,
-        "--out", str(tmp_path / "eval"), "--checkpoint", str(out / "qlearning.ckpt"), "--seeds", "1",
-    ])
-    assert rc == 1
-    assert "checkpoint delay_bins is 48, config expects 8" in capsys.readouterr().err
+def test_evaluate_refuses_a_qtable_of_another_grid(refusal):
+    assert refusal("qlearning", "UAVMEC_RL__DELAY_BINS", "48", "8") == (
+        "error: checkpoint delay_bins is 48, config expects 8: <path>\n")
 
 
-def test_evaluate_refuses_a_network_of_another_state_layout(tiny_config, tmp_path, monkeypatch,
-                                                            capsys):
-    out = tmp_path / "out"
-    monkeypatch.setenv("UAVMEC_MDP__STATE_LAYOUT", "extended")
-    assert run([
-        "train", "--policy", "dql", "--config", tiny_config, "--out", str(out), "--quiet",
-    ]) == 0
-    monkeypatch.delenv("UAVMEC_MDP__STATE_LAYOUT")
-    rc = run([
-        "evaluate", "--policy", "dql", "--config", tiny_config,
-        "--out", str(tmp_path / "eval"), "--checkpoint", str(out / "dql.ckpt"), "--seeds", "1",
-    ])
-    assert rc == 1
-    assert "checkpoint state_layout is extended, config expects paper10" in capsys.readouterr().err
+def test_evaluate_refuses_a_network_of_another_state_layout(refusal):
+    # The layouts' networks differ in width too; the layout is named first.
+    assert refusal("dql", "UAVMEC_MDP__STATE_LAYOUT", "extended", "paper10") == (
+        "error: checkpoint state_layout is extended, config expects paper10: <path>\n")
+
+
+def test_evaluate_refuses_a_network_of_other_dims(refusal):
+    assert refusal("dql", "UAVMEC_RL__HIDDEN_SIZES", "[8, 8]", "[8]") == (
+        "error: checkpoint network dims [6, 8, 8, 3] do not match config [6, 8, 3]: <path>\n")
 
 
 def test_evaluate_placements_log(tiny_config, tmp_path):
@@ -277,11 +280,8 @@ def test_evaluate_placements_log(tiny_config, tmp_path):
         assert r[8] in ("", "0", "1")
 
 
-def test_evaluate_placements_reuse_the_first_evaluated_episode(tiny_config, tmp_path,
-                                                               monkeypatch):
-    out = tmp_path / "out"
-    assert run(["train", "--policy", "dql", "--config", tiny_config, "--out", str(out),
-                "--quiet"]) == 0
+def test_evaluate_placements_reuse_the_first_evaluated_episode(tiny_config, tiny_checkpoints,
+                                                               tmp_path, monkeypatch):
     counts = {"episodes": 0, "parses": 0}
 
     def counting(name, fn):
@@ -295,7 +295,8 @@ def test_evaluate_placements_reuse_the_first_evaluated_episode(tiny_config, tmp_
     monkeypatch.setattr(harness, "load_mlp", counting("parses", harness.load_mlp))
     rc = run([
         "evaluate", "--policy", "dql", "--config", tiny_config, "--out", str(tmp_path / "eval"),
-        "--checkpoint", str(out / "dql.ckpt"), "--seeds", "2", "--episodes", "1", "--placements",
+        "--checkpoint", str(tiny_checkpoints["dql"]), "--seeds", "2", "--episodes", "1",
+        "--placements",
     ])
     assert rc == 0
     assert counts == {"episodes": 2, "parses": 1}
@@ -395,15 +396,11 @@ def test_compare_with_two_workers_writes_the_same_bytes(tiny_config, tmp_path, m
         assert one[name] == two[name], name
 
 
-def test_compare_reuses_checkpoint(tiny_config, tmp_path):
-    first = tmp_path / "first"
-    assert run([
-        "train", "--policy", "dql", "--config", tiny_config, "--out", str(first), "--quiet"
-    ]) == 0
+def test_compare_reuses_checkpoint(tiny_config, tiny_checkpoints, tmp_path):
     out = tmp_path / "out"
     rc = run([
         "compare", "--policies", "dql", "--config", tiny_config, "--out", str(out),
-        "--seeds", "1", "--checkpoint", f"dql={first / 'dql.ckpt'}", "--quiet",
+        "--seeds", "1", "--checkpoint", f"dql={tiny_checkpoints['dql']}", "--quiet",
     ])
     assert rc == 0
     # Reused, not retrained: no fresh curve or checkpoint in this out dir.
@@ -430,7 +427,8 @@ def test_compare_rejects_unknown_policy(tiny_config, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_compare_rejects_malformed_checkpoint_flag(tiny_config, tmp_path, capsys):
+def test_compare_rejects_malformed_checkpoint_flag(tiny_config, tiny_checkpoints, tmp_path,
+                                                   capsys):
     with pytest.raises(SystemExit) as exc:
         run([
             "compare", "--policies", "dql", "--config", tiny_config,
@@ -453,12 +451,8 @@ def test_compare_rejects_malformed_checkpoint_flag(tiny_config, tmp_path, capsys
     assert not (tmp_path / "o").exists()
     # The other learner's checkpoint, or a file of no known format, is
     # refused before dql trains.
-    assert run([
-        "train", "--policy", "dql", "--config", tiny_config, "--out", str(tmp_path / "t"),
-        "--quiet",
-    ]) == 0
     (tmp_path / "junk.ckpt").write_text("not a checkpoint\n")
-    for path, message in ((tmp_path / "t" / "dql.ckpt", "is a dql checkpoint, not qlearning"),
+    for path, message in ((tiny_checkpoints["dql"], "is a dql checkpoint, not qlearning"),
                           (tmp_path / "junk.ckpt", "unrecognized checkpoint format")):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
@@ -492,13 +486,8 @@ def test_compare_refuses_stray_checkpoints(tiny_config, tmp_path, monkeypatch, c
 # --- inspect-checkpoint -----------------------------------------------------
 
 
-def test_inspect_checkpoint_prints_summary(tiny_config, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run([
-        "train", "--policy", "dql", "--config", tiny_config, "--out", str(out), "--quiet"
-    ]) == 0
-    capsys.readouterr()
-    rc = run(["inspect-checkpoint", str(out / "dql.ckpt")])
+def test_inspect_checkpoint_prints_summary(tiny_checkpoints, capsys):
+    rc = run(["inspect-checkpoint", str(tiny_checkpoints["dql"])])
     assert rc == 0
     text = capsys.readouterr().out
     assert "kind: dql" in text
@@ -542,12 +531,15 @@ def test_badly_typed_config_value_exits_2(tiny_config, tmp_path, monkeypatch, ca
 
 def test_unparsable_config_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
-    # YAML that does not parse, and a comment that is not UTF-8.
-    for content in (b"sim: [\n", b"sim:\n  num_uavs: 2\n# caf\xe9\n"):
+    # YAML that does not parse, a comment that is not UTF-8, and UTF-8 text
+    # holding a character that YAML refuses.
+    for content, message in ((b"sim: [\n", "is not valid YAML"),
+                             (b"sim:\n  num_uavs: 2\n# caf\xe9\n", "is not UTF-8 text\n"),
+                             (b"# \x01\n", "is not valid YAML: unacceptable character #x0001")):
         bad.write_bytes(content)
         rc = run(["evaluate", "--policy", "rr", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"config error: {bad} is not valid YAML")
+        assert capsys.readouterr().err.startswith(f"config error: {bad} {message}")
 
 
 @pytest.mark.parametrize("seed", [None, "3"], ids=["no-env", "env"])

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from uavmec import deep, harness, nnet, simulation, tabular
 from uavmec.cli import main
-from uavmec.config import ConfigError, load_config
+from uavmec.config import ConfigError
 from uavmec.deep import DqlAgent
 from uavmec.harness import (
     agent_rng,
@@ -139,11 +140,12 @@ def test_checkpoint_roundtrip_preserves_greedy_behavior(desk_cfg, tmp_path):
         assert all(a.epsilon == 0.0 for a in loaded)
         assert all(a.wants_transitions is False for a in loaded)
 
-        for agent in agents:
-            agent.epsilon = 0.0
-            agent.wants_transitions = False
+        if policy == "qlearning":
+            frozen = [QlAgent.frozen(a.grid, a.table) for a in agents]
+        else:
+            frozen = [DqlAgent.frozen(a.net, a.state_layout) for a in agents]
         seed = arrival_seed(1, 500)
-        direct = run_episode(desk_cfg, agents, seed)
+        direct = run_episode(desk_cfg, frozen, seed)
         reloaded = run_episode(desk_cfg, loaded, seed)
         assert [t.chosen_unit for t in direct.placements] == [
             t.chosen_unit for t in reloaded.placements
@@ -162,22 +164,18 @@ def test_load_policies_guards(desk_cfg, tmp_path):
     assert len(policies) == desk_cfg.sim.num_uavs
 
 
-def test_checkpoint_agent_count_mismatch(desk_cfg, tmp_path):
-    agents, _ = train_policy(desk_cfg, "qlearning", 2, master_seed=1)
-    path = tmp_path / "two.ckpt"
-    save_checkpoint("qlearning", agents, path, desk_cfg, 1, 2)
+def test_checkpoint_agent_count_mismatch(desk_cfg, desk_checkpoints):
     desk_cfg.sim.num_uavs = 3
-    with pytest.raises(ValueError, match="checkpoint holds"):
-        load_policies("qlearning", desk_cfg, str(path), 1, 0)
+    for policy, path in desk_checkpoints.items():
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint holds 2 agents, config expects 3: {path}")):
+            load_policies(policy, desk_cfg, str(path), 1, 0)
 
 
-def test_truncated_checkpoint_is_refused(desk_cfg, tmp_path):
-    for policy in ("qlearning", "dql"):
-        agents, _ = train_policy(desk_cfg, policy, 2, master_seed=1)
-        path = tmp_path / f"{policy}.ckpt"
-        save_checkpoint(policy, agents, path, desk_cfg, 1, 2)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
+def test_truncated_checkpoint_is_refused(desk_cfg, desk_checkpoints, tmp_path):
+    path = tmp_path / "cut.ckpt"
+    for policy, whole in desk_checkpoints.items():
+        path.write_text("".join(whole.read_text().splitlines(keepends=True)[:-1]))
         with pytest.raises(ValueError):
             load_policies(policy, desk_cfg, str(path), 1, 0)
 
@@ -195,34 +193,18 @@ def test_checkpoint_cut_inside_its_last_number_is_refused(desk_cfg, tmp_path):
         load_policies("qlearning", desk_cfg, str(path), 1, 0)
 
 
-@pytest.fixture(scope="module")
-def trained_checkpoints(tmp_path_factory):
-    """Text of a trained q-table and of a trained dql checkpoint, and a directory."""
-    cfg = load_config(env={})
-    cfg.sim.num_uavs, cfg.sim.episode_duration = 2, 5.0
-    cfg.rl.batch_size, cfg.rl.hidden_sizes = 16, (8, 8)
-    directory = tmp_path_factory.mktemp("checkpoints")
-    texts = {}
-    for policy in ("qlearning", "dql"):
-        agents, _ = train_policy(cfg, policy, 2, master_seed=1)
-        save_checkpoint(policy, agents, directory / policy, cfg, 1, 2)
-        texts[policy] = (directory / policy).read_text()
-    return texts, directory
-
-
 @pytest.mark.parametrize("policy, load", [("qlearning", load_qtable), ("dql", load_mlp)])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_every_proper_prefix_of_a_checkpoint_is_refused(trained_checkpoints, policy, load, data):
-    texts, directory = trained_checkpoints
-    text = texts[policy]
+def test_every_proper_prefix_of_a_checkpoint_is_refused(desk_checkpoints, policy, load, data):
+    text = desk_checkpoints[policy].read_text()
     line_ends = [i + 1 for i, ch in enumerate(text[:-1]) if ch == "\n"]
     cut = data.draw(st.one_of(
         st.integers(0, len(text) - 1),
         st.sampled_from(line_ends),
         st.integers(len(text) - 40, len(text) - 1),  # inside the last line's numbers
     ))
-    path = directory / f"{policy}-prefix"
+    path = desk_checkpoints[policy].with_name(f"{policy}-prefix")
     path.write_text(text[:cut])
     with pytest.raises(ValueError):
         load(str(path))
@@ -234,21 +216,17 @@ def test_every_proper_prefix_of_a_checkpoint_is_refused(trained_checkpoints, pol
     (lambda cfg: setattr(cfg.rl, "delay_bin_floor", 0.02), "delay_bin_floor is 0.01, config expects 0.02"),
     (lambda cfg: setattr(cfg.tasks[2], "deadline", 6), "max_deadline is 5.0, config expects 6.0"),
 ])
-def test_qtable_of_another_grid_is_refused(desk_cfg, tmp_path, change, message):
-    agents, _ = train_policy(desk_cfg, "qlearning", 2, master_seed=1)
-    path = tmp_path / "q.ckpt"
-    save_checkpoint("qlearning", agents, path, desk_cfg, 1, 2)
+def test_qtable_of_another_grid_is_refused(desk_cfg, desk_checkpoints, change, message):
+    path = desk_checkpoints["qlearning"]
     change(desk_cfg)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(f"{message}: {path}")):
         load_policies("qlearning", desk_cfg, str(path), 1, 0)
 
 
-def test_qtable_without_its_grid_is_refused(desk_cfg, tmp_path):
-    agents, _ = train_policy(desk_cfg, "qlearning", 2, master_seed=1)
-    path = tmp_path / "q.ckpt"
-    save_checkpoint("qlearning", agents, path, desk_cfg, 1, 2)
-    lines = path.read_text().splitlines(keepends=True)
+def test_qtable_without_its_grid_is_refused(desk_cfg, desk_checkpoints, tmp_path):
+    lines = desk_checkpoints["qlearning"].read_text().splitlines(keepends=True)
     assert "meta delay_bins=48\n" in lines
+    path = tmp_path / "q.ckpt"
     path.write_text("".join(line for line in lines if not line.startswith("meta delay_bins=")))
     with pytest.raises(ValueError, match="checkpoint delay_bins is missing, config expects 48"):
         load_policies("qlearning", desk_cfg, str(path), 1, 0)
@@ -349,12 +327,17 @@ def test_inspect_checkpoint_summarizes(desk_cfg, tmp_path):
                 f"mean {values.mean():.4f}") in text.splitlines()
 
 
-def test_dql_evaluation_is_the_same_with_two_workers(desk_cfg, tmp_path):
+def test_frozen_dql_learners_pickle_to_about_their_networks(desk_cfg, desk_checkpoints):
+    """Each job of a parallel evaluation receives the frozen list pickled,
+    so it carries the networks and nothing of training."""
+    loaded = load_policies("dql", desk_cfg, str(desk_checkpoints["dql"]), 1, 0)
+    networks = len(pickle.dumps([a.net for a in loaded]))
+    assert len(pickle.dumps(loaded)) <= 1.1 * networks
+
+
+def test_dql_evaluation_is_the_same_with_two_workers(desk_cfg, desk_checkpoints):
     """Checkpointed networks reach the worker processes by pickling."""
-    agents, _ = train_policy(desk_cfg, "dql", 2, master_seed=1)
-    path = tmp_path / "dql.ckpt"
-    save_checkpoint("dql", agents, path, desk_cfg, 1, 2)
-    jobs = [("dql", 1, s, 1, str(path)) for s in range(3)]
+    jobs = [("dql", 1, s, 1, str(desk_checkpoints["dql"])) for s in range(3)]
     assert evaluate_many(desk_cfg, jobs, workers=2) == evaluate_many(desk_cfg, jobs, workers=1)
 
 
@@ -372,33 +355,29 @@ def test_evaluate_policy_is_deterministic_and_paired(desk_cfg):
         assert a.total_tasks == c.total_tasks
 
 
-def test_evaluation_leaves_learners_frozen(desk_cfg, tmp_path):
+def test_evaluation_leaves_learners_frozen(desk_cfg, desk_checkpoints):
     def state(agent):
-        """What a frozen learner must not change: its stream, epsilon and model."""
+        """What evaluation must not change: epsilon and the model."""
         if isinstance(agent, DqlAgent):
             model = agent.net.flat.tobytes()
         else:
             model = {k: v.tobytes() for k, v in agent.table.items()}
-        return agent.rng.bit_generator.state, agent.epsilon, model
+        return agent.epsilon, model
 
-    for policy in ("qlearning", "dql"):
-        agents, _ = train_policy(desk_cfg, policy, 2, master_seed=1)
-        path = tmp_path / f"{policy}.ckpt"
-        save_checkpoint(policy, agents, path, desk_cfg, 1, 2)
+    for policy, path in desk_checkpoints.items():
         loaded = load_policies(policy, desk_cfg, str(path), 1, 0)
+        # No stream to draw from, and no transitions to learn from.
+        assert all(a.rng is None and a.wants_transitions is False for a in loaded)
         before = [state(a) for a in loaded]
+        assert all(eps == 0.0 for eps, _ in before)
         # One list serves every seed, as in evaluate_many.
         for seed_index in (0, 1):
             run_episode(desk_cfg, loaded, arrival_seed(1, seed_index))
-        assert [state(a) for a in loaded] == before
+            assert [state(a) for a in loaded] == before
 
 
-def test_evaluation_parses_each_checkpoint_once(desk_cfg, tmp_path, monkeypatch):
-    paths = {}
-    for policy in ("qlearning", "dql"):
-        agents, _ = train_policy(desk_cfg, policy, 2, master_seed=1)
-        paths[policy] = str(tmp_path / f"{policy}.ckpt")
-        save_checkpoint(policy, agents, paths[policy], desk_cfg, 1, 2)
+def test_evaluation_parses_each_checkpoint_once(desk_cfg, desk_checkpoints, monkeypatch):
+    paths = {policy: str(path) for policy, path in desk_checkpoints.items()}
     parses = {name: count_calls(monkeypatch, harness, name)
               for name in ("load_qtable", "load_mlp")}
     jobs = [(p, 1, s, 1, paths.get(p)) for p in ("qlearning", "rr", "dql") for s in range(3)]

@@ -17,13 +17,7 @@ from helpers import (
 from uavmec import simulation
 from uavmec.arrivals import TaskInstance
 from uavmec.config import LEARNER_POLICIES, POLICY_NAMES, load_config
-from uavmec.harness import (
-    arrival_seed,
-    load_policies,
-    make_policies,
-    save_checkpoint,
-    train_policy,
-)
+from uavmec.harness import arrival_seed, load_policies, make_policies
 from uavmec.heuristics import HefPolicy, RoundRobinPolicy
 from uavmec.mdp import assemble_reward, compute_reward_parts, encode_state
 from uavmec.simulation import (
@@ -423,13 +417,8 @@ class _Scored(Exception):
 
 
 @pytest.mark.parametrize("deferred", [False, True], ids=["immediate", "deferred"])
-def test_only_learners_are_scored(desk_cfg, tmp_path, monkeypatch, deferred):
+def test_only_learners_are_scored(desk_cfg, desk_checkpoints, monkeypatch, deferred):
     desk_cfg.mdp.deferred_reward = deferred
-    checkpoints = {}
-    for policy in ("qlearning", "dql"):
-        agents, _ = train_policy(desk_cfg, policy, 2, master_seed=1)
-        checkpoints[policy] = tmp_path / f"{policy}.ckpt"
-        save_checkpoint(policy, agents, checkpoints[policy], desk_cfg, 1, 2)
 
     def refuse(*args):
         raise _Scored
@@ -437,7 +426,7 @@ def test_only_learners_are_scored(desk_cfg, tmp_path, monkeypatch, deferred):
     monkeypatch.setattr(simulation, "compute_reward_parts", refuse)
     seed = arrival_seed(1, 0)
     for policy in ("rr", "hef", "qhef", "qlearning", "dql"):
-        policies = load_policies(policy, desk_cfg, checkpoints.get(policy), 1, 0)
+        policies = load_policies(policy, desk_cfg, desk_checkpoints.get(policy), 1, 0)
         r = run_episode(desk_cfg, policies, seed)
         assert r.tasks_generated > 0
         assert r.cumulative_reward == [None] * desk_cfg.sim.num_uavs
