@@ -24,7 +24,7 @@ from .harness import (
     checkpoint_kind,
     evaluate_many,
     inspect_checkpoint,
-    load_policies,  # noqa: F401  unused here; bench/tracing.py wraps it under this name
+    load_policies,
     save_checkpoint,
     train_policy,
 )
@@ -132,16 +132,19 @@ def _train(cfg: AppConfig, policy: str, episodes: int, out: Path, curve_name: st
 
 
 def _evaluate(cfg: AppConfig, out: Path, policies: list, seeds: int, episodes: int,
-              checkpoints: dict, label: dict, placements: bool = False) -> None:
+              checkpoints: dict, label: dict, placements: bool = False,
+              frozen: dict | None = None) -> None:
     """Evaluate every policy over ``seeds`` seeds and write the battery,
     violations and summary reports; with ``placements``, also the per-task
-    log of the first policy's first seed and episode."""
+    log of the first policy's first seed and episode.  ``frozen`` holds
+    learners already loaded, as ``evaluate_many`` takes them."""
     jobs = [
         (policy, cfg.sim.seed, seed_index, episodes, checkpoints.get(policy))
         for policy in policies
         for seed_index in range(seeds)
     ]
-    runs = evaluate_many(cfg, jobs, workers=cfg.experiment.workers, first_episode=placements)
+    runs = evaluate_many(cfg, jobs, workers=cfg.experiment.workers, first_episode=placements,
+                         frozen=frozen)
     if placements:
         runs, first = runs
     out.mkdir(parents=True, exist_ok=True)
@@ -237,6 +240,10 @@ def cmd_compare(args, parser) -> int:
     if seeds < 1:
         parser.error("--seeds must be >= 1")
     checkpoints = _parse_checkpoint_args(args.checkpoint, policies, parser)
+    # Load every given checkpoint before anything trains or is written, so a
+    # refused one costs no training; evaluation reuses these learners.
+    frozen = {(policy, path): load_policies(policy, cfg, path, cfg.sim.seed, 0)
+              for policy, path in checkpoints.items()}
     out = _out_dir(cfg)
     # Train whatever is missing first; convergence curves and checkpoints are
     # per-policy artifacts and appear as each training run finishes.
@@ -249,7 +256,7 @@ def cmd_compare(args, parser) -> int:
             checkpoints[policy] = str(ckpt)
     _evaluate(
         cfg, out, policies, seeds, cfg.experiment.eval_episodes, checkpoints,
-        {"policies": ",".join(policies)},
+        {"policies": ",".join(policies)}, frozen=frozen,
     )
     print(f"compared {', '.join(policies)} over {seeds} seeds")
     print(f"ranked summary: {out / 'summary.csv'}")

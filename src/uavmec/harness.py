@@ -245,17 +245,19 @@ def _eval_job(args):
     return (run, episodes[0]) if keep_first else run
 
 
-def evaluate_many(cfg: AppConfig, jobs: list, workers: int = 1, first_episode: bool = False):
+def evaluate_many(cfg: AppConfig, jobs: list, workers: int = 1, first_episode: bool = False,
+                  frozen: dict | None = None):
     """Run (policy, seed, checkpoint) evaluation jobs, optionally in parallel.
 
-    Each distinct learner checkpoint is loaded once, here, and all its jobs
-    share the frozen learners, which hold no stream to seed.  Results come
-    back in job order regardless of worker scheduling, so reports stay
-    deterministic.  Returns the jobs' ``RunMetrics``; with
-    ``first_episode``, returns ``(runs, result)`` where ``result`` is the
-    ``EpisodeResult`` of the first job's first episode.
+    Each distinct learner checkpoint is loaded once, here unless ``frozen``
+    already maps its ``(policy, checkpoint)`` to the learners that
+    ``load_policies`` built, and all its jobs share the frozen learners,
+    which hold no stream to seed.  Results come back in job order regardless
+    of worker scheduling, so reports stay deterministic.  Returns the jobs'
+    ``RunMetrics``; with ``first_episode``, returns ``(runs, result)`` where
+    ``result`` is the ``EpisodeResult`` of the first job's first episode.
     """
-    frozen: dict = {}
+    frozen = dict(frozen or {})
     for policy, master_seed, seed_index, _, checkpoint in jobs:
         if policy in LEARNER_POLICIES and (policy, checkpoint) not in frozen:
             frozen[policy, checkpoint] = load_policies(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .mdp import NetworkSnapshot
@@ -52,7 +54,7 @@ class HefPolicy:
                 return snap.num_uavs + int(u * n)
         batteries = snap.unit_batteries
         # The highest battery among the UAVs; a tie goes to the lowest index.
-        best = max(range(snap.num_uavs), key=batteries.__getitem__)
+        best = batteries.index(max(batteries[:snap.num_uavs]))
         if batteries[best] - batteries[snap.deciding_uav] > ENERGY_GAP_THRESHOLD:
             return best
         return snap.deciding_uav
@@ -71,12 +73,19 @@ class QhefPolicy:
     wants_transitions = False
 
     def select(self, snap: NetworkSnapshot) -> int:
-        delays = snap.unit_delays
+        delays, batteries = snap.unit_delays, snap.unit_batteries
         cutoff = min(delays) + QUEUE_TIE_TOLERANCE
-        candidates = [u for u in range(snap.num_units) if delays[u] <= cutoff]
-        best = max(candidates, key=lambda u: (snap.unit_batteries[u], -u))
+        # One pass in index order; the strict test keeps the lowest index
+        # among equal batteries.
+        best, top, u = -1, -math.inf, 0
+        for delay in delays:
+            if delay <= cutoff:
+                charge = batteries[u]
+                if charge > top:
+                    best, top = u, charge
+            u += 1
         if best == snap.deciding_uav:
             return best
-        if snap.unit_batteries[best] - snap.unit_batteries[snap.deciding_uav] > ENERGY_GAP_THRESHOLD:
+        if top - batteries[snap.deciding_uav] > ENERGY_GAP_THRESHOLD:
             return best
         return snap.deciding_uav

@@ -188,10 +188,9 @@ def run_episode(
     pipelines = [_AgentPipeline(p, cfg.mdp, cfg.rl.terminal_on_episode_end)
                  if getattr(p, "wants_transitions", False) else None for p in policies]
     encoders = [getattr(p, "encode", None) for p in policies]
+    # Each log site tests ``collect_events`` first, so an episode that keeps
+    # no log builds no event tuples.
     events: list | None = [] if collect_events else None
-    # Without a log, a zero-length deque discards each entry inside its
-    # append, so no event site tests for the log.
-    log = events.append if collect_events else deque(maxlen=0).append
 
     # What a decision reads but no event changes, built once per episode:
     # per task type its processing time on each unit, code and deadline; per
@@ -224,7 +223,8 @@ def run_episode(
         task = q.pending.popleft()
         q.in_service = task
         task.start_time = now
-        log((now, TASK_START, task.task_id, unit))
+        if collect_events:
+            events.append((now, TASK_START, task.task_id, unit))
         push(now + task.service_time, _COMPLETE, task, unit)
 
     def enqueue(task, unit, now):
@@ -271,17 +271,20 @@ def run_episode(
             sensed = tasks[i]
             now = sensed.arrival_time
             if heap[0] > (now, _ARRIVAL, sensed.task_id):
-                log((now, TASK_ARRIVAL, sensed.task_id, sensed.origin_uav))
+                if collect_events:
+                    events.append((now, TASK_ARRIVAL, sensed.task_id, sensed.origin_uav))
                 decide(sensed, now)
                 i += 1
                 continue
         now, kind, _, task, unit = heapq.heappop(heap)
         if kind == _END:
-            log((now, EPISODE_END, -1, -1))
+            if collect_events:
+                events.append((now, EPISODE_END, -1, -1))
             break
         if kind == _ARRIVAL:
             # Only forwarded tasks arrive through the heap, already decided.
-            log((now, TASK_ARRIVAL, task.task_id, unit))
+            if collect_events:
+                events.append((now, TASK_ARRIVAL, task.task_id, unit))
             enqueue(task, unit, now)
         else:  # _COMPLETE
             q = queues[unit]
@@ -292,7 +295,8 @@ def run_episode(
             task.finish_time = now
             task.violated = check_violation(task, deadlines[task.type_id], iot_delay,
                                             transfer_tables[task.origin_uav][unit])
-            log((now, TASK_COMPLETE, task.task_id, unit))
+            if collect_events:
+                events.append((now, TASK_COMPLETE, task.task_id, unit))
             if cfg.mdp.deferred_reward and pipelines[task.origin_uav]:
                 pipelines[task.origin_uav].on_task_resolved(task.task_id, task.violated)
             kick(unit, now)

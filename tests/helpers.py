@@ -57,6 +57,12 @@ mode holds only the last decision.
 UAV batteries into a list, charges the chosen one and compares it against
 the list's maximum.  It is the oracle for ``uavmec.mdp.battery_tier``.
 
+``ReferenceHefPolicy`` and ``ReferenceQhefPolicy`` are the original
+heuristic selects: HEF finds its best-charged UAV with ``max`` over the UAV
+indices keyed by battery, and QHEF lists the units within the tie tolerance
+of the minimum delay and takes ``max`` of them keyed by ``(battery, -unit)``.
+They are the oracles for the one-pass selects in ``uavmec.heuristics``.
+
 ``snapshot_is_sane`` and ``plateau_threshold`` are structural and
 convergence oracles that only tests use; ``make_snapshot`` builds a
 hand-made decision snapshot of the default 4 UAV + 1 MEC fleet.
@@ -69,6 +75,7 @@ import numpy as np
 
 from uavmec.arrivals import TaskInstance, arrival_rng
 from uavmec.config import AppConfig
+from uavmec.heuristics import ENERGY_GAP_THRESHOLD, QUEUE_TIE_TOLERANCE, HefPolicy, QhefPolicy
 from uavmec.mdp import (
     NetworkSnapshot, Transition, assemble_reward, compute_reward_parts, encode_state, type_code,
 )
@@ -635,3 +642,35 @@ def reference_battery_tier(snap: NetworkSnapshot, action: int, cfg) -> float:
     if diff <= -2.0 * cfg.energy_threshold:
         return low
     return mid
+
+
+class ReferenceHefPolicy(HefPolicy):
+    """Highest energy first, the best UAV found by a keyed ``max``."""
+
+    def select(self, snap: NetworkSnapshot) -> int:
+        n = snap.num_units
+        num_mecs = n - snap.num_uavs
+        if num_mecs > 0:
+            u = self.rng.random()
+            if u < num_mecs / n:
+                return snap.num_uavs + int(u * n)
+        batteries = snap.unit_batteries
+        best = max(range(snap.num_uavs), key=batteries.__getitem__)
+        if batteries[best] - batteries[snap.deciding_uav] > ENERGY_GAP_THRESHOLD:
+            return best
+        return snap.deciding_uav
+
+
+class ReferenceQhefPolicy(QhefPolicy):
+    """Queue-aware HEF, the winner taken by ``max`` over a candidate list."""
+
+    def select(self, snap: NetworkSnapshot) -> int:
+        delays = snap.unit_delays
+        cutoff = min(delays) + QUEUE_TIE_TOLERANCE
+        candidates = [u for u in range(snap.num_units) if delays[u] <= cutoff]
+        best = max(candidates, key=lambda u: (snap.unit_batteries[u], -u))
+        if best == snap.deciding_uav:
+            return best
+        if snap.unit_batteries[best] - snap.unit_batteries[snap.deciding_uav] > ENERGY_GAP_THRESHOLD:
+            return best
+        return snap.deciding_uav

@@ -409,6 +409,49 @@ def test_compare_reuses_checkpoint(tiny_config, tiny_checkpoints, tmp_path):
     assert (out / "summary.csv").exists()
 
 
+def test_compare_refuses_a_given_checkpoint_before_training(tiny_config, tiny_checkpoints,
+                                                              tmp_path, capsys):
+    # A body that only a full load refuses: a NaN in the first weight tensor.
+    lines = tiny_checkpoints["dql"].read_text().splitlines(keepends=True)
+    w0 = next(i for i, line in enumerate(lines) if line.startswith("tensor w0 "))
+    tag, name, shape, _, *rest = lines[w0].split(" ")
+    lines[w0] = " ".join([tag, name, shape, "nan", *rest])
+    bad = tmp_path / "nan.ckpt"
+    bad.write_text("".join(lines))
+    out = tmp_path / "o"
+    rc = run([
+        "compare", "--policies", "rr,qlearning,dql", "--config", tiny_config, "--out", str(out),
+        "--seeds", "1", "--checkpoint", f"dql={bad}", "--quiet",
+    ])
+    assert rc == 1
+    assert f"tensor w0 holds a non-finite value: {bad}" in capsys.readouterr().err
+    assert not (out / "qlearning.ckpt").exists()
+    assert not (out / "convergence_qlearning.csv").exists()
+
+
+def test_compare_parses_a_given_checkpoint_once(tiny_config, tiny_checkpoints, tmp_path,
+                                                monkeypatch):
+    parses = []
+    original = harness.load_mlp
+
+    def counted(path):
+        parses.append(path)
+        return original(path)
+
+    monkeypatch.setattr(harness, "load_mlp", counted)
+    for workers in ("1", "2"):
+        parses.clear()
+        monkeypatch.setenv("UAVMEC_EXPERIMENT__WORKERS", workers)
+        out = tmp_path / workers
+        assert run([
+            "compare", "--policies", "rr,dql", "--config", tiny_config, "--out", str(out),
+            "--seeds", "2", "--checkpoint", f"dql={tiny_checkpoints['dql']}", "--quiet",
+        ]) == 0
+        assert parses == [str(tiny_checkpoints["dql"])]
+    assert (tmp_path / "1" / "summary.csv").read_bytes() == (
+        tmp_path / "2" / "summary.csv").read_bytes()
+
+
 def test_compare_rejects_unknown_policy(tiny_config, tmp_path, capsys):
     # A policy named twice would be evaluated, and counted, twice.
     for policies, message in (("rr,greedy", "unknown policy 'greedy'"),

@@ -1,10 +1,28 @@
 import math
+from dataclasses import astuple
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uavmec.heuristics import ENERGY_GAP_THRESHOLD, HefPolicy, QhefPolicy, RoundRobinPolicy
+from helpers import ReferenceHefPolicy, ReferenceQhefPolicy
+from uavmec import harness
+from uavmec.config import load_config
+from uavmec.harness import arrival_seed, make_policies
+from uavmec.heuristics import (
+    ENERGY_GAP_THRESHOLD,
+    QUEUE_TIE_TOLERANCE,
+    HefPolicy,
+    QhefPolicy,
+    RoundRobinPolicy,
+)
 from uavmec.mdp import NetworkSnapshot, type_code
+from uavmec.simulation import run_episode
+
+PAPER_YAML = str(Path(__file__).resolve().parent.parent / "configs" / "paper.yaml")
 
 FIRE, PEST, GROWTH = 0, 1, 2
 PROC_UAV = {FIRE: 0.1, PEST: 0.5, GROWTH: 0.1}
@@ -178,3 +196,49 @@ def test_hef_choices_are_always_valid_units():
             batteries=tuple(float(rng.uniform(0, 1)) for _ in range(4)),
         )
         assert 0 <= policy.select(snap) < 5
+
+
+@st.composite
+def tie_snapshots(draw):
+    """Snapshots of 1-4 UAVs and 0-2 MECs whose delays tie exactly, tie within
+    the tolerance or just miss it, with negative and tied battery fractions."""
+    num_uavs, num_mecs = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    base = draw(st.sampled_from([0.0, 0.05, 0.35, 12.5]))
+    offsets = st.sampled_from([0.0, 0.0, 0.5 * QUEUE_TIE_TOLERANCE, QUEUE_TIE_TOLERANCE,
+                               1.5 * QUEUE_TIE_TOLERANCE, 3 * QUEUE_TIE_TOLERANCE, 0.01, 0.4])
+    delays = tuple(base + draw(offsets) for _ in range(num_uavs + num_mecs))
+    charge = st.one_of(st.sampled_from([1.0, 0.5, 0.505, 0.52, 0.0, -0.05, -0.2]),
+                       st.floats(-0.5, 1.0))
+    batteries = tuple(draw(charge) for _ in range(num_uavs))
+    snap = make_snapshot(deciding_uav=draw(st.integers(0, num_uavs - 1)),
+                         backlogs=delays, batteries=batteries, num_uavs=num_uavs)
+    return snap._replace(unit_delays=delays)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(snap=tie_snapshots(), roll=st.one_of(st.sampled_from([0.0, 0.3, 0.999]),
+                                            st.floats(0.0, 1.0, exclude_max=True)))
+def test_one_pass_selects_pick_the_reference_unit(snap, roll):
+    assert QhefPolicy().select(snap) == ReferenceQhefPolicy().select(snap)
+    hef, reference = FixedRng([roll]), FixedRng([roll])
+    assert HefPolicy(hef).select(snap) == ReferenceHefPolicy(reference).select(snap)
+    assert hef.values == reference.values
+
+
+@pytest.mark.parametrize("policy, name, reference", [
+    ("hef", "HefPolicy", ReferenceHefPolicy),
+    ("qhef", "QhefPolicy", ReferenceQhefPolicy),
+])
+def test_paper_episodes_match_the_reference_policies(policy, name, reference):
+    cfg = load_config(PAPER_YAML)
+    for seed_index in (0, 1):
+        seed = arrival_seed(cfg.sim.seed, seed_index)
+        result = run_episode(cfg, make_policies(policy, cfg, cfg.sim.seed, seed_index), seed)
+        with mock.patch.object(harness, name, reference):
+            oracle = make_policies(policy, cfg, cfg.sim.seed, seed_index)
+        assert all(type(p) is reference for p in oracle)
+        expected = run_episode(cfg, oracle, seed)
+        assert [astuple(t) for t in result.placements] == [astuple(t) for t in expected.placements]
+        assert result.battery_fraction == expected.battery_fraction
+        assert result.violations_by_unit == expected.violations_by_unit
+        assert len({t.chosen_unit for t in result.placements}) == cfg.sim.num_units

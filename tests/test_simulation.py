@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import astuple
 from unittest import mock
 
@@ -475,6 +476,25 @@ def test_event_collection_is_optional(cfg):
         assert logged.cumulative_reward == r.cumulative_reward
         if policy in LEARNER_POLICIES:
             assert all(isinstance(x, float) for x in r.cumulative_reward)
+
+
+def test_event_log_holds_one_entry_per_logged_step(cfg):
+    # Every log site still writes: one arrival per task, one more per
+    # forwarded task that reached its unit's queue, one start per started
+    # task, one completion per completed task, and the end marker.
+    for policy in POLICY_NAMES:
+        r = run_episode(cfg, make_policies(policy, cfg, 17, 0), arrival_seed=17,
+                        collect_events=True)
+        tasks = r.placements
+        forwarded = sum(t.chosen_unit != t.origin_uav and t.enqueue_time is not None
+                        for t in tasks)
+        started = sum(t.start_time is not None for t in tasks)
+        completed = sum(t.completed for t in tasks)
+        assert len(r.events) == len(tasks) + forwarded + started + completed + 1
+        kinds = Counter(kind for _, kind, _, _ in r.events)
+        assert kinds == {TASK_ARRIVAL: len(tasks) + forwarded, TASK_START: started,
+                         TASK_COMPLETE: completed, EPISODE_END: 1}
+        assert forwarded > 0 and completed > 0
 
 
 class ScriptedPolicy:
