@@ -11,9 +11,15 @@ cited with its raw timings.  One call measures one workload; the result is
 merged into ``--out`` under ``workloads.<name>``, so several calls build one
 file, and every other key already in it is kept.
 
+``--trace-runs N`` adds N alternating pairs of ``--trace 1`` runs, on the
+seeds after the timed pairs' (``--pairs 0`` runs only these).  For every
+per-layer metric that ``BENCHMARK.json`` declares and that reads non-zero
+in some run, each side's median and per-run values go under
+``trace.<name>``.
+
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload paper-heuristics-eval --pairs 10 --seed 2201 --seconds 10 \\
-        --out BENCH_22.json --claim episode_ms
+        --trace-runs 4 --out BENCH_22.json --claim episode_ms
 """
 
 from __future__ import annotations
@@ -35,24 +41,28 @@ def parse_args(argv):
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--pairs", required=True, type=int, help="timed pairs (--trace 0)")
     parser.add_argument("--seed", required=True, type=int, help="seed of the first pair")
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write or update")
     parser.add_argument("--parent-rev", help="the parent's commit (default: its git HEAD)")
     parser.add_argument("--claim", metavar="METRIC",
                         help="record this workload and metric as the claimed gain")
+    parser.add_argument("--trace-runs", type=int, default=0, metavar="N",
+                        help="pairs of --trace 1 runs whose per-layer metrics go under trace")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
+    if args.pairs < 0 or args.trace_runs < 0 or args.pairs + args.trace_runs < 1:
+        parser.error("--pairs and --trace-runs must be >= 0, and one of them >= 1")
+    if args.seconds <= 0:
+        parser.error("--seconds must be > 0")
     return args
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run: its result line, with the report it wrote."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
-    report_path = Path(".bench_out") / "reports" / f"{workload}-seed{seed}-trace0.json"
+            "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    report_path = Path(".bench_out") / "reports" / f"{workload}-seed{seed}-trace{trace}.json"
     full = checkout / report_path
     full.unlink(missing_ok=True)  # never cite an earlier run's report
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
@@ -106,6 +116,52 @@ def metric_record(spec: dict, pairs: list) -> dict:
     }
 
 
+def alternating_pairs(args, seeds: list, trace: int, shown: str) -> list:
+    """(parent, change) runs, one pair per seed, the parent first on
+    even-numbered pairs; each run's ``shown`` metric goes to stderr."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs = {side: bench_run(getattr(args, side), args.workload, seed, args.seconds, trace)
+                for side in order}
+        pairs.append((runs["parent"], runs["change"]))
+        print(f"trace {trace} pair {i + 1}/{len(seeds)} seed {seed}: " + ", ".join(
+            f"{side} {runs[side]['result']['metrics'].get(shown, {}).get('value', 'failed')}"
+            for side in order), file=sys.stderr, flush=True)
+    return pairs
+
+
+def side_totals(pairs: list, key: str) -> dict:
+    return {side: sum(pair[k]["result"].get(key, 0) for pair in pairs)
+            for k, side in enumerate(("parent", "change"))}
+
+
+def trace_record(spec: dict, pairs: list, seeds: list, seconds: float) -> dict:
+    """Each side's median and per-run values of every declared per-layer
+    metric, over the pairs in which both sides ran correctly; a layer that
+    reads 0 in every run is left out."""
+    good = [(p, c) for p, c in pairs if p["ok"] and c["ok"]]
+    record = {
+        "command": "python3 bench/run.py --workload <name> --seed <n> "
+                   f"--seconds {seconds:g} --trace 1",
+        "runs": len(pairs),
+        "seeds": seeds,
+        "order": "alternating, parent first",
+        "all_correct": len(good) == len(pairs),
+        "parent": {},
+        "change": {},
+    }
+    for metric in spec["per_layer"]:
+        name = metric["name"]
+        runs = [[pair[k]["result"]["metrics"][name]["value"] for pair in good] for k in (0, 1)]
+        if not any(v for side in runs for v in side):
+            continue
+        for side, values in zip(("parent", "change"), runs):
+            record[side][name] = {"median": round(statistics.median(values), ROUND),
+                                  "runs": [round(v, ROUND) for v in values]}
+    return record
+
+
 def git_rev(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
                           capture_output=True, text=True, check=False)
@@ -116,23 +172,15 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seeds = [args.seed + i for i in range(args.pairs)]
-    pairs = []
-    for i, seed in enumerate(seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        runs = {side: bench_run(getattr(args, side), args.workload, seed, args.seconds)
-                for side in order}
-        pairs.append((runs["parent"], runs["change"]))
-        print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
-            f"{side} {runs[side]['result']['metrics'].get('episode_ms', {}).get('value', 'failed')}"
-            for side in order), file=sys.stderr, flush=True)
+    pairs = alternating_pairs(args, seeds, 0, "episode_ms")
+    trace_seeds = [args.seed + args.pairs + i for i in range(args.trace_runs)]
+    traced = alternating_pairs(args, trace_seeds, 1, "trace.wall_s")
     good = [(p, c) for p, c in pairs if p["ok"] and c["ok"]]
     record = {
         "pairs": args.pairs,
         "seeds": seeds,
-        "attempted": {side: sum(pair[k]["result"].get("attempted", 0) for pair in pairs)
-                      for k, side in enumerate(("parent", "change"))},
-        "failed": {side: sum(pair[k]["result"].get("failed", 0) for pair in pairs)
-                   for k, side in enumerate(("parent", "change"))},
+        "attempted": side_totals(pairs, "attempted"),
+        "failed": side_totals(pairs, "failed"),
         "all_correct": len(good) == len(pairs),
         "metrics": {m["name"]: metric_record(m, good) for m in spec["end_to_end"]} if good else {},
         "reports": {side: [pair[k]["cite"] for pair in pairs]
@@ -140,7 +188,7 @@ def main(argv=None) -> int:
     }
 
     out = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    first = next((r["report"] for pair in pairs for r in pair if r["report"]), {})
+    first = next((r["report"] for pair in pairs + traced for r in pair if r["report"]), {})
     out.setdefault("parent", args.parent_rev or git_rev(args.parent))
     out.setdefault("command", "python3 bench/run.py --workload <name> --seed <n> "
                               f"--seconds {args.seconds:g} --trace 0")
@@ -160,9 +208,16 @@ def main(argv=None) -> int:
     })
     if args.claim:
         out["claimed"] = {"workload": args.workload, "metric": args.claim}
-    out.setdefault("workloads", {})[args.workload] = record
+    all_correct = True
+    if pairs:
+        out.setdefault("workloads", {})[args.workload] = record
+        all_correct = record["all_correct"]
+    if traced:
+        trace = trace_record(spec, traced, trace_seeds, args.seconds)
+        out.setdefault("trace", {})[args.workload] = trace
+        all_correct = all_correct and trace["all_correct"]
     args.out.write_text(json.dumps(out, indent=1) + "\n")
-    return 0 if record["all_correct"] else 1
+    return 0 if all_correct else 1
 
 
 if __name__ == "__main__":

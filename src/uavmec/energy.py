@@ -3,9 +3,10 @@
 Drain is piecewise constant: a fixed floor (hover + antenna + CPU idle) runs
 for the whole elapsed mission time, and the CPU adds its busy-minus-idle draw
 while a task is in service.  The battery therefore depends only on the
-elapsed time and the UAV's busy seconds up to it, which its service queue
-keeps (``queues.busy_seconds``).  A battery is read only as the fraction of
-its capacity left.  MEC servers are grid powered and have no battery;
+elapsed time and the UAV's busy seconds up to it: the service time of its
+finished tasks, which the kernel adds up at each completion, plus the running
+task's time so far.  A battery is read only as the fraction of its capacity
+left.  MEC servers are grid powered and have no battery;
 callers represent them with an infinite battery sentinel.
 """
 
@@ -29,16 +30,24 @@ class BatteryModel:
         self.busy_extra_power_w = params.busy_extra_power_w
 
 
-def remaining_battery_fractions(model: BatteryModel, elapsed: float, busy_seconds) -> tuple:
+def remaining_battery_fractions(model: BatteryModel, elapsed: float, busy_done, running) -> tuple:
     """Fraction of its capacity each UAV has left after ``elapsed`` mission
-    seconds, given the seconds of them its CPU was busy.  The fraction may go
-    negative."""
+    seconds.  ``busy_done`` holds, per UAV, the seconds its CPU spent on
+    finished tasks; ``running`` holds per unit the task in service, or None,
+    and is read only as far as ``busy_done`` goes.  A running task adds the
+    seconds since its start.  The fraction may go negative."""
     idle = model.constant_power_w * elapsed
     capacity, busy_extra = model.battery_capacity_wh, model.busy_extra_power_w
     return tuple([
-        (capacity - (idle + busy_extra * busy) / 3600.0) / capacity for busy in busy_seconds
+        (capacity - (idle + busy_extra * (done if task is None
+                                          else done + (elapsed - task.start_time))) / 3600.0)
+        / capacity
+        for done, task in zip(busy_done, running)
     ])
 
 
-def remaining_battery_fraction(model: BatteryModel, elapsed: float, busy_seconds: float) -> float:
-    return remaining_battery_fractions(model, elapsed, (busy_seconds,))[0]
+def remaining_battery_fraction(model: BatteryModel, elapsed: float, busy_done: float,
+                               task) -> float:
+    """``remaining_battery_fractions`` of one UAV, whose running task is
+    ``task`` (None when idle)."""
+    return remaining_battery_fractions(model, elapsed, (busy_done,), (task,))[0]

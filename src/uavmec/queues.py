@@ -1,9 +1,12 @@
-"""FIFO service queues, delay prediction and the deadline predicate."""
+"""Delay prediction over the units' drain times, and the deadline predicate.
+
+The kernel keeps each unit's ``free_at``: the absolute time the unit drains
+everything enqueued on it or in service there.  It advances it at each
+enqueue, to ``max(free_at, now)`` plus the task's service time, so a
+prediction read from it is float-identical to the realized start times.
+"""
 
 from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass, field
 
 from .arrivals import TaskInstance
 
@@ -22,58 +25,20 @@ def check_violation(task: TaskInstance, deadline: float, iot_delay: float,
     return total > deadline
 
 
-@dataclass
-class UnitQueue:
-    """Non-preemptive FIFO queue of one processing unit, and its only record
-    of service.
-
-    ``pending`` and ``in_service`` hold the tasks themselves; their times live
-    on the tasks.  ``free_at`` is the absolute time the unit drains everything
-    currently enqueued or in service; it is maintained incrementally so delay
-    prediction is O(1) and float-identical to the realized start times.
-    ``busy_total`` is the service time of the tasks finished so far, added to
-    at each completion; with the running task's time so far it is the busy
-    time a UAV's battery is charged for.
-    """
-
-    unit_id: int
-    pending: deque = field(default_factory=deque)
-    in_service: TaskInstance | None = None
-    free_at: float = 0.0
-    busy_total: float = 0.0
-
-    def enqueue(self, task: TaskInstance, now: float, service_time: float) -> None:
-        if task.enqueue_time is not None:
-            raise ValueError(f"task {task.task_id} enqueued twice (again at unit {self.unit_id})")
-        task.enqueue_time = now
-        task.service_time = service_time
-        self.pending.append(task)
-        self.free_at = max(self.free_at, now) + service_time
-
-
-def busy_seconds(queues, now: float) -> list:
-    """Seconds each unit was in service up to ``now``: its finished tasks plus
-    the running one so far."""
-    return [
-        q.busy_total if q.in_service is None else q.busy_total + (now - q.in_service.start_time)
-        for q in queues
-    ]
-
-
-def predicted_delays(queues, service_times, now: float) -> tuple:
+def predicted_delays(free_at, service_times, now: float) -> tuple:
     """Per unit, the queue wait plus service it would impose on a task placed
-    now, given the task's service time on each unit.
+    now, given each unit's drain time and the task's service time there.
 
     Remaining in-service time and all pending service times are already folded
     into ``free_at``, so the estimate is the backlog ``free_at - now`` (zero
     on an idle unit) plus the candidate's own service time.
     """
     return tuple([
-        (q.free_at - now if q.free_at > now else 0.0) + service
-        for q, service in zip(queues, service_times)
+        (free - now if free > now else 0.0) + service
+        for free, service in zip(free_at, service_times)
     ])
 
 
-def predicted_unit_delay(queue: UnitQueue, service_time: float, now: float) -> float:
+def predicted_unit_delay(free_at: float, service_time: float, now: float) -> float:
     """``predicted_delays`` of one unit."""
-    return predicted_delays((queue,), (service_time,), now)[0]
+    return predicted_delays((free_at,), (service_time,), now)[0]

@@ -12,11 +12,19 @@ from the task table, which is sorted by arrival time with ids equal to
 positions, so it is walked with one index.  A heap holds the rest:
 completions, arrivals forwarded to another unit, and the horizon marker.
 
-A unit starts its head task as soon as it is idle with pending work, inside
-the handler of the enqueue that fed it or of the completion that freed it, and
-logs the start right after that event.  No later event of equal time could see
-the difference: an arrival runs after every equal-time event that touches its
-unit, and the other completions of equal time touch only their own units.
+Unit state lives in flat lists owned by the episode, indexed by unit:
+``waiting`` (a FIFO deque of enqueued tasks), ``running`` (the task in
+service, or None) and ``free_at`` (when the unit drains all of them, which is
+what a delay prediction reads).  Per UAV, ``busy_done`` adds up the service
+time of the finished tasks; with the running task's time so far it is what a
+battery read charges.  No code reads a MEC's busy time, so none is kept.
+
+A unit never idles with work waiting: an enqueue starts its task at once on
+an idle unit, and a completion starts the next waiting task.  The start is
+logged right after the event that caused it.  No later event of equal time
+could see the difference: an arrival runs after every equal-time event that
+touches its unit, and the other completions of equal time touch only their
+own units.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .mdp import (
     encode_state,  # noqa: F401  unused here; bench/tracing.py wraps it under this name
     type_code,
 )
-from .queues import UnitQueue, busy_seconds, check_violation, predicted_delays
+from .queues import check_violation, predicted_delays
 from .queues import predicted_unit_delay  # noqa: F401  unused here; bench/tracing.py wraps it
 
 # Event names in the log.
@@ -182,8 +190,10 @@ def run_episode(
         raise SimulationError(f"need one policy per UAV ({num_uavs}), got {len(policies)}")
 
     tasks = build_task_table(sim, cfg.tasks, arrival_seed, episode_index)
-    queues = [UnitQueue(u) for u in range(num_units)]
-    uav_queues = queues[:num_uavs]
+    waiting = [deque() for _ in range(num_units)]
+    running: list = [None] * num_units
+    free_at = [0.0] * num_units
+    busy_done = [0.0] * num_uavs
     battery = BatteryModel(energy_params)
     pipelines = [_AgentPipeline(p, cfg.mdp, cfg.rl.terminal_on_episode_end)
                  if getattr(p, "wants_transitions", False) else None for p in policies]
@@ -207,36 +217,37 @@ def run_episode(
     mec_batteries = (MEC_BATTERY_SENTINEL,) * sim.num_mecs
     iot_delay = sim.iot_to_uav_delay
     busy_frac_per_sec = energy_params.busy_frac_per_sec
+    deferred = cfg.mdp.deferred_reward
 
     # Entries are (time, kind, task_id, task, unit); the horizon marker is
     # the one entry without a task.
     heap: list = [(sim.episode_duration, _END, -1, None, -1)]
+    heappush = heapq.heappush
 
-    def push(time, kind, task, unit):
-        heapq.heappush(heap, (time, kind, task.task_id, task, unit))
-
-    def kick(unit, now):
-        """Start the head task of ``unit`` if it is idle with pending work."""
-        q = queues[unit]
-        if q.in_service is not None or not q.pending:
+    def enqueue(task, unit, now):
+        """Stamp ``task`` into the queue of ``unit``; start it if the unit is idle."""
+        if task.enqueue_time is not None:
+            raise SimulationError(f"task {task.task_id} enqueued twice (again at unit {unit})")
+        service = proc_tables[task.type_id][unit]
+        task.enqueue_time = now
+        task.service_time = service
+        free = free_at[unit]
+        free_at[unit] = (now if now > free else free) + service
+        if running[unit] is not None:
+            waiting[unit].append(task)
             return
-        task = q.pending.popleft()
-        q.in_service = task
+        running[unit] = task
         task.start_time = now
         if collect_events:
             events.append((now, TASK_START, task.task_id, unit))
-        push(now + task.service_time, _COMPLETE, task, unit)
-
-    def enqueue(task, unit, now):
-        queues[unit].enqueue(task, now, proc_tables[task.type_id][unit])
-        kick(unit, now)
+        heappush(heap, (now + service, _COMPLETE, task.task_id, task, unit))
 
     def decide(task, now):
         uav, type_id = task.origin_uav, task.type_id
         proc_times = proc_tables[type_id]
         transfers = transfer_tables[uav]
-        delays = predicted_delays(queues, proc_times, now)
-        batteries = remaining_battery_fractions(battery, now, busy_seconds(uav_queues, now))
+        delays = predicted_delays(free_at, proc_times, now)
+        batteries = remaining_battery_fractions(battery, now, busy_done, running)
         # Positional, in field order: keywords make the build ~3x slower.
         snap = NetworkSnapshot(
             uav, type_id, type_codes[type_id], delays, batteries + mec_batteries, transfers,
@@ -259,7 +270,7 @@ def run_episode(
         if action == uav:
             enqueue(task, uav, now)
         else:
-            push(now + transfers[action], _ARRIVAL, task, action)
+            heappush(heap, (now + transfers[action], _ARRIVAL, task.task_id, task, action))
 
     # Sensed arrivals run in table order, each once no heap key is smaller
     # than its own; no heap key equals it (the task ids differ).  The heap
@@ -287,22 +298,28 @@ def run_episode(
                 events.append((now, TASK_ARRIVAL, task.task_id, unit))
             enqueue(task, unit, now)
         else:  # _COMPLETE
-            q = queues[unit]
-            if q.in_service is not task:
+            if running[unit] is not task:
                 raise SimulationError(f"completion for task {task.task_id} without matching service")
-            q.in_service = None
-            q.busy_total += now - task.start_time
+            if unit < num_uavs:
+                busy_done[unit] += now - task.start_time
             task.finish_time = now
             task.violated = check_violation(task, deadlines[task.type_id], iot_delay,
                                             transfer_tables[task.origin_uav][unit])
             if collect_events:
                 events.append((now, TASK_COMPLETE, task.task_id, unit))
-            if cfg.mdp.deferred_reward and pipelines[task.origin_uav]:
+            if deferred and pipelines[task.origin_uav]:
                 pipelines[task.origin_uav].on_task_resolved(task.task_id, task.violated)
-            kick(unit, now)
+            queue = waiting[unit]
+            if queue:
+                task = running[unit] = queue.popleft()
+                task.start_time = now
+                if collect_events:
+                    events.append((now, TASK_START, task.task_id, unit))
+                heappush(heap, (now + task.service_time, _COMPLETE, task.task_id, task, unit))
+            else:
+                running[unit] = None
 
     end_time = sim.episode_duration
-    busy = busy_seconds(uav_queues, end_time)
 
     in_service = 0
     in_queue = 0
@@ -317,7 +334,7 @@ def run_episode(
                 in_queue += 1
                 # Still queued or in transit: violated iff the deadline has passed.
                 task.violated = task.deadline_abs <= end_time
-            if cfg.mdp.deferred_reward and pipelines[task.origin_uav]:
+            if deferred and pipelines[task.origin_uav]:
                 pipelines[task.origin_uav].on_task_resolved(task.task_id, task.violated)
         violations_by_unit[task.chosen_unit] += task.violated
     for pipe in filter(None, pipelines):
@@ -329,7 +346,8 @@ def run_episode(
         tasks_completed=len(tasks) - in_queue - in_service,
         tasks_in_queue=in_queue,
         tasks_in_service=in_service,
-        battery_fraction=[remaining_battery_fraction(battery, end_time, b) for b in busy],
+        battery_fraction=[remaining_battery_fraction(battery, end_time, busy_done[uav],
+                                                     running[uav]) for uav in range(num_uavs)],
         violations_by_unit=violations_by_unit,
         violations_total=sum(violations_by_unit),
         cumulative_reward=[pipe.cumulative_reward if pipe else None for pipe in pipelines],

@@ -63,6 +63,11 @@ indices keyed by battery, and QHEF lists the units within the tie tolerance
 of the minimum delay and takes ``max`` of them keyed by ``(battery, -unit)``.
 They are the oracles for the one-pass selects in ``uavmec.heuristics``.
 
+``task_table``, ``run_on_table`` and ``ScriptedPlacements`` run the kernel
+on a hand-made task table, with exact (dyadic) times where a test needs
+ties, in place of the drawn one.  ``assert_tie_rule`` checks an event log
+against the kernel's order of equal-time events.
+
 ``snapshot_is_sane`` and ``plateau_threshold`` are structural and
 convergence oracles that only tests use; ``make_snapshot`` builds a
 hand-made decision snapshot of the default 4 UAV + 1 MEC fleet.
@@ -70,9 +75,11 @@ hand-made decision snapshot of the default 4 UAV + 1 MEC fleet.
 
 import math
 from collections import deque
+from unittest import mock
 
 import numpy as np
 
+from uavmec import simulation
 from uavmec.arrivals import TaskInstance, arrival_rng
 from uavmec.config import AppConfig
 from uavmec.heuristics import ENERGY_GAP_THRESHOLD, QUEUE_TIE_TOLERANCE, HefPolicy, QhefPolicy
@@ -81,7 +88,7 @@ from uavmec.mdp import (
 )
 from uavmec.nnet import AdamState, MlpNetwork, adam_step, forward, loss_and_grads
 from uavmec.simulation import (
-    EpisodeResult, SimulationError, TASK_ARRIVAL, TASK_COMPLETE, TASK_START,
+    EPISODE_END, EpisodeResult, SimulationError, TASK_ARRIVAL, TASK_COMPLETE, TASK_START,
 )
 from uavmec.tabular import DiscretizationGrid
 
@@ -209,6 +216,66 @@ def assert_fifo_work_conserving(result: EpisodeResult) -> None:
                 prev_finish = finishes[task_id]
             else:
                 break  # still in service at the horizon; nothing follows
+
+
+def task_table(cfg: AppConfig, arrivals) -> list:
+    """A task table from ``(uav, type_id, arrival_time)`` triples in arrival
+    order: ids by position, each emitted one sensor hop before its arrival
+    and due its class deadline after its emission."""
+    iot = cfg.sim.iot_to_uav_delay
+    return [
+        TaskInstance(i, type_id, uav, arrival - iot, arrival,
+                     (arrival - iot) + cfg.tasks[type_id].deadline)
+        for i, (uav, type_id, arrival) in enumerate(arrivals)
+    ]
+
+
+def run_on_table(cfg: AppConfig, policies: list, table: list,
+                 collect_events: bool = True) -> EpisodeResult:
+    """``run_episode`` over ``table`` in place of the drawn task table."""
+    with mock.patch.object(simulation, "build_task_table", lambda *args: table):
+        return simulation.run_episode(cfg, policies, arrival_seed=0,
+                                      collect_events=collect_events)
+
+
+class ScriptedPlacements:
+    """Places the tasks on the given units in decision order, which on a
+    fixed table is task-id order, and keeps every decision's snapshot.  One
+    object serves every UAV."""
+
+    wants_transitions = False
+
+    def __init__(self, units):
+        self.units = list(units)
+        self.seen = []
+
+    def select(self, snap):
+        self.seen.append(snap)
+        return self.units[len(self.seen) - 1]
+
+
+_TIE_RANK = {TASK_COMPLETE: 0, TASK_ARRIVAL: 1, EPISODE_END: 2}
+
+
+def assert_tie_rule(events: list) -> None:
+    """Events of one instant run completions first, then arrivals by task id,
+    then the end marker, which closes the log; each start comes right after
+    the completion or arrival at its unit that fed it."""
+    assert events and events[-1][1] == EPISODE_END
+    last_key = None
+    prev = None
+    for event in events:
+        time, kind, task_id, unit = event
+        if kind == TASK_START:
+            assert prev is not None and prev[0] == time and prev[3] == unit, (
+                f"start {event} does not follow an event at its unit: {prev}")
+            assert prev[1] == TASK_COMPLETE or (prev[1] == TASK_ARRIVAL and prev[2] == task_id), (
+                f"start {event} follows {prev}")
+        else:
+            key = (time, _TIE_RANK[kind], task_id)
+            assert last_key is None or key >= last_key, f"{event} logged after {last_key}"
+            last_key = key
+        prev = event
 
 
 class ReplayBuffer:

@@ -1,26 +1,41 @@
 import pytest
 
-from uavmec.arrivals import TaskInstance
-from uavmec.queues import (
-    UnitQueue,
-    busy_seconds,
-    check_violation,
-    predicted_delays,
-    predicted_unit_delay,
+from helpers import (
+    FIRE,
+    GROWTH,
+    PEST,
+    ScriptedPlacements,
+    assert_fifo_work_conserving,
+    run_on_table,
+    task_table,
 )
+from uavmec.arrivals import TaskInstance
+from uavmec.config import load_config
+from uavmec.energy import BatteryModel, remaining_battery_fraction
+from uavmec.queues import check_violation, predicted_delays, predicted_unit_delay
+from uavmec.simulation import TASK_ARRIVAL, TASK_START, SimulationError
 
 IOT = 0.01
+UAV, MEC = 0, 1
 
 
-def make_task(task_id=0, type_id=0, uav=0, emission=0.0, iot=0.01, deadline=0.3):
-    return TaskInstance(
-        task_id=task_id,
-        type_id=type_id,
-        origin_uav=uav,
-        emission_time=emission,
-        arrival_time=emission + iot,
-        deadline_abs=emission + deadline,
-    )
+@pytest.fixture
+def one_uav():
+    """One UAV (unit 0) and one MEC (unit 1) over a 10 s horizon, default
+    task classes: fire 0.1 s on a UAV and 0.05 s on the MEC, pest 0.5 and
+    0.25 s, growth 0.1 and 0.05 s."""
+    cfg = load_config()
+    cfg.sim.num_uavs, cfg.sim.num_mecs = 1, 1
+    cfg.sim.episode_duration = 10.0
+    return cfg
+
+
+def scripted(cfg, arrivals, units, table=None):
+    """Run ``arrivals`` (uav, type, time) placed on ``units`` in task order;
+    return the result and every decision's snapshot."""
+    policy = ScriptedPlacements(units)
+    table = task_table(cfg, arrivals) if table is None else table
+    return run_on_table(cfg, [policy] * cfg.sim.num_uavs, table), policy.seen
 
 
 def make_record(**overrides):
@@ -40,52 +55,56 @@ def make_record(**overrides):
     return TaskInstance(**base)
 
 
-def test_idle_unit_has_zero_backlog():
-    q = UnitQueue(unit_id=0)
-    assert predicted_unit_delay(q, 0.0, now=5.0) == 0.0
-    assert q.in_service is None
+def test_idle_unit_has_zero_backlog(one_uav):
+    assert predicted_unit_delay(0.0, 0.0, now=5.0) == 0.0
+    # The first decision of an episode finds every unit idle: nothing has
+    # started before it, and it sees each unit's service time alone.
+    r, seen = scripted(one_uav, [(0, FIRE, 5.0)], [UAV])
+    assert r.events[0] == (5.0, TASK_ARRIVAL, 0, 0)
+    assert seen[0].unit_delays == seen[0].proc_times == (0.1, 0.05)
 
 
-def test_backlog_counts_committed_service():
-    # One fire task (0.3 s on a UAV) enqueued at t=1; a decision at t=1
-    # sees 0.3 s of committed work ahead.
-    q = UnitQueue(unit_id=0)
-    q.enqueue(make_task(task_id=1), now=1.0, service_time=0.3)
-    assert q.free_at == 1.3
-    assert predicted_unit_delay(q, 0.0, now=1.0) == pytest.approx(0.3)
-    assert predicted_unit_delay(q, 0.0, now=1.2) == pytest.approx(0.1)
-    assert predicted_unit_delay(q, 0.0, now=2.0) == 0.0
+def test_backlog_counts_committed_service(one_uav):
+    # One fire task (0.3 s on the UAV) enqueued at t=1; decisions at t=1,
+    # 1.2 and 2 see 0.3, 0.1 and no seconds of committed work ahead of their
+    # own 0.3 s.  They place on the MEC, which leaves the UAV's queue alone.
+    one_uav.tasks[FIRE].proc_time_uav = 0.3
+    r, seen = scripted(one_uav, [(0, FIRE, 1.0), (0, FIRE, 1.0), (0, FIRE, 1.2), (0, FIRE, 2.0)],
+                       [UAV, MEC, MEC, MEC])
+    assert r.placements[0].finish_time == 1.3
+    assert seen[1].unit_delays[UAV] - 0.3 == pytest.approx(0.3)
+    assert seen[2].unit_delays[UAV] - 0.3 == pytest.approx(0.1)
+    assert seen[3].unit_delays[UAV] == 0.3
 
 
-def test_second_arrival_waits_for_the_first():
+def test_second_arrival_waits_for_the_first(one_uav):
     # Two pest tasks (0.5 s each) enqueued back to back: the second is
-    # committed to start 0.5 s after its arrival.
-    q = UnitQueue(unit_id=0)
-    q.enqueue(make_task(task_id=1, type_id=1, deadline=0.8), now=2.0, service_time=0.5)
-    q.enqueue(make_task(task_id=2, type_id=1, deadline=0.8), now=2.0, service_time=0.5)
-    assert q.free_at == 3.0
-    assert predicted_unit_delay(q, 0.0, now=2.0) == pytest.approx(1.0)
+    # committed to start 0.5 s after its arrival, and a fire task decided at
+    # the same instant sees 1.0 s ahead of its own 0.1 s.
+    r, seen = scripted(one_uav, [(0, PEST, 2.0), (0, PEST, 2.0), (0, FIRE, 2.0)], [UAV, UAV, MEC])
+    assert r.placements[1].start_time == 2.5
+    assert seen[2].unit_delays[UAV] - 0.1 == pytest.approx(1.0)
 
 
-def test_predicted_delay_on_empty_units():
-    uav = UnitQueue(unit_id=0)
-    mec = UnitQueue(unit_id=4)
+def test_predicted_delay_on_empty_units(one_uav):
     # Fire processing: 0.1 s on a UAV, 0.05 s on the MEC.
-    assert predicted_unit_delay(uav, 0.1, now=0.0) == pytest.approx(0.1)
-    assert predicted_unit_delay(mec, 0.05, now=0.0) == pytest.approx(0.05)
+    assert predicted_unit_delay(0.0, 0.1, now=0.0) == pytest.approx(0.1)
+    assert predicted_unit_delay(0.0, 0.05, now=0.0) == pytest.approx(0.05)
+    _, seen = scripted(one_uav, [(0, FIRE, 0.0)], [MEC])
+    assert seen[0].unit_delays == pytest.approx((0.1, 0.05))
 
 
-def test_predicted_delay_with_residual_and_pending_work():
+def test_predicted_delay_with_residual_and_pending_work(one_uav):
     # Unit busy for another 0.08 s with one pending fire task (0.1 s): a new
     # fire task sees 0.08 + 0.1 + 0.1 = 0.28 s.
-    q = UnitQueue(unit_id=1)
-    q.enqueue(make_task(task_id=1), now=0.0, service_time=0.18)  # drains at 0.18
-    q.enqueue(make_task(task_id=2), now=0.10, service_time=0.1)  # drains at 0.28
+    one_uav.tasks[PEST].proc_time_uav = 0.18
+    _, seen = scripted(one_uav, [(0, PEST, 0.0), (0, FIRE, 0.10), (0, FIRE, 0.10)],
+                       [UAV, UAV, MEC])  # the UAV drains at 0.18, then at 0.28
     now = 0.10
     # Independent recomputation: residual in-service + pending + own service.
     residual = 0.18 - now
     oracle = residual + 0.1 + 0.1
-    assert predicted_unit_delay(q, 0.1, now=now) == pytest.approx(oracle)
+    assert seen[2].unit_delays[UAV] == pytest.approx(oracle)
     assert oracle == pytest.approx(0.28)
 
 
@@ -140,84 +159,81 @@ def test_unfinished_task_cannot_be_judged():
         check_violation(half, deadline=0.3, iot_delay=IOT, transfer_delay=0.0)
 
 
-def test_enqueue_stamps_the_task():
-    q = UnitQueue(unit_id=0)
-    task = make_task(task_id=7)
-    q.enqueue(task, now=0.5, service_time=0.1)
+def test_enqueue_stamps_the_task(one_uav):
+    # A fire task enqueued at t=0.5 behind a pest task that runs until 0.75,
+    # with the horizon at 0.625: stamped at its enqueue, never started.
+    one_uav.sim.episode_duration = 0.625
+    r, _ = scripted(one_uav, [(0, PEST, 0.25), (0, FIRE, 0.5)], [UAV, UAV])
+    task = r.placements[1]
     assert (task.enqueue_time, task.service_time) == (0.5, 0.1)
     assert (task.start_time, task.finish_time) == (None, None)
     assert not task.completed
+    assert r.tasks_in_queue == 1
 
 
-def test_duplicate_enqueue_rejected():
-    q = UnitQueue(unit_id=0)
-    task = make_task(task_id=7)
-    q.enqueue(task, now=0.0, service_time=0.1)
-    with pytest.raises(ValueError, match="task 7 enqueued twice"):
-        q.enqueue(task, now=0.5, service_time=0.1)
-    assert list(q.pending) == [task]
-    assert task.enqueue_time == 0.0
+def test_duplicate_enqueue_rejected(one_uav):
+    # The same task twice in the table, both times kept local: the second
+    # enqueue is refused and the first one's stamps stand.
+    [task] = task_table(one_uav, [(0, FIRE, 0.5)])
+    with pytest.raises(SimulationError, match="task 0 enqueued twice"):
+        scripted(one_uav, None, [UAV, UAV], table=[task, task])
+    assert (task.enqueue_time, task.start_time, task.service_time) == (0.5, 0.5, 0.1)
 
 
-def test_enqueue_at_a_second_unit_rejected():
-    first = UnitQueue(unit_id=0)
-    second = UnitQueue(unit_id=4)
-    task = make_task(task_id=3)
-    first.enqueue(task, now=0.0, service_time=0.1)
-    with pytest.raises(ValueError, match="unit 4"):
-        second.enqueue(task, now=0.02, service_time=0.05)
-    assert not second.pending
-    assert second.free_at == 0.0
+def test_enqueue_at_a_second_unit_rejected(one_uav):
+    # Kept local at t=0.5, then forwarded to the MEC: its arrival there, one
+    # hop later, is refused, and the task keeps the UAV's stamps.
+    [task] = task_table(one_uav, [(0, FIRE, 0.5)])
+    with pytest.raises(SimulationError, match="unit 1"):
+        scripted(one_uav, None, [UAV, MEC], table=[task, task])
+    assert (task.enqueue_time, task.start_time, task.service_time) == (0.5, 0.5, 0.1)
 
 
-def test_fifo_pop_order():
-    q = UnitQueue(unit_id=0)
-    for i in range(3):
-        q.enqueue(make_task(task_id=i), now=float(i), service_time=0.1)
-    assert [task.task_id for task in q.pending] == [0, 1, 2]
+def test_fifo_pop_order(one_uav):
+    # Three 2.5 s tasks enqueued at t=0, 1 and 2 start in enqueue order, each
+    # when the one before it finishes.
+    one_uav.tasks[FIRE].proc_time_uav = 2.5
+    r, _ = scripted(one_uav, [(0, FIRE, float(i)) for i in range(3)], [UAV] * 3)
+    starts = [(task_id, time) for time, kind, task_id, _ in r.events if kind == TASK_START]
+    assert starts == [(0, 0.0), (1, 2.5), (2, 5.0)]
+    assert_fifo_work_conserving(r)
 
 
-def test_free_at_never_runs_backwards():
-    q = UnitQueue(unit_id=0)
-    q.enqueue(make_task(task_id=1), now=0.0, service_time=0.2)
-    # Arrival after the queue drained restarts from "now", not from free_at.
-    q.enqueue(make_task(task_id=2), now=5.0, service_time=0.3)
-    assert q.free_at == pytest.approx(5.3)
+def test_free_at_never_runs_backwards(one_uav):
+    # An arrival after the queue drained restarts from "now", not from the
+    # last drain time: a 0.2 s task at t=0, a 0.3 s one at t=5, and a growth
+    # task decided at t=5 sees 0.3 s ahead of its own 0.1 s.
+    one_uav.tasks[FIRE].proc_time_uav = 0.2
+    one_uav.tasks[PEST].proc_time_uav = 0.3
+    r, seen = scripted(one_uav, [(0, FIRE, 0.0), (0, PEST, 5.0), (0, GROWTH, 5.0)],
+                       [UAV, UAV, MEC])
+    assert r.placements[1].start_time == 5.0
+    assert seen[2].unit_delays[UAV] == pytest.approx(5.3 - 5.0 + 0.1)
 
 
-def test_busy_seconds_counts_the_running_task_and_sums_finished_ones():
-    # Two tasks served back to back, started and completed as the kernel
-    # does: the first runs 1.0-1.25, the second 1.25-1.75.
-    def start(now):
-        task = q.pending.popleft()
-        q.in_service, task.start_time = task, now
-
-    def complete(now):
-        task, q.in_service = q.in_service, None
-        q.busy_total += now - task.start_time
-
-    q = UnitQueue(unit_id=0)
-    q.enqueue(make_task(task_id=1), now=1.0, service_time=0.25)
-    q.enqueue(make_task(task_id=2), now=1.0, service_time=0.5)
-    assert busy_seconds([q], 1.0)[0] == 0.0
-    start(1.0)
-    assert busy_seconds([q], 1.125)[0] == 0.125
-    complete(1.25)
-    assert busy_seconds([q], 1.25)[0] == 0.25
-    start(1.25)
-    assert busy_seconds([q], 1.5)[0] == 0.25 + 0.25
-    complete(1.75)
-    # Idle time after the last completion is not busy time.
-    assert busy_seconds([q], 1.75)[0] == busy_seconds([q], 9.0)[0] == 0.75
+def test_busy_seconds_counts_the_running_task_and_sums_finished_ones(one_uav):
+    # Two tasks served back to back on the UAV: the first runs 1.0-1.25, the
+    # second 1.25-1.75.  Decisions placed on the MEC read the UAV's battery
+    # with the busy seconds below; completions at a decision's instant run
+    # before it.
+    one_uav.tasks[FIRE].proc_time_uav = 0.25
+    one_uav.tasks[PEST].proc_time_uav = 0.5
+    reads = [(1.0, 0.0), (1.125, 0.125), (1.25, 0.25), (1.5, 0.25 + 0.25), (1.75, 0.75),
+             (9.0, 0.75)]  # idle time after the last completion is not busy time
+    r, seen = scripted(one_uav, [(0, FIRE, 1.0), (0, PEST, 1.0)]
+                       + [(0, GROWTH, now) for now, _ in reads], [UAV, UAV] + [MEC] * len(reads))
+    model = BatteryModel(one_uav.energy)
+    for snap, (now, busy) in zip(seen[2:], reads):
+        assert snap.unit_batteries[UAV] == remaining_battery_fraction(model, now, busy, None)
+    assert r.battery_fraction == [remaining_battery_fraction(model, 10.0, 0.75, None)]
 
 
 def test_predicted_delays_cover_every_unit_at_once():
-    # An idle unit, one drained in the past and one busy until 1.5: at t=1.0
-    # each predicts its backlog (0, 0, 0.5) plus the candidate's service.
-    idle, drained, busy = UnitQueue(unit_id=0), UnitQueue(unit_id=1), UnitQueue(unit_id=2)
-    drained.enqueue(make_task(task_id=1), now=0.25, service_time=0.5)
-    busy.enqueue(make_task(task_id=2), now=0.5, service_time=1.0)
-    delays = predicted_delays([idle, drained, busy], (0.25, 0.125, 0.5), now=1.0)
+    # An idle unit, one drained in the past (at 0.75) and one busy until 1.5:
+    # at t=1.0 each predicts its backlog (0, 0, 0.5) plus the candidate's
+    # service.
+    free_at = [0.0, 0.75, 1.5]
+    delays = predicted_delays(free_at, (0.25, 0.125, 0.5), now=1.0)
     assert delays == (0.25, 0.125, 0.5 + 0.5)
-    assert [predicted_unit_delay(q, s, now=1.0) for q, s in
-            zip([idle, drained, busy], (0.25, 0.125, 0.5))] == list(delays)
+    assert [predicted_unit_delay(f, s, now=1.0) for f, s in
+            zip(free_at, (0.25, 0.125, 0.5))] == list(delays)

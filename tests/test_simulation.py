@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     ReferenceAgentPipeline,
+    ScriptedPlacements,
     assert_fifo_work_conserving,
+    assert_tie_rule,
     replay_battery,
     replay_delays,
+    run_on_table,
     snapshot_is_sane,
+    task_table,
 )
 from uavmec import simulation
 from uavmec.arrivals import TaskInstance
@@ -367,6 +371,101 @@ def test_pipeline_ingests_what_the_deque_oracle_ingests(case):
     assert [r is None for r in rewards] == [not learner for learner in learns]
 
 
+# Powers of two, so that every sum of them on the grid below is exact.
+_DYADIC = [0.0, 0.0625, 0.125, 0.25, 0.5]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A small generated config, a policy for it, and either an arrival seed
+    or, for exact ties, a task table whose arrivals, link delays and service
+    times all lie on a 1/16 s grid."""
+    cfg = load_config()
+    sim = cfg.sim
+    sim.num_uavs = draw(st.integers(1, 4))
+    sim.num_mecs = draw(st.integers(0, 2))
+    sim.episode_duration = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    dyadic = draw(st.booleans())
+    if dyadic:
+        links = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.0625, 0.0625, 0.0625),
+                                      (0.0, 0.125, 0.125), (0.0625, 0.0, 0.25)]))
+    else:
+        links = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.01, 0.01, 0.01), (0.0, 0.02, 0.02)]))
+    sim.iot_to_uav_delay, sim.uav_to_uav_delay, sim.uav_to_mec_delay = links
+    for spec in cfg.tasks:
+        if dyadic:
+            spec.proc_time_uav = draw(st.sampled_from(_DYADIC[1:]))
+            spec.proc_time_mec = draw(st.sampled_from(_DYADIC[1:]))
+        # Just above the service time on the UAV.  Only on the grid may an
+        # idle local service meet it exactly: ``replay_delays`` takes a
+        # service time as finish - start, which off the grid can differ from
+        # the configured one in its last bit.
+        slack = draw(st.sampled_from(_DYADIC[:3] if dyadic else _DYADIC[1:3]))
+        spec.deadline = sim.iot_to_uav_delay + spec.proc_time_uav + slack
+    arrivals = None
+    if dyadic:
+        slots = int(sim.episode_duration * 16)
+        arrivals = sorted(draw(st.lists(
+            st.tuples(st.integers(0, sim.num_uavs - 1), st.integers(0, len(cfg.tasks) - 1),
+                      st.integers(0, slots - 1)),
+            max_size=40)), key=lambda a: a[2])
+        arrivals = [(uav, type_id, slot / 16) for uav, type_id, slot in arrivals]
+    policy = draw(st.sampled_from(["rr", "hef", "qhef", "random"]))
+    return cfg, policy, draw(st.integers(0, 2**16)), arrivals
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=kernel_cases())
+def test_kernel_invariants_over_generated_configs(case):
+    """The event-log replays, FIFO service without idling, task conservation,
+    the tie rule, and the same results with and without the event log, over
+    generated fleets, link delays, tight deadlines and exact ties."""
+    cfg, policy, seed, arrivals = case
+
+    def run(collect_events):
+        if policy == "random":
+            policies = [RandomRecordingLearner(cfg.sim.num_units, seed + uav, False)
+                        for uav in range(cfg.sim.num_uavs)]
+        else:
+            policies = make_policies(policy, cfg, seed, 0)
+        if arrivals is None:
+            return run_episode(cfg, policies, seed, collect_events=collect_events)
+        return run_on_table(cfg, policies, task_table(cfg, arrivals), collect_events)
+
+    r = run(collect_events=True)
+    assert_tie_rule(r.events)
+    assert_fifo_work_conserving(r)
+    oracle = replay_delays(cfg, r)
+    completed = [rec for rec in r.placements if rec.completed]
+    assert len(completed) == len(oracle)
+    for rec in completed:
+        wait, service, transfer, violated = oracle[rec.task_id]
+        assert rec.start_time - rec.enqueue_time == wait
+        assert rec.service_time == pytest.approx(service, abs=1e-12)
+        assert rec.enqueue_time == rec.arrival_time + transfer
+        assert rec.violated == violated
+    capacity = cfg.energy.battery_capacity_wh
+    for got, expected_wh in zip(r.battery_fraction, replay_battery(cfg, r), strict=True):
+        assert got == pytest.approx(expected_wh / capacity, rel=1e-12)
+
+    kinds = Counter(kind for _, kind, _, _ in r.events)
+    assert r.tasks_generated == len(r.placements)
+    assert r.tasks_completed == kinds[TASK_COMPLETE]
+    assert r.tasks_in_service == kinds[TASK_START] - kinds[TASK_COMPLETE]
+    assert r.tasks_generated == r.tasks_completed + r.tasks_in_queue + r.tasks_in_service
+    assert all(rec.violated is not None for rec in r.placements)
+    assert r.violations_total == sum(r.violations_by_unit) == sum(
+        rec.violated for rec in r.placements)
+
+    quiet = run(collect_events=False)
+    assert quiet.events is None
+    assert [astuple(t) for t in quiet.placements] == [astuple(t) for t in r.placements]
+    assert (quiet.battery_fraction, quiet.violations_by_unit, quiet.tasks_completed,
+            quiet.tasks_in_queue, quiet.tasks_in_service) == (
+        r.battery_fraction, r.violations_by_unit, r.tasks_completed, r.tasks_in_queue,
+        r.tasks_in_service)
+
+
 def test_tail_transition_dropped_without_terminal_flag(desk_cfg):
     desk_cfg.rl.terminal_on_episode_end = False
     learners = [CollectingLearner() for _ in range(desk_cfg.sim.num_uavs)]
@@ -497,19 +596,7 @@ def test_event_log_holds_one_entry_per_logged_step(cfg):
         assert forwarded > 0 and completed > 0
 
 
-class ScriptedPolicy:
-    """Places the deciding UAV's tasks on the given units, in decision order."""
-
-    wants_transitions = False
-
-    def __init__(self, units):
-        self.units = list(units)
-
-    def select(self, snap):
-        return self.units.pop(0)
-
-
-def test_equal_time_events_follow_the_tie_rule(cfg, monkeypatch):
+def test_equal_time_events_follow_the_tie_rule(cfg):
     # Two UAVs and one MEC; every time below is a sum of powers of two, so
     # the ties are exact.  At t=1.0 a completion, a forwarded arrival and a
     # sensed arrival coincide; at the horizon t=2.0 a completion and a
@@ -523,9 +610,8 @@ def test_equal_time_events_follow_the_tie_rule(cfg, monkeypatch):
         TaskInstance(i, 0, uav, arrival - 0.25, arrival, arrival + 4.0)
         for i, (uav, arrival) in enumerate(arrivals)
     ]
-    monkeypatch.setattr(simulation, "build_task_table", lambda *args: table)
-    policies = [ScriptedPolicy([0, 0]), ScriptedPolicy([0, 2])]
-    r = run_episode(cfg, policies, arrival_seed=1, collect_events=True)
+    policy = ScriptedPlacements([0, 0, 0, 2])
+    r = run_on_table(cfg, [policy, policy], table)
     assert r.events == [
         (0.5, TASK_ARRIVAL, 0, 0), (0.5, TASK_START, 0, 0),
         (0.75, TASK_ARRIVAL, 1, 1),
