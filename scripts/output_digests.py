@@ -23,10 +23,16 @@ environment sets ``UAVMEC_EXPERIMENT__WORKERS``:
   --placements`` of each of those checkpoints (2 seeds, 1 episode);
 - a 5-episode desk ``train`` of the deep learner on the extended state
   layout with a target network (about 437 steps per agent, so at least two
-  target syncs).
+  target syncs);
+- refusals: a paper ``evaluate`` of each learner and a paper ``compare`` of
+  rr and that learner, each given a checkpoint path that must be refused (a
+  missing file, a directory, the other learner's paper-train checkpoint, a
+  junk text file, and for the deep learner its paper-train checkpoint with
+  a NaN as its first weight).  Each prints its exit code and the last line
+  of its standard error, with the work directory masked.
 
 Every setting is passed through ``UAVMEC_*`` variables, so the script runs
-unchanged on older checkouts.  It takes about fifteen seconds on one core.
+unchanged on older checkouts.  It takes about twenty seconds on one core.
 """
 
 from __future__ import annotations
@@ -79,18 +85,34 @@ RUNS = [
 ]
 
 
-def run(name: str, extra_env: dict, args: list, work: Path) -> list:
-    """Run one command into ``work/name``; its digest and stdout lines."""
-    out = work / name
+# (learner, checkpoint) of each refusal; the checkpoint's path is relative
+# to the work directory.
+REFUSALS = [
+    *[(learner, f"refused/{kind}.ckpt") for learner in ("qlearning", "dql")
+      for kind in ("missing", "directory", "junk")],
+    ("qlearning", "paper-train-dql/dql.ckpt"),
+    ("dql", "paper-train-qlearning/qlearning.ckpt"),
+    ("dql", "refused/nan.ckpt"),
+]
+
+
+def invoke(extra_env: dict, args: list, work: Path, out: Path) -> subprocess.CompletedProcess:
+    """Run one command with its output in ``out``, in a fresh process."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("UAVMEC_")}
     env["UAVMEC_EXPERIMENT__WORKERS"] = "1"
     env.update(extra_env)
     env["PYTHONPATH"] = str(ROOT / "src")
     args = [arg.replace(WORK, str(work)) for arg in args]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "uavmec.cli", *args, "--seed", SEED, "--out", str(out)],
         env=env, capture_output=True, text=True, check=False,
     )
+
+
+def run(name: str, extra_env: dict, args: list, work: Path) -> list:
+    """Run one command into ``work/name``; its digest and stdout lines."""
+    out = work / name
+    proc = invoke(extra_env, args, work, out)
     if proc.returncode != 0:
         sys.exit(f"{name} exited with {proc.returncode}:\n{proc.stderr}")
     lines = [f"== {name}"]
@@ -101,10 +123,43 @@ def run(name: str, extra_env: dict, args: list, work: Path) -> list:
     return lines
 
 
+def make_refused(work: Path) -> None:
+    """Make the files of ``REFUSALS`` that the runs do not leave behind;
+    the missing one stays missing."""
+    refused = work / "refused"
+    (refused / "directory.ckpt").mkdir(parents=True)
+    (refused / "junk.ckpt").write_text("not a checkpoint\n")
+    lines = (work / "paper-train-dql" / "dql.ckpt").read_text().splitlines(keepends=True)
+    w0 = next(i for i, line in enumerate(lines) if line.startswith("tensor w0 "))
+    tag, name, shape, _, *rest = lines[w0].split(" ")
+    lines[w0] = " ".join([tag, name, shape, "nan", *rest])
+    (refused / "nan.ckpt").write_text("".join(lines))
+
+
+def refuse(learner: str, checkpoint: str, work: Path) -> list:
+    """Evaluate and compare ``learner`` on a checkpoint that must be refused;
+    each command's exit code and last line of standard error."""
+    path = f"{WORK}/{checkpoint}"
+    lines = []
+    for args in (
+        ["evaluate", "--config", PAPER, "--policy", learner, "--checkpoint", path,
+         "--seeds", "1", "--episodes", "1"],
+        ["compare", "--config", PAPER, "--policies", f"rr,{learner}",
+         "--checkpoint", f"{learner}={path}", "--seeds", "1", "--quiet"],
+    ):
+        proc = invoke({}, args, work, work / "refusal-out")
+        last = (proc.stderr.strip().splitlines() or [""])[-1].replace(str(work), WORK)
+        lines += [f"== refuse {args[0]} {learner} {checkpoint}", f"exit {proc.returncode}", last]
+    return lines
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="uavmec-digests-") as tmp:
         for name, extra_env, args in RUNS:
             print("\n".join(run(name, extra_env, args, Path(tmp))), flush=True)
+        make_refused(Path(tmp))
+        for learner, checkpoint in REFUSALS:
+            print("\n".join(refuse(learner, checkpoint, Path(tmp))), flush=True)
     return 0
 
 

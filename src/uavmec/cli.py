@@ -21,7 +21,6 @@ from .config import (
     load_config,
 )
 from .harness import (
-    checkpoint_kind,
     evaluate_many,
     inspect_checkpoint,
     load_policies,
@@ -55,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a learning policy and save its checkpoint")
     _add_common(p_train)
-    p_train.add_argument("--policy", required=True, choices=POLICY_NAMES)
+    p_train.add_argument("--policy", required=True, choices=LEARNER_POLICIES)
     p_train.add_argument("--episodes", type=int, help="training episodes (overrides config)")
     p_train.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
@@ -162,8 +161,6 @@ def _evaluate(cfg: AppConfig, out: Path, policies: list, seeds: int, episodes: i
 
 def cmd_train(args, parser) -> int:
     cfg = _resolve_config(args)
-    if args.policy not in LEARNER_POLICIES:
-        parser.error(f"policy {args.policy!r} does not train; choose from {LEARNER_POLICIES}")
     episodes = args.episodes if args.episodes is not None else cfg.experiment.train_episodes(args.policy)
     if episodes < 1:
         parser.error("--episodes must be >= 1")
@@ -212,13 +209,6 @@ def _parse_checkpoint_args(pairs, policies, parser) -> dict:
         if policy in out:
             parser.error(f"--checkpoint: policy {policy!r} given twice")
         out[policy] = path
-    for policy, path in out.items():
-        try:
-            kind = checkpoint_kind(path)
-        except (OSError, ValueError) as exc:
-            parser.error(f"--checkpoint: {exc}")
-        if kind != policy:
-            parser.error(f"--checkpoint: {path} is a {kind} checkpoint, not {policy}")
     return out
 
 
@@ -241,7 +231,8 @@ def cmd_compare(args, parser) -> int:
         parser.error("--seeds must be >= 1")
     checkpoints = _parse_checkpoint_args(args.checkpoint, policies, parser)
     # Load every given checkpoint before anything trains or is written, so a
-    # refused one costs no training; evaluation reuses these learners.
+    # refused one costs no training and is refused as ``evaluate`` refuses
+    # it; evaluation reuses these learners.
     frozen = {(policy, path): load_policies(policy, cfg, path, cfg.sim.seed, 0)
               for policy, path in checkpoints.items()}
     out = _out_dir(cfg)
@@ -278,16 +269,13 @@ def main(argv=None) -> int:
             return cmd_evaluate(args, parser)
         if args.command == "compare":
             return cmd_compare(args, parser)
-        if args.command == "inspect-checkpoint":
-            return cmd_inspect(args)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_inspect(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -130,10 +130,8 @@ def load_policies(policy: str, cfg: AppConfig, checkpoint, master_seed: int, see
     if policy == "qlearning":
         grid = _grid(cfg)
         agents = [QlAgent.frozen(grid, table) for table in models]
-        # A key holds the task type, one delay bin per unit, one battery bin per
-        # UAV.  load_qtable holds each table's rows and keys to its first entry.
-        width = 1 + grid.num_units + grid.num_uavs
-        what, want = "q-table actions and key entries", [grid.num_units, width]
+        # load_qtable holds each table's rows and keys to its first entry.
+        what, want = "q-table actions and key entries", [grid.num_units, grid.key_width]
         shapes = [[row.size, len(key)] for key, row in (next(iter(t.items())) for t in models if t)]
     else:
         agents = [DqlAgent.frozen(net, cfg.mdp.state_layout) for net in models]

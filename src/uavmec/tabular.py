@@ -24,23 +24,16 @@ QTABLE_MAGIC = "uavmec-qtable v1"
 class DiscretizationGrid:
     """Maps a decision snapshot to a hashable integer key."""
 
-    def __init__(
-        self,
-        num_uavs: int,
-        num_units: int,
-        num_types: int,
-        max_deadline: float,
-        delay_bins: int = 8,
-        delay_floor: float = 0.01,
-        battery_bins: int = 10,
-    ):
+    def __init__(self, num_uavs: int, num_units: int, num_types: int, max_deadline: float,
+                 delay_bins: int, delay_floor: float, battery_bins: int):
         if delay_bins < 2:
             raise ValueError("delay_bins must be >= 2")
         self.num_uavs = num_uavs
         self.num_units = num_units
         self.num_types = num_types
-        self.delay_bins = delay_bins
         self.battery_bins = battery_bins
+        # A key holds the task type, one delay bin per unit, one battery bin per UAV.
+        self.key_width = 1 + num_units + num_uavs
         # Every key depends on these alone; checkpoints record them.
         self.meta = dict(delay_bins=delay_bins, delay_bin_floor=float(delay_floor),
                          battery_bins=battery_bins, max_deadline=float(max_deadline))
@@ -53,15 +46,8 @@ class DiscretizationGrid:
 
     @classmethod
     def from_config(cls, num_uavs, num_mecs, num_types, max_deadline, rl: RlConfig):
-        return cls(
-            num_uavs,
-            num_uavs + num_mecs,
-            num_types,
-            max_deadline,
-            delay_bins=rl.delay_bins,
-            delay_floor=rl.delay_bin_floor,
-            battery_bins=rl.battery_bins,
-        )
+        return cls(num_uavs, num_uavs + num_mecs, num_types, max_deadline,
+                   rl.delay_bins, rl.delay_bin_floor, rl.battery_bins)
 
     def key(self, snap: NetworkSnapshot) -> tuple:
         """(task type, J+ unit delay bins, J UAV battery bins) of a snapshot.
@@ -174,8 +160,7 @@ def dump_qtable(agents: list[QlAgent], path: str, metadata: dict | None = None) 
         # One "%" per line, over the grid's key and the row: "%d" of an int
         # is its str, and "%.17g" of a float is format(x, ".17g"), 17 digits
         # that read back exactly.
-        grid = agent.grid
-        line_format = (",".join(["%d"] * (1 + grid.num_units + grid.num_uavs)) + " | "
+        line_format = (",".join(["%d"] * agent.grid.key_width) + " | "
                        + " ".join(["%.17g"] * agent.num_actions))
         table = agent.table
         body = [line_format % (*key, *table[key].tolist()) for key in sorted(table)]

@@ -133,7 +133,10 @@ def make_snapshot(
 
 
 def replay_delays(cfg: AppConfig, result: EpisodeResult) -> dict:
-    """Per completed task: recomputed (queue_wait, service, transfer, violated)."""
+    """Per completed task: recomputed (queue_wait, service, elapsed, transfer,
+    violated).  ``service`` is the configured service time on the serving
+    unit, which the violation flag counts; ``elapsed`` is finish minus start
+    in the log, which off a dyadic grid can differ from it in its last bit."""
     by_task = {r.task_id: r for r in result.placements}
     # Enqueue moment at the serving unit: the last arrival event of the task
     # (the only one for local placements, the post-transfer one for offloads).
@@ -153,7 +156,7 @@ def replay_delays(cfg: AppConfig, result: EpisodeResult) -> dict:
         rec = by_task[task_id]
         start = starts[task_id]
         wait = start - enqueue_at[task_id]
-        service = finish - start
+        service = cfg.tasks[rec.type_id].proc_time(cfg.sim.unit_is_mec(rec.chosen_unit))
         transfer = (
             0.0
             if rec.chosen_unit == rec.origin_uav
@@ -161,7 +164,7 @@ def replay_delays(cfg: AppConfig, result: EpisodeResult) -> dict:
         )
         total = cfg.sim.iot_to_uav_delay + transfer + wait + service
         violated = total > cfg.tasks[rec.type_id].deadline
-        out[task_id] = (wait, service, transfer, violated)
+        out[task_id] = (wait, service, finish - start, transfer, violated)
     return out
 
 
@@ -531,9 +534,8 @@ def plateau_threshold(smoothed, fraction: float = 0.9, tail_fraction: float = 0.
 def reference_key(grid: DiscretizationGrid, snap: NetworkSnapshot) -> tuple:
     """Discretize the base-layout vector [type, J+ delays, J batteries] of ``snap``."""
     state = encode_state(snap)
-    expected = 1 + grid.num_units + grid.num_uavs
-    if len(state) != expected:
-        raise ValueError(f"expected base-layout state of width {expected}, got {len(state)}")
+    if len(state) != grid.key_width:
+        raise ValueError(f"expected base-layout state of width {grid.key_width}, got {len(state)}")
     type_idx = int(round(state[0] * (grid.num_types - 1))) if grid.num_types > 1 else 0
     edges = np.asarray(grid.delay_edges)
     delays = tuple(
@@ -543,7 +545,7 @@ def reference_key(grid: DiscretizationGrid, snap: NetworkSnapshot) -> tuple:
     bins = grid.battery_bins
     batteries = tuple(
         min(int(b * bins), bins - 1)
-        for b in state[1 + grid.num_units : 1 + grid.num_units + grid.num_uavs]
+        for b in state[1 + grid.num_units :]
     )
     return (type_idx, *delays, *batteries)
 

@@ -25,14 +25,10 @@ from uavmec.config import load_config
 from uavmec.energy import MEC_BATTERY_SENTINEL
 from uavmec.exploration import epsilon_greedy
 from uavmec.harness import (
-    arrival_seed, load_policies, make_policies, save_checkpoint, training_loop,
+    arrival_seed, evaluate_many, make_policies, save_checkpoint, training_loop,
 )
 from uavmec.mdp import NetworkSnapshot, assemble_reward, compute_reward_parts
-from uavmec.metrics import (
-    convergence_episode,
-    metrics_from_episodes,
-    moving_average,
-)
+from uavmec.metrics import convergence_episode, moving_average
 from uavmec.nnet import init_mlp, loss_and_grads
 from uavmec.queues import check_violation
 from uavmec.simulation import run_episode
@@ -69,10 +65,11 @@ def test_violation_and_battery_match_brute_force_replay():
         result = run_episode(cfg, policies, arrival_seed(7, seed_index), collect_events=True)
         by_task = {r.task_id: r for r in result.placements}
         replayed = replay_delays(cfg, result)
-        for task_id, (wait, service, transfer, violated) in replayed.items():
+        for task_id, (wait, service, elapsed, transfer, violated) in replayed.items():
             rec = by_task[task_id]
             assert rec.start_time - rec.enqueue_time == wait
-            assert rec.service_time == pytest.approx(service, rel=1e-9)
+            assert rec.service_time == service
+            assert elapsed == pytest.approx(service, rel=1e-9)
             # The record reaches its unit one configured hop after arriving.
             assert rec.enqueue_time == rec.arrival_time + transfer
             assert rec.violated == violated
@@ -204,37 +201,28 @@ def plateau_training():
     return {"convergence": convergence, "seed0": seed0, "elapsed": time.monotonic() - t0}
 
 
-def _pooled_eval(cfg, policies, name):
-    """Violation percentage pooled over all eval tasks + mean min battery."""
-    runs = []
-    for idx in EVAL_INDICES:
-        seed = arrival_seed(MASTER_SEED, idx)
-        episodes = [
-            run_episode(cfg, policies, seed, episode_index=ep)
-            for ep in range(EVAL_EPISODES)
-        ]
-        runs.append(metrics_from_episodes(name, idx, episodes))
-    violation_pct = 100.0 * sum(r.total_violations for r in runs) / sum(
-        r.total_tasks for r in runs
-    )
-    mean_min_battery = float(np.mean([r.min_battery_fraction for r in runs]))
-    return violation_pct, mean_min_battery
-
-
 @pytest.fixture(scope="module")
 def policy_outcomes(plateau_training, tmp_path_factory):
-    """Greedy 10-seed evaluation of all five policies on shared workloads;
-    each learner is evaluated as its checkpoint loads."""
-    outcomes = {}
-    for policy in ("rr", "hef", "qhef"):
-        cfg = desk_config()
-        outcomes[policy] = _pooled_eval(cfg, make_policies(policy, cfg, MASTER_SEED, 0), policy)
+    """Greedy 10-seed evaluation of all five policies on shared workloads,
+    through the commands' ``evaluate_many``: fresh heuristics per seed, each
+    learner as its checkpoint loads.  Per policy: the violation percentage
+    pooled over all its tasks and the mean of its seeds' minimum battery."""
     directory = tmp_path_factory.mktemp("plateau")
+    checkpoints = {}
     for policy, (cfg, agents) in plateau_training["seed0"].items():
-        path = directory / f"{policy}.ckpt"
-        save_checkpoint(policy, agents, path, cfg, MASTER_SEED, dict(TRAIN_BUDGETS)[policy])
-        frozen = load_policies(policy, cfg, str(path), MASTER_SEED, 0)
-        outcomes[policy] = _pooled_eval(cfg, frozen, policy)
+        checkpoints[policy] = str(directory / f"{policy}.ckpt")
+        save_checkpoint(policy, agents, checkpoints[policy], cfg, MASTER_SEED,
+                        dict(TRAIN_BUDGETS)[policy])
+    policies = ("rr", "hef", "qhef", *checkpoints)
+    jobs = [(policy, MASTER_SEED, idx, EVAL_EPISODES, checkpoints.get(policy))
+            for policy in policies for idx in EVAL_INDICES]
+    runs = evaluate_many(desk_config(), jobs)
+    outcomes = {}
+    for policy in policies:
+        mine = [run for run in runs if run.policy == policy]
+        violation_pct = 100.0 * sum(r.total_violations for r in mine) / sum(
+            r.total_tasks for r in mine)
+        outcomes[policy] = (violation_pct, float(np.mean([r.min_battery_fraction for r in mine])))
     return outcomes
 
 

@@ -66,6 +66,30 @@ def run(argv):
     return main(argv)
 
 
+BAD_DQL_CHECKPOINTS = ["missing", "directory", "other-learner", "junk", "png", "nan"]
+
+
+def bad_dql_checkpoint(kind, directory, checkpoints):
+    """A path that a ``dql`` evaluation must refuse, of one of the
+    ``BAD_DQL_CHECKPOINTS`` kinds, made in ``directory``."""
+    path = directory / f"{kind}.ckpt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "other-learner":
+        return checkpoints["qlearning"]
+    elif kind == "junk":
+        path.write_text("not a checkpoint\n")
+    elif kind == "png":
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR")
+    elif kind == "nan":  # a body that only a full load refuses
+        lines = checkpoints["dql"].read_text().splitlines(keepends=True)
+        w0 = next(i for i, line in enumerate(lines) if line.startswith("tensor w0 "))
+        tag, name, shape, _, *rest = lines[w0].split(" ")
+        lines[w0] = " ".join([tag, name, shape, "nan", *rest])
+        path.write_text("".join(lines))
+    return path
+
+
 # --- train ------------------------------------------------------------------
 
 
@@ -411,13 +435,7 @@ def test_compare_reuses_checkpoint(tiny_config, tiny_checkpoints, tmp_path):
 
 def test_compare_refuses_a_given_checkpoint_before_training(tiny_config, tiny_checkpoints,
                                                               tmp_path, capsys):
-    # A body that only a full load refuses: a NaN in the first weight tensor.
-    lines = tiny_checkpoints["dql"].read_text().splitlines(keepends=True)
-    w0 = next(i for i, line in enumerate(lines) if line.startswith("tensor w0 "))
-    tag, name, shape, _, *rest = lines[w0].split(" ")
-    lines[w0] = " ".join([tag, name, shape, "nan", *rest])
-    bad = tmp_path / "nan.ckpt"
-    bad.write_text("".join(lines))
+    bad = bad_dql_checkpoint("nan", tmp_path, tiny_checkpoints)
     out = tmp_path / "o"
     rc = run([
         "compare", "--policies", "rr,qlearning,dql", "--config", tiny_config, "--out", str(out),
@@ -478,35 +496,38 @@ def test_compare_rejects_malformed_checkpoint_flag(tiny_config, tiny_checkpoints
             "--out", str(tmp_path / "o"), "--checkpoint", "dql",
         ])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run([
-            "compare", "--policies", "dql", "--config", tiny_config,
-            "--out", str(tmp_path / "o"), "--checkpoint", f"dql={tmp_path / 'nope.ckpt'}",
-        ])
-    assert exc.value.code == 2
-    # A directory passes an existence check; refused before qlearning trains.
-    with pytest.raises(SystemExit) as exc:
-        run([
-            "compare", "--policies", "qlearning,dql", "--config", tiny_config,
-            "--out", str(tmp_path / "o"), "--checkpoint", f"dql={tmp_path}",
-        ])
-    assert exc.value.code == 2
-    assert not (tmp_path / "o").exists()
-    # The other learner's checkpoint, or a file of no known format, is
-    # refused before dql trains.
+    # A file that will not load is refused as ``evaluate`` refuses it, before
+    # the other learner trains and before the output directory is made.
     (tmp_path / "junk.ckpt").write_text("not a checkpoint\n")
-    for path, message in ((tiny_checkpoints["dql"], "is a dql checkpoint, not qlearning"),
-                          (tmp_path / "junk.ckpt", "unrecognized checkpoint format")):
+    for policy, path, line in (
+        ("dql", tmp_path / "nope.ckpt", "checkpoint not found: {path}"),
+        ("dql", tmp_path, "[Errno 21] Is a directory: '{path}'"),
+        ("qlearning", tiny_checkpoints["dql"], "not a uavmec-qtable v1 checkpoint: {path}"),
+        ("qlearning", tmp_path / "junk.ckpt", "not a uavmec-qtable v1 checkpoint: {path}"),
+    ):
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            run([
-                "compare", "--policies", "qlearning,dql", "--config", tiny_config,
-                "--out", str(tmp_path / "o"), "--checkpoint", f"qlearning={path}",
-            ])
-        assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        assert run([
+            "compare", "--policies", "qlearning,dql", "--config", tiny_config,
+            "--out", str(tmp_path / "o"), "--checkpoint", f"{policy}={path}",
+        ]) == 1
+        assert capsys.readouterr().err == "error: " + line.format(path=path) + "\n"
         assert not (tmp_path / "o").exists()
 
+
+@pytest.mark.parametrize("kind", BAD_DQL_CHECKPOINTS)
+def test_evaluate_and_compare_refuse_a_checkpoint_alike(tiny_config, tiny_checkpoints, tmp_path,
+                                                        capsys, kind):
+    path = bad_dql_checkpoint(kind, tmp_path, tiny_checkpoints)
+    refusals = []
+    for command in (["evaluate", "--policy", "dql", "--checkpoint", str(path)],
+                    ["compare", "--policies", "rr,dql", "--checkpoint", f"dql={path}"]):
+        out = tmp_path / command[0]
+        rc = run([*command, "--config", tiny_config, "--out", str(out), "--seeds", "1"])
+        refusals.append((rc, capsys.readouterr().err))
+        assert not out.exists()
+    assert refusals[0] == refusals[1]
+    rc, err = refusals[0]
+    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("policies, flags, message", [

@@ -119,7 +119,8 @@ def test_dql_select_matches_the_reference_forward_and_draw(epsilon):
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
 def test_ql_select_matches_the_reference_row_and_draw(epsilon):
-    agent = QlAgent(DiscretizationGrid(2, 3, 3, 5.0), RlConfig(), np.random.default_rng(42))
+    agent = QlAgent(DiscretizationGrid.from_config(2, 1, 3, 5.0, RlConfig()), RlConfig(),
+                    np.random.default_rng(42))
     agent.epsilon = epsilon
     data = np.random.default_rng(43)
     keys = [tuple(int(x) for x in data.integers(0, 4, size=6)) for _ in range(200)]

@@ -1,6 +1,9 @@
+import contextlib
 import math
+import tempfile
 from collections import Counter
 from dataclasses import astuple
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,7 +25,10 @@ from helpers import (
 from uavmec import simulation
 from uavmec.arrivals import TaskInstance
 from uavmec.config import LEARNER_POLICIES, POLICY_NAMES, load_config
-from uavmec.harness import arrival_seed, load_policies, make_policies
+from uavmec.deep import DqlAgent
+from uavmec.harness import (
+    arrival_seed, load_policies, make_policies, save_checkpoint, training_loop,
+)
 from uavmec.heuristics import HefPolicy, RoundRobinPolicy
 from uavmec.mdp import assemble_reward, compute_reward_parts, encode_state
 from uavmec.simulation import (
@@ -33,6 +39,7 @@ from uavmec.simulation import (
     SimulationError,
     run_episode,
 )
+from uavmec.tabular import QlAgent
 
 
 class AlwaysLocalPolicy:
@@ -211,9 +218,10 @@ def test_latency_components_match_event_replay(cfg):
     completed = [rec for rec in r.placements if rec.completed]
     assert len(completed) == len(oracle) > 500
     for rec in completed:
-        wait, service, transfer, violated = oracle[rec.task_id]
+        wait, service, elapsed, transfer, violated = oracle[rec.task_id]
         assert rec.start_time - rec.enqueue_time == wait
-        assert rec.service_time == pytest.approx(service, abs=1e-12)
+        assert rec.service_time == service
+        assert elapsed == pytest.approx(service, abs=1e-12)
         # The record reaches its unit one configured hop after arriving.
         assert rec.enqueue_time == rec.arrival_time + transfer
         assert rec.violated == violated
@@ -376,10 +384,10 @@ _DYADIC = [0.0, 0.0625, 0.125, 0.25, 0.5]
 
 
 @st.composite
-def kernel_cases(draw):
-    """A small generated config, a policy for it, and either an arrival seed
-    or, for exact ties, a task table whose arrivals, link delays and service
-    times all lie on a 1/16 s grid."""
+def kernel_cases(draw, policies=("rr", "hef", "qhef", "random")):
+    """A small generated config, one of ``policies`` for it, and either an
+    arrival seed or, for exact ties, a task table whose arrivals, link delays
+    and service times all lie on a 1/16 s grid."""
     cfg = load_config()
     sim = cfg.sim
     sim.num_uavs = draw(st.integers(1, 4))
@@ -396,11 +404,9 @@ def kernel_cases(draw):
         if dyadic:
             spec.proc_time_uav = draw(st.sampled_from(_DYADIC[1:]))
             spec.proc_time_mec = draw(st.sampled_from(_DYADIC[1:]))
-        # Just above the service time on the UAV.  Only on the grid may an
-        # idle local service meet it exactly: ``replay_delays`` takes a
-        # service time as finish - start, which off the grid can differ from
-        # the configured one in its last bit.
-        slack = draw(st.sampled_from(_DYADIC[:3] if dyadic else _DYADIC[1:3]))
+        # At or just above the service time on the UAV, so that an idle local
+        # service meets the deadline exactly, on the grid or off it.
+        slack = draw(st.sampled_from(_DYADIC[:3]))
         spec.deadline = sim.iot_to_uav_delay + spec.proc_time_uav + slack
     arrivals = None
     if dyadic:
@@ -410,7 +416,7 @@ def kernel_cases(draw):
                       st.integers(0, slots - 1)),
             max_size=40)), key=lambda a: a[2])
         arrivals = [(uav, type_id, slot / 16) for uav, type_id, slot in arrivals]
-    policy = draw(st.sampled_from(["rr", "hef", "qhef", "random"]))
+    policy = draw(st.sampled_from(policies))
     return cfg, policy, draw(st.integers(0, 2**16)), arrivals
 
 
@@ -439,9 +445,10 @@ def test_kernel_invariants_over_generated_configs(case):
     completed = [rec for rec in r.placements if rec.completed]
     assert len(completed) == len(oracle)
     for rec in completed:
-        wait, service, transfer, violated = oracle[rec.task_id]
+        wait, service, elapsed, transfer, violated = oracle[rec.task_id]
         assert rec.start_time - rec.enqueue_time == wait
-        assert rec.service_time == pytest.approx(service, abs=1e-12)
+        assert rec.service_time == service
+        assert elapsed == pytest.approx(service, abs=1e-12)
         assert rec.enqueue_time == rec.arrival_time + transfer
         assert rec.violated == violated
     capacity = cfg.energy.battery_capacity_wh
@@ -464,6 +471,83 @@ def test_kernel_invariants_over_generated_configs(case):
             quiet.tasks_in_queue, quiet.tasks_in_service) == (
         r.battery_fraction, r.violations_by_unit, r.tasks_completed, r.tasks_in_queue,
         r.tasks_in_service)
+
+
+def recording(agent):
+    """Wrap ``agent`` so that it keeps its decision states and its ingested
+    transitions, each in order; returns those two lists."""
+    states, ingested = [], []
+    encode, ingest = agent.encode, agent.ingest
+
+    def recording_encode(snap):
+        states.append(encode(snap))
+        return states[-1]
+
+    def recording_ingest(t):
+        ingested.append(t)
+        ingest(t)
+
+    agent.encode, agent.ingest = recording_encode, recording_ingest
+    return states, ingested
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=kernel_cases(policies=LEARNER_POLICIES), deferred=st.booleans(),
+       terminal=st.booleans())
+def test_learner_invariants_over_generated_configs(case, deferred, terminal):
+    """Both learners on tiny budgets over the generated configs: every
+    transition chains to its agent's next decision, the ingested rewards add
+    up to the episode's, and a checkpoint round trip gives back the same
+    models, which re-evaluate to the same episode."""
+    cfg, policy, seed, arrivals = case
+    cfg.mdp.deferred_reward = deferred
+    cfg.rl.terminal_on_episode_end = terminal
+    cfg.rl.batch_size, cfg.rl.replay_capacity, cfg.rl.hidden_sizes = 4, 32, (4,)
+    episodes = 2
+    tables = mock.patch.object(
+        simulation, "build_task_table", lambda *args: task_table(cfg, arrivals))
+    with tables if arrivals is not None else contextlib.nullcontext():
+        agents = make_policies(policy, cfg, seed, 0)
+        records = [recording(agent) for agent in agents]
+        for _, result in training_loop(cfg, agents, seed, episodes):
+            for uav, (states, ingested) in enumerate(records):
+                assert len(ingested) == (len(states) if terminal else max(len(states) - 1, 0))
+                total = 0.0
+                for i, t in enumerate(ingested):
+                    assert t.state is states[i]
+                    if i + 1 < len(states):
+                        assert t.next_state is states[i + 1] and not t.terminal
+                    else:
+                        assert t.next_state is t.state and t.terminal
+                    total += t.reward
+                # Without a terminal transition the last decision's reward
+                # counts in the episode's but is not ingested.  Deferred
+                # rewards add up in the order their tasks resolve.
+                if terminal and deferred:
+                    assert total == pytest.approx(result.cumulative_reward[uav], rel=1e-9)
+                elif terminal:
+                    assert total == result.cumulative_reward[uav]
+                states.clear()
+                ingested.clear()
+
+        if policy == "qlearning":
+            in_memory = [QlAgent.frozen(agent.grid, agent.table) for agent in agents]
+        else:
+            in_memory = [DqlAgent.frozen(agent.net, cfg.mdp.state_layout) for agent in agents]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{policy}.ckpt"
+            save_checkpoint(policy, agents, path, cfg, seed, episodes)
+            loaded = load_policies(policy, cfg, str(path), seed, 0)
+        for mine, theirs in zip(in_memory, loaded, strict=True):
+            if policy == "qlearning":
+                assert theirs.table.keys() == mine.table.keys()
+                assert all(np.array_equal(theirs.table[key], row)
+                           for key, row in mine.table.items())
+            else:
+                assert np.array_equal(theirs.net.flat, mine.net.flat)
+        evaluated = [run_episode(cfg, frozen, seed, episode_index=episodes, collect_events=True)
+                     for frozen in (in_memory, loaded)]
+    assert evaluated[0] == evaluated[1]
 
 
 def test_tail_transition_dropped_without_terminal_flag(desk_cfg):

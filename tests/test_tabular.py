@@ -98,7 +98,7 @@ def test_fresh_fire_state_key():
         int(np.searchsorted(edges, d, side="right")) for d in (0.1, 0.1, 0.1, 0.1, 0.05)
     )
     assert key[6:] == (9, 9, 9, 9)
-    assert all(0 < b < grid.delay_bins for b in key[1:6])
+    assert all(0 < b < 8 for b in key[1:6])
 
 
 def test_same_bin_states_share_a_key():
@@ -134,7 +134,8 @@ def test_key_matches_the_state_vector_oracle(data):
     num_units = num_uavs + data.draw(st.integers(1, 2), label="num_mecs")
     grid = DiscretizationGrid(
         num_uavs, num_units, num_types, max_deadline=5.0,
-        delay_bins=data.draw(st.integers(2, 16), label="delay_bins"),
+        delay_bins=data.draw(st.integers(2, 16), label="delay_bins"), delay_floor=0.01,
+        battery_bins=10,
     )
     task_type = data.draw(st.integers(0, num_types - 1), label="task_type")
     delays = data.draw(st.lists(delay_strategy(grid), min_size=num_units, max_size=num_units))
@@ -170,8 +171,8 @@ def test_training_keys_match_the_state_vector_oracle(desk_cfg, monkeypatch):
 
 def test_delay_above_top_edge_clamps_to_last_bin():
     grid = make_grid()
-    assert delay_bins_of(grid, 1e9) == grid.delay_bins - 1
-    assert delay_bins_of(grid, 10.0001) == grid.delay_bins - 1
+    assert delay_bins_of(grid, 1e9) == 7  # the top of 8 bins
+    assert delay_bins_of(grid, 10.0001) == 7
     assert delay_bins_of(grid, 0.0) == 0
     assert delay_bins_of(grid, 0.005) == 0
 
@@ -360,4 +361,4 @@ def test_load_rejects_wrong_magic(tmp_path):
 
 def test_grid_requires_two_delay_bins():
     with pytest.raises(ValueError):
-        DiscretizationGrid(4, 5, 3, 5.0, delay_bins=1)
+        DiscretizationGrid(4, 5, 3, 5.0, delay_bins=1, delay_floor=0.01, battery_bins=10)
