@@ -5,11 +5,12 @@ the parent first on even-numbered pairs and the change first on odd ones,
 each run in a fresh process from its own checkout.  For every end-to-end
 metric that ``BENCHMARK.json`` declares it records the median and quartiles
 (inclusive method) of each side, how many pairs the change wins, the
-relative change of the medians and the per-run values; each run's report,
-which the benchmark writes under its checkout's ``.bench_out/reports/``, is
-cited with its raw timings.  One call measures one workload; the result is
-merged into ``--out`` under ``workloads.<name>``, so several calls build one
-file, and every other key already in it is kept.
+relative change of the medians, the per-run values and a verdict (see
+``metric_record``); each run's report, which the benchmark writes under its
+checkout's ``.bench_out/reports/``, is cited with its raw timings.  One call
+measures one workload; the result is merged into ``--out`` under
+``workloads.<name>``, so several calls build one file, and every other key
+already in it is kept.
 
 ``--trace-runs N`` adds N alternating pairs of ``--trace 1`` runs, on the
 seeds after the timed pairs' (``--pairs 0`` runs only these).  For every
@@ -87,22 +88,48 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     }
 
 
-def summary(values: list) -> dict:
+def quartiles(values: list) -> tuple:
     if len(values) == 1:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summary(values: list) -> dict:
+    q1, q3 = quartiles(values)
     return {"median": round(statistics.median(values), ROUND), "q1": round(q1, ROUND),
             "q3": round(q3, ROUND)}
 
 
-def metric_record(spec: dict, pairs: list) -> dict:
-    """One end-to-end metric over the pairs in which both sides ran correctly."""
-    name, lower = spec["name"], spec["better"] == "lower"
+def metric_record(spec: dict, pairs: list, pairs_run: int, claimed: bool) -> dict:
+    """One end-to-end metric over the pairs in which both sides ran correctly,
+    of the ``pairs_run`` pairs run, with its verdict:
+
+    - ``gain``, for the ``claimed`` metric only: the change wins at least
+      9/10 of the pairs run (ties count for neither side), and its median is
+      better than the parent's by more than the parent's q3 - q1;
+    - ``worse``: the change's median is worse than the parent's by more than
+      the metric's bound, a fraction of the parent's median;
+    - ``unresolved``: the parent's q3 - q1 is wider than that bound, and not
+      every change run is better than every parent run;
+    - ``within_bound`` otherwise.
+    """
+    name = spec["name"]
+    sign = 1 if spec["better"] == "lower" else -1  # sign * value: lower is better
     parent = [p["result"]["metrics"][name]["value"] for p, c in pairs]
     change = [c["result"]["metrics"][name]["value"] for p, c in pairs]
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    limit = spec["bound"] * abs(p_med)
+    if claimed and 10 * wins >= 9 * pairs_run and sign * (p_med - c_med) > q3 - q1:
+        verdict = "gain"
+    elif sign * (c_med - p_med) > limit:
+        verdict = "worse"
+    elif q3 - q1 > limit and max(sign * v for v in change) >= min(sign * v for v in parent):
+        verdict = "unresolved"
+    else:
+        verdict = "within_bound"
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -111,6 +138,7 @@ def metric_record(spec: dict, pairs: list) -> dict:
         "change": summary(change),
         "change_wins": wins,
         "relative_change": round((c_med - p_med) / p_med, 4) if p_med else None,
+        "verdict": verdict,
         "parent_runs": [round(v, ROUND) for v in parent],
         "change_runs": [round(v, ROUND) for v in change],
     }
@@ -182,7 +210,8 @@ def main(argv=None) -> int:
         "attempted": side_totals(pairs, "attempted"),
         "failed": side_totals(pairs, "failed"),
         "all_correct": len(good) == len(pairs),
-        "metrics": {m["name"]: metric_record(m, good) for m in spec["end_to_end"]} if good else {},
+        "metrics": {m["name"]: metric_record(m, good, len(pairs), m["name"] == args.claim)
+                    for m in spec["end_to_end"]} if good else {},
         "reports": {side: [pair[k]["cite"] for pair in pairs]
                     for k, side in enumerate(("parent", "change"))},
     }
@@ -196,7 +225,9 @@ def main(argv=None) -> int:
         "alternating parent/change pairs (parent first on even-numbered pairs, change first "
         "on odd), each side in its own checkout with the same bench/; median and quartiles "
         "(inclusive method) over the pairs of each calibration-scaled end-to-end metric; "
-        "change_wins counts the pairs in which the change is better; the per-run values are "
+        "change_wins counts the pairs in which the change is better; each metric's verdict "
+        "(gain, worse, unresolved or within_bound) follows the rules in scripts/bench_pairs.py "
+        "metric_record; the per-run values are "
         "kept, and each run's report (written under the checkout's .bench_out/reports/, not "
         "committed) is cited with its raw timings"))
     out.setdefault("machine", {

@@ -50,6 +50,11 @@ def read_magic(path) -> str:
         return fh.readline().strip()
 
 
+def _is_count(field: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also takes "²" and "١"."""
+    return field.isascii() and field.isdigit()
+
+
 def read_checkpoint(path, magic: str, parse_block) -> tuple[dict, list]:
     """(metadata, ``parse_block(header, body lines)`` of each agent) of a
     ``magic`` file; a ``parse_block`` ValueError is raised again with the path."""
@@ -72,14 +77,14 @@ def read_checkpoint(path, magic: str, parse_block) -> tuple[dict, list]:
         meta[k] = v
         i += 1
     count = lines[i].split() if i < len(lines) else []
-    if len(count) != 2 or count[0] != "agents" or not count[1].isdigit():
+    if len(count) != 2 or count[0] != "agents" or not _is_count(count[1]):
         raise ValueError(f"malformed checkpoint, no agent count: {path}")
     num_agents = int(count[1])
     blocks: list = []
     for line in lines[i + 1:]:
         if line.startswith("agent "):
             fields = line.split(" ", 2)
-            if len(fields) != 3 or not fields[1].isdigit():
+            if len(fields) != 3 or not _is_count(fields[1]):
                 raise ValueError(f"malformed checkpoint, agent line without index and header: {path}")
             _, index, header = fields
             if int(index) != len(blocks):

@@ -222,7 +222,7 @@ def run_episode(
     # Entries are (time, kind, task_id, task, unit); the horizon marker is
     # the one entry without a task.
     heap: list = [(sim.episode_duration, _END, -1, None, -1)]
-    heappush = heapq.heappush
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     def enqueue(task, unit, now):
         """Stamp ``task`` into the queue of ``unit``; start it if the unit is idle."""
@@ -248,11 +248,12 @@ def run_episode(
         transfers = transfer_tables[uav]
         delays = predicted_delays(free_at, proc_times, now)
         batteries = remaining_battery_fractions(battery, now, busy_done, running)
-        # Positional, in field order: keywords make the build ~3x slower.
-        snap = NetworkSnapshot(
+        # One tuple of the fields in order, made a NetworkSnapshot without
+        # the namedtuple's own __new__ frame; keywords would be ~3x slower.
+        snap = tuple.__new__(NetworkSnapshot, (
             uav, type_id, type_codes[type_id], delays, batteries + mec_batteries, transfers,
             proc_times, iot_delay, deadlines[type_id], busy_frac_per_sec, num_uavs,
-        )
+        ))
         encode = encoders[uav]
         state = snap if encode is None else encode(snap)
         action = policies[uav].select(state)
@@ -262,7 +263,8 @@ def run_episode(
              and (type(action) is bool or not isinstance(action, (int, np.integer))))
                 or not 0 <= action < num_units):
             raise SimulationError(f"policy for uav{uav} chose nonexistent unit {action!r}")
-        action = int(action)
+        if type(action) is not int:
+            action = int(action)
         task.chosen_unit = action
         task.predicted_delay = delays[action]
         if pipelines[uav]:
@@ -273,21 +275,23 @@ def run_episode(
             heappush(heap, (now + transfers[action], _ARRIVAL, task.task_id, task, action))
 
     # Sensed arrivals run in table order, each once no heap key is smaller
-    # than its own; no heap key equals it (the task ids differ).  The heap
-    # keeps the horizon marker until the loop ends.
+    # than its own; no heap key equals it (the task ids differ).  The key
+    # tuple is built only when the times tie.  The heap keeps the horizon
+    # marker until the loop ends.
     num_tasks = len(tasks)
     i = 0
     while True:
         if i < num_tasks:
             sensed = tasks[i]
             now = sensed.arrival_time
-            if heap[0] > (now, _ARRIVAL, sensed.task_id):
+            top = heap[0]
+            if now < top[0] or (now == top[0] and top > (now, _ARRIVAL, sensed.task_id)):
                 if collect_events:
                     events.append((now, TASK_ARRIVAL, sensed.task_id, sensed.origin_uav))
                 decide(sensed, now)
                 i += 1
                 continue
-        now, kind, _, task, unit = heapq.heappop(heap)
+        now, kind, _, task, unit = heappop(heap)
         if kind == _END:
             if collect_events:
                 events.append((now, EPISODE_END, -1, -1))
@@ -325,7 +329,7 @@ def run_episode(
     in_queue = 0
     violations_by_unit = [0] * num_units
     for task in tasks:
-        if not task.completed:
+        if task.finish_time is None:
             if task.start_time is not None:
                 in_service += 1
                 # Finish is already committed; compare it against the deadline.

@@ -232,7 +232,8 @@ def test_qtable_without_its_grid_is_refused(desk_cfg, desk_checkpoints, tmp_path
         load_policies("qlearning", desk_cfg, str(path), 1, 0)
 
 
-@pytest.mark.parametrize("count_line", ["agents ", "agents x"])
+# "²" and "١" (Arabic-Indic one) are digits to str.isdigit, but no count.
+@pytest.mark.parametrize("count_line", ["agents ", "agents x", "agents \u00b2", "agents \u0661"])
 def test_checkpoint_without_an_agent_count_is_refused(tmp_path, capsys, count_line):
     path = tmp_path / "no-count.ckpt"
     path.write_text(f"uavmec-qtable v1\nmeta policy=qlearning\n{count_line}\n")
@@ -245,6 +246,8 @@ def test_checkpoint_without_an_agent_count_is_refused(tmp_path, capsys, count_li
 @pytest.mark.parametrize("load, text, message", [
     (load_qtable, "meta policy\nagents 0\n", "meta line without '='"),
     (load_qtable, "agents 1\nagent 0\n", "agent line without index and header"),
+    (load_qtable, "agents 1\nagent \u00b2 actions 1 states 0\n",
+     "agent line without index and header"),
     (load_qtable, "agents 1\nagent 0 actions 5 states 1\n1,2,3 0 0 0 0 0\n",
      "q-table row without one ' | '"),
     (load_qtable, "agents 1\nagent 0 actions 1 states 2\n1,2 | 0\n1,2 | 1\n",
@@ -280,7 +283,8 @@ def test_checkpoint_without_an_agent_count_is_refused(tmp_path, capsys, count_li
      "q-table row 1,3 holds a non-finite Q-value"),
     (load_mlp, "agents 1\nagent 0 dims 1 1\ntensor w0 1x1 nan\ntensor b0 1 0\n",
      "tensor w0 holds a non-finite value"),
-], ids=["meta-without-equals", "agent-without-header", "row-without-separator",
+], ids=["meta-without-equals", "agent-without-header", "agent-index-not-ascii",
+        "row-without-separator",
         "repeated-state-key", "header-count-not-a-number", "key-not-a-number",
         "q-value-not-a-number", "mid-block-row-too-short", "mid-block-repeated-key",
         "mid-block-q-value-not-a-number", "mid-block-q-value-before-repeated-key",

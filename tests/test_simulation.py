@@ -296,12 +296,24 @@ def test_invalid_policy_actions_raise(cfg):
 
 
 def test_numpy_integer_actions_accepted(cfg):
-    class NumpyLocal(AlwaysLocalPolicy):
-        def select(self, snap):
-            return np.int64(snap.deciding_uav)
+    class NumpyUnits(RecordingPolicy):
+        """Cycles over the units, each choice a NumPy integer."""
 
-    r = run_episode(cfg, [NumpyLocal() for _ in range(4)], arrival_seed=1)
+        def select(self, snap):
+            action = np.int64(len(self.seen) % snap.num_units)
+            self.seen.append((snap, action))
+            return action
+
+    policies = [NumpyUnits() for _ in range(4)]
+    r = run_episode(cfg, policies, arrival_seed=1)
     assert r.tasks_generated > 0
+    # Each UAV decides its own sensed tasks in id order.
+    for uav, policy in enumerate(policies):
+        records = [rec for rec in r.placements if rec.origin_uav == uav]
+        assert len(records) == len(policy.seen)
+        for rec, (snap, action) in zip(records, policy.seen):
+            assert type(rec.chosen_unit) is int and rec.chosen_unit == action
+            assert rec.predicted_delay == snap.unit_delays[rec.chosen_unit]
 
 
 def test_learner_transitions_chain_and_sum_to_reward(desk_cfg):
@@ -712,3 +724,26 @@ def test_equal_time_events_follow_the_tie_rule(cfg):
     # Task 2 was decided with task 1 already in service until 1.5.
     assert r.placements[2].predicted_delay == 0.5 + 0.5
     assert (r.tasks_completed, r.tasks_in_service, r.tasks_in_queue) == (3, 1, 0)
+
+
+def test_sensed_arrival_on_the_horizon_is_decided_before_the_end(cfg):
+    # A sensed arrival at exactly the horizon ties with a completion and the
+    # end marker.  The completion runs first, then the arrival, which is
+    # decided, enqueued and started; the marker closes the log.
+    cfg.sim.num_uavs, cfg.sim.num_mecs = 2, 1
+    cfg.sim.episode_duration = 2.0
+    cfg.sim.uav_to_uav_delay = cfg.sim.uav_to_mec_delay = 0.25
+    cfg.tasks[0].proc_time_uav, cfg.tasks[0].proc_time_mec = 0.5, 0.25
+    table = [
+        TaskInstance(i, 0, 0, arrival - 0.25, arrival, arrival + 4.0)
+        for i, arrival in enumerate([1.5, 2.0])
+    ]
+    policy = ScriptedPlacements([0, 0])
+    r = run_on_table(cfg, [policy, policy], table)
+    assert r.events == [
+        (1.5, TASK_ARRIVAL, 0, 0), (1.5, TASK_START, 0, 0),
+        (2.0, TASK_COMPLETE, 0, 0), (2.0, TASK_ARRIVAL, 1, 0), (2.0, TASK_START, 1, 0),
+        (2.0, EPISODE_END, -1, -1),
+    ]
+    assert len(policy.seen) == 2 and policy.seen[1].unit_delays[0] == 0.5
+    assert (r.tasks_completed, r.tasks_in_service, r.tasks_in_queue) == (1, 1, 0)
