@@ -21,6 +21,8 @@ environment sets ``UAVMEC_EXPERIMENT__WORKERS``:
 - a paper ``evaluate --placements`` of rr, hef and qhef (2 seeds, 1 episode);
 - a 3-episode paper ``train`` of each learner, and an ``evaluate
   --placements`` of each of those checkpoints (2 seeds, 1 episode);
+- an ``inspect-checkpoint`` of each of those two checkpoints, whose summary
+  is printed with the work directory masked;
 - a 5-episode desk ``train`` of the deep learner on the extended state
   layout with a target network (about 437 steps per agent, so at least two
   target syncs);
@@ -96,15 +98,19 @@ REFUSALS = [
 ]
 
 
-def invoke(extra_env: dict, args: list, work: Path, out: Path) -> subprocess.CompletedProcess:
-    """Run one command with its output in ``out``, in a fresh process."""
+def invoke(extra_env: dict, args: list, work: Path,
+           out: Path | None) -> subprocess.CompletedProcess:
+    """Run one command in a fresh process, with the fixed seed and its
+    output in ``out`` unless ``out`` is None."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("UAVMEC_")}
     env["UAVMEC_EXPERIMENT__WORKERS"] = "1"
     env.update(extra_env)
     env["PYTHONPATH"] = str(ROOT / "src")
     args = [arg.replace(WORK, str(work)) for arg in args]
+    if out is not None:
+        args += ["--seed", SEED, "--out", str(out)]
     return subprocess.run(
-        [sys.executable, "-m", "uavmec.cli", *args, "--seed", SEED, "--out", str(out)],
+        [sys.executable, "-m", "uavmec.cli", *args],
         env=env, capture_output=True, text=True, check=False,
     )
 
@@ -121,6 +127,15 @@ def run(name: str, extra_env: dict, args: list, work: Path) -> list:
         lines.append(f"{digest}  {name}/{path.relative_to(out)}")
     lines.extend(proc.stdout.replace(str(out), "<out>").splitlines())
     return lines
+
+
+def inspect(checkpoint: str, work: Path) -> list:
+    """The ``inspect-checkpoint`` summary of ``checkpoint``, a path relative
+    to the work directory, with that directory masked."""
+    proc = invoke({}, ["inspect-checkpoint", f"{WORK}/{checkpoint}"], work, None)
+    if proc.returncode != 0:
+        sys.exit(f"inspect {checkpoint} exited with {proc.returncode}:\n{proc.stderr}")
+    return [f"== inspect {checkpoint}", *proc.stdout.replace(str(work), WORK).splitlines()]
 
 
 def make_refused(work: Path) -> None:
@@ -157,6 +172,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="uavmec-digests-") as tmp:
         for name, extra_env, args in RUNS:
             print("\n".join(run(name, extra_env, args, Path(tmp))), flush=True)
+        for policy in ("qlearning", "dql"):
+            print("\n".join(inspect(f"paper-train-{policy}/{policy}.ckpt", Path(tmp))), flush=True)
         make_refused(Path(tmp))
         for learner, checkpoint in REFUSALS:
             print("\n".join(refuse(learner, checkpoint, Path(tmp))), flush=True)

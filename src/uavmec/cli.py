@@ -17,6 +17,7 @@ from .config import (
     ConfigError,
     LEARNER_POLICIES,
     POLICY_NAMES,
+    check_policy_names,
     config_hash,
     load_config,
 )
@@ -214,16 +215,11 @@ def _parse_checkpoint_args(pairs, policies, parser) -> dict:
 
 def cmd_compare(args, parser) -> int:
     cfg = _resolve_config(args)
-    policies = (
-        [p.strip() for p in args.policies.split(",") if p.strip()]
-        if args.policies
-        else list(cfg.experiment.policies)
-    )
-    for i, p in enumerate(policies):
-        if p not in POLICY_NAMES:
-            parser.error(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
-        if p in policies[:i]:
-            parser.error(f"policy {p!r} requested twice")
+    if args.policies:
+        policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+        check_policy_names("--policies", policies)
+    else:
+        policies = list(cfg.experiment.policies)
     if not policies:
         parser.error("no policies requested")
     seeds = args.seeds if args.seeds is not None else cfg.experiment.eval_seeds

@@ -306,6 +306,17 @@ def _env_overrides(env) -> dict:
     return out
 
 
+def check_policy_names(where: str, policies) -> None:
+    """Refuse an unknown or repeated name in a list of policies; a policy
+    named twice would be evaluated, and counted, twice."""
+    for i, p in enumerate(policies):
+        if p not in POLICY_NAMES:
+            raise ConfigError(f"{where}: unknown policy {p!r}; "
+                              f"choose from {', '.join(POLICY_NAMES)}")
+        if p in policies[:i]:
+            raise ConfigError(f"{where}: policy {p!r} listed twice")
+
+
 def validate_config(cfg: AppConfig) -> None:
     sim, en, mdp, rl, exp = cfg.sim, cfg.energy, cfg.mdp, cfg.rl, cfg.experiment
     if sim.num_uavs < 1:
@@ -363,11 +374,7 @@ def validate_config(cfg: AppConfig) -> None:
         raise ConfigError("rl.delay_bin_floor must be > 0")
     if rl.target_sync_every < 1:
         raise ConfigError("rl.target_sync_every must be >= 1")
-    for i, p in enumerate(exp.policies):
-        if p not in POLICY_NAMES:
-            raise ConfigError(f"experiment.policies: unknown policy {p!r}")
-        if p in exp.policies[:i]:
-            raise ConfigError(f"experiment.policies: policy {p!r} listed twice")
+    check_policy_names("experiment.policies", exp.policies)
     if exp.eval_seeds < 1 or exp.eval_episodes < 1:
         raise ConfigError("experiment.eval_seeds and eval_episodes must be >= 1")
     if exp.train_episodes_qlearning < 1 or exp.train_episodes_dql < 1:

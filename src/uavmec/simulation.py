@@ -14,10 +14,22 @@ completions, arrivals forwarded to another unit, and the horizon marker.
 
 Unit state lives in flat lists owned by the episode, indexed by unit:
 ``waiting`` (a FIFO deque of enqueued tasks), ``running`` (the task in
-service, or None) and ``free_at`` (when the unit drains all of them, which is
-what a delay prediction reads).  Per UAV, ``busy_done`` adds up the service
-time of the finished tasks; with the running task's time so far it is what a
-battery read charges.  No code reads a MEC's busy time, so none is kept.
+service, or None) and ``free_at`` (when the unit drains all of them).  Per
+UAV, ``busy_done`` adds up the service time of the finished tasks.  No code
+reads a MEC's busy time, so none is kept.  A decision reads two things from
+these lists:
+
+- **Delay.**  An enqueue advances ``free_at`` to ``max(free_at, now)`` plus
+  the task's service time, so a prediction read from it (the backlog
+  ``free_at - now`` plus the candidate's service time) is float-identical to
+  the realized start times.
+- **Battery.**  Drain is piecewise constant: a fixed floor (hover + antenna
+  + CPU idle) runs for the whole elapsed mission time, and the CPU adds its
+  busy-minus-idle draw while a task is in service.  So a UAV's battery, read
+  as the fraction of its capacity left, depends only on the elapsed time,
+  its ``busy_done`` and its running task's time so far.  MEC servers are
+  grid powered and have no battery; a snapshot gives them an infinite
+  sentinel.
 
 A unit never idles with work waiting: an enqueue starts its task at once on
 an idle unit, and a completion starts the next waiting task.  The start is
@@ -30,19 +42,14 @@ own units.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import build_task_table
-from .config import AppConfig
-from .energy import (
-    MEC_BATTERY_SENTINEL,
-    BatteryModel,
-    remaining_battery_fraction,
-    remaining_battery_fractions,
-)
+from .arrivals import TaskInstance, build_task_table
+from .config import AppConfig, EnergyParams
 from .mdp import (
     NetworkSnapshot,
     Transition,
@@ -51,8 +58,6 @@ from .mdp import (
     encode_state,  # noqa: F401  unused here; bench/tracing.py wraps it under this name
     type_code,
 )
-from .queues import check_violation, predicted_delays
-from .queues import predicted_unit_delay  # noqa: F401  unused here; bench/tracing.py wraps it
 
 # Event names in the log.
 TASK_COMPLETE = "complete"
@@ -63,9 +68,78 @@ EPISODE_END = "end"
 # Heap event kinds; each is its own priority among events of equal time.
 _COMPLETE, _ARRIVAL, _END = 0, 1, 2
 
+MEC_BATTERY_SENTINEL = math.inf
+
 
 class SimulationError(RuntimeError):
     """A policy or kernel invariant was broken during an episode."""
+
+
+def check_violation(task: TaskInstance, deadline: float, iot_delay: float,
+                    transfer_delay: float) -> bool:
+    """True iff the end-to-end delay strictly exceeds the class deadline.
+
+    Sum of: sensor-to-UAV hop, the offload hop to the chosen unit (0 when
+    served locally), queue wait at the serving unit (start minus enqueue),
+    and service time.  Exactly meeting the deadline is not a violation.
+    """
+    if task.start_time is None or task.service_time is None:
+        raise ValueError(f"task {task.task_id} has not started service")
+    total = iot_delay + transfer_delay + ((task.start_time - task.enqueue_time) + task.service_time)
+    return total > deadline
+
+
+def predicted_delays(free_at, service_times, now: float) -> tuple:
+    """Per unit, the queue wait plus service it would impose on a task placed
+    now, given each unit's drain time and the task's service time there.
+
+    Remaining in-service time and all pending service times are already folded
+    into ``free_at``, so the estimate is the backlog ``free_at - now`` (zero
+    on an idle unit) plus the candidate's own service time.
+    """
+    return tuple([
+        (free - now if free > now else 0.0) + service
+        for free, service in zip(free_at, service_times)
+    ])
+
+
+def predicted_unit_delay(free_at: float, service_time: float, now: float) -> float:
+    """``predicted_delays`` of one unit."""
+    return predicted_delays((free_at,), (service_time,), now)[0]
+
+
+class BatteryModel:
+    """The constants a battery read needs, derived from ``EnergyParams`` once
+    (its properties recompute on each read).  The params are fleet-wide, so
+    one model serves every UAV."""
+
+    def __init__(self, params: EnergyParams):
+        self.battery_capacity_wh = params.battery_capacity_wh
+        self.constant_power_w = params.constant_power_w
+        self.busy_extra_power_w = params.busy_extra_power_w
+
+
+def remaining_battery_fractions(model: BatteryModel, elapsed: float, busy_done, running) -> tuple:
+    """Fraction of its capacity each UAV has left after ``elapsed`` mission
+    seconds.  ``busy_done`` holds, per UAV, the seconds its CPU spent on
+    finished tasks; ``running`` holds per unit the task in service, or None,
+    and is read only as far as ``busy_done`` goes.  A running task adds the
+    seconds since its start.  The fraction may go negative."""
+    idle = model.constant_power_w * elapsed
+    capacity, busy_extra = model.battery_capacity_wh, model.busy_extra_power_w
+    return tuple([
+        (capacity - (idle + busy_extra * (done if task is None
+                                          else done + (elapsed - task.start_time))) / 3600.0)
+        / capacity
+        for done, task in zip(busy_done, running)
+    ])
+
+
+def remaining_battery_fraction(model: BatteryModel, elapsed: float, busy_done: float,
+                               task) -> float:
+    """``remaining_battery_fractions`` of one UAV, whose running task is
+    ``task`` (None when idle)."""
+    return remaining_battery_fractions(model, elapsed, (busy_done,), (task,))[0]
 
 
 class _AgentPipeline:

@@ -22,7 +22,6 @@ from test_nnet import draw_clear_batch, numerical_grads
 from uavmec.arrivals import arrival_rng, generate_arrivals
 from uavmec.cli import main
 from uavmec.config import load_config
-from uavmec.energy import MEC_BATTERY_SENTINEL
 from uavmec.exploration import epsilon_greedy
 from uavmec.harness import (
     arrival_seed, evaluate_many, make_policies, save_checkpoint, training_loop,
@@ -30,8 +29,7 @@ from uavmec.harness import (
 from uavmec.mdp import NetworkSnapshot, assemble_reward, compute_reward_parts
 from uavmec.metrics import convergence_episode, moving_average
 from uavmec.nnet import init_mlp, loss_and_grads
-from uavmec.queues import check_violation
-from uavmec.simulation import run_episode
+from uavmec.simulation import MEC_BATTERY_SENTINEL, check_violation, run_episode
 
 DESK_YAML = Path(__file__).resolve().parent.parent / "configs" / "desk.yaml"
 MASTER_SEED = 1

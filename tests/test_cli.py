@@ -157,10 +157,15 @@ def test_train_writes_periodic_checkpoints(tiny_config, tmp_path, monkeypatch):
         assert load_mlp(path)[1]["episodes_trained"] == str(episodes)
 
 
-def test_train_rejects_heuristic_policy(tiny_config, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run(["train", "--policy", "rr", "--config", tiny_config, "--out", str(tmp_path / "o")])
-    assert exc.value.code == 2
+def test_train_rejects_heuristic_policy(tiny_config, tmp_path, capsys):
+    for flags, message in ((["--policy", "rr"], "invalid choice: 'rr'"),
+                           (["--policy", "qlearning", "--episodes", "0"],
+                            "--episodes must be >= 1")):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", *flags, "--config", tiny_config, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # --- evaluate ---------------------------------------------------------------
@@ -199,13 +204,16 @@ def test_evaluate_learner_requires_checkpoint(tiny_config, tmp_path):
     assert exc.value.code == 2
 
 
-def test_evaluate_heuristic_rejects_checkpoint(tiny_config, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run([
-            "evaluate", "--policy", "hef", "--config", tiny_config,
-            "--out", str(tmp_path / "o"), "--checkpoint", "x.ckpt",
-        ])
-    assert exc.value.code == 2
+def test_evaluate_heuristic_rejects_checkpoint(tiny_config, tmp_path, capsys):
+    for flags, message in ((["--checkpoint", "x.ckpt"], "policy 'hef' takes no checkpoint"),
+                           (["--seeds", "0"], "--seeds and --episodes must be >= 1"),
+                           (["--episodes", "0"], "--seeds and --episodes must be >= 1")):
+        with pytest.raises(SystemExit) as exc:
+            run(["evaluate", "--policy", "hef", "--config", tiny_config,
+                 "--out", str(tmp_path / "o"), *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_evaluate_missing_checkpoint_file(tiny_config, tmp_path, capsys):
@@ -471,20 +479,25 @@ def test_compare_parses_a_given_checkpoint_once(tiny_config, tiny_checkpoints, t
 
 
 def test_compare_rejects_unknown_policy(tiny_config, tmp_path, capsys):
-    # A policy named twice would be evaluated, and counted, twice.
-    for policies, message in (("rr,greedy", "unknown policy 'greedy'"),
-                              ("rr,rr", "policy 'rr' requested twice")):
+    # A policy named twice would be evaluated, and counted, twice.  The flag
+    # and the config file are checked by one rule.
+    for policies, message in (("rr,greedy", "--policies: unknown policy 'greedy'"),
+                              ("rr,rr", "--policies: policy 'rr' listed twice")):
+        assert run([
+            "compare", "--policies", policies, "--config", tiny_config,
+            "--out", str(tmp_path / "o"),
+        ]) == 2
+        assert message in capsys.readouterr().err
+    for flags, message in ((["--policies", ","], "no policies requested"),
+                           (["--seeds", "0"], "--seeds must be >= 1")):
         with pytest.raises(SystemExit) as exc:
-            run([
-                "compare", "--policies", policies, "--config", tiny_config,
-                "--out", str(tmp_path / "o"),
-            ])
+            run(["compare", *flags, "--config", tiny_config, "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
     twice = tmp_path / "twice.yaml"
     twice.write_text(TINY_YAML + "  policies: [hef, hef]\n")
     assert run(["compare", "--config", str(twice), "--out", str(tmp_path / "o")]) == 2
-    assert "policy 'hef' listed twice" in capsys.readouterr().err
+    assert "experiment.policies: policy 'hef' listed twice" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -533,7 +546,8 @@ def test_evaluate_and_compare_refuse_a_checkpoint_alike(tiny_config, tiny_checkp
 @pytest.mark.parametrize("policies, flags, message", [
     ("rr", ["qlearning=q.ckpt"], "policy 'qlearning' is not among the compared policies"),
     ("rr,qlearning", ["qlearning=q.ckpt", "qlearning=q.ckpt"], "policy 'qlearning' given twice"),
-], ids=["not-compared", "twice"])
+    ("rr", ["rr=q.ckpt"], "--checkpoint: 'rr' is not a learning policy"),
+], ids=["not-compared", "twice", "not-a-learner"])
 def test_compare_refuses_stray_checkpoints(tiny_config, tmp_path, monkeypatch, capsys,
                                            policies, flags, message):
     monkeypatch.chdir(tmp_path)

@@ -175,6 +175,9 @@ def test_unknown_yaml_key_is_an_error(tmp_path):
     path = write_yaml(tmp_path, "nonsense:\n  a: 1\n")
     with pytest.raises(ConfigError, match="unknown config section"):
         load_config(path, env={})
+    path = write_yaml(tmp_path, "- sim\n- rl\n")
+    with pytest.raises(ConfigError, match="config file must contain a mapping of sections"):
+        load_config(path, env={})
 
 
 def test_unknown_env_key_is_an_error():
@@ -235,30 +238,62 @@ tasks:
     )
     with pytest.raises(ConfigError, match=r"tasks\[0\]\.deadline must be of type float"):
         load_config(path, env={})
+    path = write_yaml(tmp_path, "tasks:\n  - fire\n")
+    with pytest.raises(ConfigError, match=r"tasks\[0\] must be a mapping"):
+        load_config(path, env={})
+    path = write_yaml(
+        tmp_path,
+        """
+tasks:
+  - name: broken
+    mean_interarrival: 0
+    deadline: 2.0
+    proc_time_uav: 0.5
+    proc_time_mec: 0.2
+""",
+    )
+    with pytest.raises(ConfigError, match=r"tasks\[0\]\.mean_interarrival must be > 0"):
+        load_config(path, env={})
 
 
 def test_validation_rejects_out_of_range_values():
     bad_cases = [
-        {"UAVMEC_SIM__NUM_UAVS": "0"},
-        {"UAVMEC_SIM__EPISODE_DURATION": "0"},
-        {"UAVMEC_SIM__OBJECTIVE_WEIGHT_W": "1.5"},
-        {"UAVMEC_SIM__VIOLATION_SCALE_THETA": "-5"},
-        {"UAVMEC_ENERGY__BATTERY_CAPACITY_WH": "0"},
-        {"UAVMEC_ENERGY__POWER_SCALE": "0"},
-        {"UAVMEC_MDP__ENERGY_THRESHOLD": "0"},
-        {"UAVMEC_MDP__STATE_LAYOUT": "wide"},
-        {"UAVMEC_RL__DISCOUNT": "1.0"},
-        {"UAVMEC_RL__LEARNING_RATE_TABULAR": "0"},
-        {"UAVMEC_RL__BATCH_SIZE": "0"},
-        {"UAVMEC_RL__EPSILON_DECAY_FRACTION": "0"},
-        {"UAVMEC_RL__DELAY_BINS": "1"},
-        {"UAVMEC_EXPERIMENT__EVAL_SEEDS": "0"},
-        {"UAVMEC_EXPERIMENT__WORKERS": "0"},
-        {"UAVMEC_EXPERIMENT__POLICIES": "[rr, nonsense]"},
-        {"UAVMEC_EXPERIMENT__POLICIES": "[hef, hef]"},
+        ({"UAVMEC_SIM__NUM_UAVS": "0"}, "sim.num_uavs must be >= 1"),
+        ({"UAVMEC_SIM__NUM_MECS": "-1"}, "sim.num_mecs must be >= 0"),
+        ({"UAVMEC_SIM__EPISODE_DURATION": "0"}, "sim.episode_duration must be > 0"),
+        ({"UAVMEC_SIM__OBJECTIVE_WEIGHT_W": "1.5"}, r"sim.objective_weight_w must be in \[0, 1\]"),
+        ({"UAVMEC_SIM__VIOLATION_SCALE_THETA": "-5"}, "sim.violation_scale_theta must be"),
+        ({"UAVMEC_ENERGY__BATTERY_CAPACITY_WH": "0"}, "energy.battery_capacity_wh must be > 0"),
+        ({"UAVMEC_ENERGY__POWER_SCALE": "0"}, "power_scale > 0"),
+        ({"UAVMEC_MDP__ENERGY_THRESHOLD": "0"}, "mdp.energy_threshold must be > 0"),
+        ({"UAVMEC_MDP__TIER_VALUES": "[2, 1]"}, "mdp.tier_values must have exactly 3 entries"),
+        ({"UAVMEC_MDP__STATE_LAYOUT": "wide"}, "mdp.state_layout must be one of"),
+        ({"UAVMEC_RL__DISCOUNT": "1.0"}, r"rl.discount must be in \[0, 1\)"),
+        ({"UAVMEC_RL__LEARNING_RATE_TABULAR": "0"},
+         r"rl.learning_rate_tabular must be in \(0, 1\]"),
+        ({"UAVMEC_RL__ADAM_LR": "0"}, "rl.adam_lr must be > 0"),
+        ({"UAVMEC_RL__BATCH_SIZE": "0"}, "rl.replay_capacity must be >= rl.batch_size >= 1"),
+        ({"UAVMEC_RL__EPSILON_DECAY_FRACTION": "0"}, "rl.epsilon_decay_fraction must be in"),
+        ({"UAVMEC_RL__DELAY_BINS": "1"}, "delay_bins >= 2"),
+        ({"UAVMEC_RL__TARGET_SYNC_EVERY": "0"}, "rl.target_sync_every must be >= 1"),
+        ({"UAVMEC_EXPERIMENT__EVAL_SEEDS": "0"}, "eval_seeds and eval_episodes must be >= 1"),
+        ({"UAVMEC_EXPERIMENT__TRAIN_EPISODES_QLEARNING": "0"},
+         "experiment train episode counts must be >= 1"),
+        ({"UAVMEC_EXPERIMENT__TRAIN_EPISODES_DQL": "0"},
+         "experiment train episode counts must be >= 1"),
+        ({"UAVMEC_EXPERIMENT__SMOOTHING_WINDOW": "0"},
+         "smoothing_window and convergence_patience must be >= 1"),
+        ({"UAVMEC_EXPERIMENT__CONVERGENCE_PATIENCE": "0"},
+         "smoothing_window and convergence_patience must be >= 1"),
+        ({"UAVMEC_EXPERIMENT__CHECKPOINT_EVERY": "-1"}, "experiment.checkpoint_every must be >= 0"),
+        ({"UAVMEC_EXPERIMENT__WORKERS": "0"}, "experiment.workers must be >= 1"),
+        ({"UAVMEC_EXPERIMENT__POLICIES": "[rr, nonsense]"},
+         "experiment.policies: unknown policy 'nonsense'"),
+        ({"UAVMEC_EXPERIMENT__POLICIES": "[hef, hef]"},
+         "experiment.policies: policy 'hef' listed twice"),
     ]
-    for env in bad_cases:
-        with pytest.raises(ConfigError):
+    for env, message in bad_cases:
+        with pytest.raises(ConfigError, match=message):
             load_config(env=env)
 
 

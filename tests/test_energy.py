@@ -5,7 +5,7 @@ import pytest
 
 from uavmec.arrivals import TaskInstance
 from uavmec.config import EnergyParams
-from uavmec.energy import (
+from uavmec.simulation import (
     MEC_BATTERY_SENTINEL,
     BatteryModel,
     remaining_battery_fraction,

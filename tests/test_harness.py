@@ -82,8 +82,14 @@ def test_train_policy_reward_series_shape(desk_cfg):
     assert all(len(series) == 4 for series in rewards)
     # Training populated the tables.
     assert all(len(a.table) > 0 for a in agents)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="policy 'rr' does not train"):
         train_policy(desk_cfg, "rr", episodes=1, master_seed=1)
+    with pytest.raises(ConfigError, match="policy 'rr' does not train"):
+        desk_cfg.experiment.train_episodes("rr")
+    with pytest.raises(ConfigError, match="training needs at least one episode"):
+        train_policy(desk_cfg, "qlearning", episodes=0, master_seed=1)
+    with pytest.raises(ConfigError, match="policy 'rr' has no checkpoint format"):
+        save_checkpoint("rr", agents, "unused.ckpt", desk_cfg, 1, 4)
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -274,6 +280,14 @@ def test_checkpoint_without_an_agent_count_is_refused(tmp_path, capsys, count_li
     (load_mlp, "agents 1\nagent 0 dims 5\n", "mlp header 'dims 5' does not fit 0 tensor lines"),
     (load_mlp, "agents 1\nagent 0 dims 1 1\ntensor w0 1x1 1 2\ntensor b0 1 0\n",
      "cannot reshape array of size 2 into shape (1,1)"),
+    (load_mlp, "agents 1\nagent 0 dims 1 1\ntensor b0 1 0\ntensor w0 1x1 0\n",
+     "tensor line 'tensor b0 1 0' where 'tensor w0 1x1 ' belongs"),
+    (load_mlp, "agents 1\nagent 0 dims 1 1\ntensor w0 1x2 0 0\ntensor b0 1 0\n",
+     "tensor line 'tensor w0 1x2 ' where 'tensor w0 1x1 ' belongs"),
+    (load_qtable, "agents 2\nagent 1 actions 1 states 0\nagent 0 actions 1 states 0\n",
+     "agent 1 out of order"),
+    (load_qtable, "agents 1\n1,2 | 0\nagent 0 actions 1 states 1\n", "body before any agent"),
+    (load_qtable, "agents 1\nagent 0 rows 1 states 0\n", "q-table header 'rows 1 states 0'"),
     # "\udcff" is written as the byte 0xff, which is not UTF-8.
     (load_qtable, "agents 1\nagent 0 actions 2 states 2\n1,2 | 0 1\n1,3 | 2 3\udcff\n",
      "not UTF-8 text"),
@@ -290,7 +304,8 @@ def test_checkpoint_without_an_agent_count_is_refused(tmp_path, capsys, count_li
         "mid-block-q-value-not-a-number", "mid-block-q-value-before-repeated-key",
         "key-width-differs",
         "mlp-dims-not-a-number", "mlp-without-layers",
-        "tensor-values-do-not-fit-shape",
+        "tensor-values-do-not-fit-shape", "tensor-of-another-name", "tensor-of-another-shape",
+        "agent-out-of-order", "body-before-any-agent", "q-table-header-malformed",
         "q-table-row-not-utf8", "tensor-line-not-utf8",
         "q-value-infinite", "tensor-value-nan"])
 def test_malformed_checkpoint_lines_are_refused_with_the_path(tmp_path, capsys, load, text,
@@ -329,6 +344,20 @@ def test_inspect_checkpoint_summarizes(desk_cfg, tmp_path):
         assert (f"agent {i}: dims {'x'.join(map(str, dims))}, {values.size} params, "
                 f"weight min {values.min():.4f} max {values.max():.4f} "
                 f"mean {values.mean():.4f}") in text.splitlines()
+    # A q-table checkpoint, one of whose agents has never visited a state.
+    agents, _ = train_policy(desk_cfg, "qlearning", 2, master_seed=1)
+    agents[1].table.clear()
+    path = tmp_path / "qlearning.ckpt"
+    save_checkpoint("qlearning", agents, path, desk_cfg, 1, 2)
+    lines = inspect_checkpoint(path).splitlines()
+    assert lines[:2] == [f"checkpoint: {path}", "kind: qlearning"]
+    assert "agents: 2" in lines and "episodes_trained: 2" in lines
+    allq = np.concatenate(list(agents[0].table.values()))
+    assert lines[-2:] == [
+        f"agent 0: {len(agents[0].table)} states, q min {allq.min():.4f} "
+        f"max {allq.max():.4f} mean {allq.mean():.4f}",
+        "agent 1: 0 states, empty",
+    ]
 
 
 def test_frozen_dql_learners_pickle_to_about_their_networks(desk_cfg, desk_checkpoints):

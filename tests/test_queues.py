@@ -11,9 +11,16 @@ from helpers import (
 )
 from uavmec.arrivals import TaskInstance
 from uavmec.config import load_config
-from uavmec.energy import BatteryModel, remaining_battery_fraction
-from uavmec.queues import check_violation, predicted_delays, predicted_unit_delay
-from uavmec.simulation import TASK_ARRIVAL, TASK_START, SimulationError
+from uavmec.simulation import (
+    TASK_ARRIVAL,
+    TASK_START,
+    BatteryModel,
+    SimulationError,
+    check_violation,
+    predicted_delays,
+    predicted_unit_delay,
+    remaining_battery_fraction,
+)
 
 IOT = 0.01
 UAV, MEC = 0, 1
