@@ -29,7 +29,6 @@ from .harness import (
     train_policy,
 )
 from .metrics import (
-    convergence_summary,
     write_battery_csv,
     write_convergence_csv,
     write_placements_csv,
@@ -106,10 +105,11 @@ def _base_meta(cfg: AppConfig) -> dict:
     return {"config_hash": config_hash(cfg), "master_seed": cfg.sim.seed}
 
 
-def _train(cfg: AppConfig, policy: str, episodes: int, out: Path, curve_name: str,
-           quiet: bool) -> tuple[Path, int | None]:
+def _train(cfg: AppConfig, policy: str, episodes: int, out: Path,
+           quiet: bool) -> tuple[Path, Path, int | None]:
     """Train ``policy``, save ``<policy>.ckpt`` and write the convergence curve
-    to ``curve_name``; returns (checkpoint path, convergence episode)."""
+    to ``convergence_<policy>.csv``; returns (checkpoint path, curve path,
+    convergence episode)."""
     agents, rewards = train_policy(
         cfg, policy, episodes, cfg.sim.seed, checkpoint_dir=out,
         log_every=0 if quiet else max(1, episodes // 10),
@@ -117,18 +117,12 @@ def _train(cfg: AppConfig, policy: str, episodes: int, out: Path, curve_name: st
     ckpt = out / f"{policy}.ckpt"
     save_checkpoint(policy, agents, ckpt, cfg, cfg.sim.seed, episodes)
     exp = cfg.experiment
-    conv = convergence_summary(
-        rewards, exp.smoothing_window, exp.convergence_threshold, exp.convergence_patience
-    )
+    curve = out / f"convergence_{policy}.csv"
     meta = _base_meta(cfg)
-    meta.update({
-        "policy": policy,
-        "episodes": episodes,
-        "convergence_episode": "none" if conv is None else conv,
-        "convergence_threshold": exp.convergence_threshold,
-    })
-    write_convergence_csv(out / curve_name, meta, rewards, exp.smoothing_window)
-    return ckpt, conv
+    meta.update({"policy": policy, "episodes": episodes})
+    conv = write_convergence_csv(curve, meta, rewards, exp.smoothing_window,
+                                 exp.convergence_threshold, exp.convergence_patience)
+    return ckpt, curve, conv
 
 
 def _evaluate(cfg: AppConfig, out: Path, policies: list, seeds: int, episodes: int,
@@ -166,14 +160,14 @@ def cmd_train(args, parser) -> int:
     if episodes < 1:
         parser.error("--episodes must be >= 1")
     out = _out_dir(cfg)
-    ckpt, conv = _train(cfg, args.policy, episodes, out, "convergence.csv", args.quiet)
+    ckpt, curve, conv = _train(cfg, args.policy, episodes, out, args.quiet)
     print(f"trained {args.policy} for {episodes} episodes")
     print(
         f"convergence episode at smoothed reward >= {cfg.experiment.convergence_threshold:g}: "
         f"{'none' if conv is None else conv}"
     )
     print(f"checkpoint: {ckpt}")
-    print(f"convergence curve: {out / 'convergence.csv'}")
+    print(f"convergence curve: {curve}")
     return 0
 
 
@@ -236,10 +230,7 @@ def cmd_compare(args, parser) -> int:
     # per-policy artifacts and appear as each training run finishes.
     for policy in policies:
         if policy in LEARNER_POLICIES and policy not in checkpoints:
-            ckpt, _ = _train(
-                cfg, policy, cfg.experiment.train_episodes(policy), out,
-                f"convergence_{policy}.csv", args.quiet,
-            )
+            ckpt, _, _ = _train(cfg, policy, cfg.experiment.train_episodes(policy), out, args.quiet)
             checkpoints[policy] = str(ckpt)
     _evaluate(
         cfg, out, policies, seeds, cfg.experiment.eval_episodes, checkpoints,

@@ -68,6 +68,7 @@ class EnergyParams:
     extra CPU draw while a task is in service.  ``power_scale`` multiplies all
     four rates; it exists so the drain can be slowed without touching the
     published rates, which are deliberately aggressive for short missions.
+    ``simulation.BatteryModel`` derives the drain from these fields.
     """
 
     battery_capacity_wh: float = 570.0
@@ -76,19 +77,6 @@ class EnergyParams:
     cpu_idle_power_w: float = 4320.0
     cpu_busy_power_w: float = 12960.0
     power_scale: float = 1.0
-
-    @property
-    def constant_power_w(self) -> float:
-        return (self.hover_power_w + self.antenna_power_w + self.cpu_idle_power_w) * self.power_scale
-
-    @property
-    def busy_extra_power_w(self) -> float:
-        return (self.cpu_busy_power_w - self.cpu_idle_power_w) * self.power_scale
-
-    @property
-    def busy_frac_per_sec(self) -> float:
-        """Battery fraction drained per second of CPU-busy time (beyond idle)."""
-        return self.busy_extra_power_w / 3600.0 / self.battery_capacity_wh
 
 
 @dataclass

@@ -159,7 +159,6 @@ class DqlAgent:
         self.buffer = ReplayBuffer(rl.replay_capacity)
         self.target_net = self.net.copy() if rl.target_network else None
         self.target_sync_every = rl.target_sync_every
-        self.train_steps = 0
         self.epsilon = 0.0
         self.last_loss: float | None = None
 
@@ -170,6 +169,11 @@ class DqlAgent:
         agent.net, agent.state_layout = net, state_layout
         agent.rng, agent.epsilon, agent.wants_transitions = None, 0.0, False
         return agent
+
+    @property
+    def train_steps(self) -> int:
+        """Training steps taken so far; Adam counts one per step."""
+        return self.adam.t
 
     @property
     def input_meta(self) -> dict:
@@ -199,6 +203,5 @@ class DqlAgent:
             return
         batch = self.buffer.sample(self.batch_size, self.rng)
         self.last_loss = train_batch(self.net, self.adam, batch, self.gamma, self.target_net)
-        self.train_steps += 1
-        if self.target_net is not None and self.train_steps % self.target_sync_every == 0:
+        if self.target_net is not None and self.adam.t % self.target_sync_every == 0:
             self.target_net.copy_from(self.net)

@@ -105,13 +105,19 @@ def save_checkpoint(policy: str, agents: list, path, cfg: AppConfig,
         raise ConfigError(f"policy {policy!r} has no checkpoint format")
 
 
+def _existing_checkpoint(checkpoint) -> Path:
+    """``checkpoint`` as a path; a missing file is refused by its name."""
+    path = Path(checkpoint)
+    if not path.exists():
+        raise FileNotFoundError(f"checkpoint not found: {path}")
+    return path
+
+
 def _read_checkpoint(policy: str, checkpoint) -> tuple[list, dict]:
     """Parse a learner's checkpoint: (per-agent q-tables or networks, metadata)."""
     if checkpoint is None:
         raise ConfigError(f"policy {policy!r} needs a checkpoint to evaluate")
-    path = Path(checkpoint)
-    if not path.exists():
-        raise FileNotFoundError(f"checkpoint not found: {path}")
+    path = _existing_checkpoint(checkpoint)
     if policy == "qlearning":
         return load_qtable(str(path))
     return load_mlp(str(path))
@@ -147,7 +153,7 @@ def load_policies(policy: str, cfg: AppConfig, checkpoint, master_seed: int, see
 
 
 def checkpoint_kind(path) -> str:
-    magic = read_magic(path)
+    magic = read_magic(_existing_checkpoint(path))
     if magic == QTABLE_MAGIC:
         return "qlearning"
     if magic == MLP_MAGIC:

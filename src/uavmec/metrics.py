@@ -120,16 +120,6 @@ def convergence_episode(smoothed, threshold: float, patience: int) -> int | None
     return None
 
 
-def convergence_summary(per_agent_rewards, window: int, threshold: float, patience: int):
-    """Convergence episode of the agent-mean smoothed curve at an absolute
-    threshold; None when the curve never holds the threshold."""
-    if not per_agent_rewards:
-        return None
-    mean_series = list(np.mean(np.asarray(per_agent_rewards, dtype=np.float64), axis=0))
-    smoothed, _, _ = moving_average(mean_series, window)
-    return convergence_episode(smoothed, threshold, patience)
-
-
 # --- CSV emission ---------------------------------------------------------
 
 
@@ -151,23 +141,32 @@ def write_csv(path, meta: dict, header: list, rows: list) -> None:
     write_atomic(path, buf.getvalue())
 
 
-def write_convergence_csv(path, meta: dict, per_agent_rewards: list, window: int) -> None:
+def write_convergence_csv(path, meta: dict, per_agent_rewards: list, window: int,
+                          threshold: float, patience: int) -> int | None:
     """Training curves: one row per (agent, episode) with reward, trailing
-    mean and min/max band; plus aggregate rows with agent='mean'."""
+    mean and min/max band; plus aggregate rows with agent='mean'.  Returns
+    the convergence episode of the smoothed agent-mean curve at an absolute
+    ``threshold`` (None when the curve never holds it), which the metadata
+    also records."""
     rows = []
     for agent, series in enumerate(per_agent_rewards):
         smoothed, lo, hi = moving_average(series, window)
         for ep, r in enumerate(series):
             rows.append([str(agent), ep, float(r), smoothed[ep], lo[ep], hi[ep]])
+    conv = None
     if per_agent_rewards:
         mean_series = list(np.mean(np.asarray(per_agent_rewards, dtype=np.float64), axis=0))
         smoothed, lo, hi = moving_average(mean_series, window)
         for ep, r in enumerate(mean_series):
             rows.append(["mean", ep, float(r), smoothed[ep], lo[ep], hi[ep]])
+        conv = convergence_episode(smoothed, threshold, patience)
     meta = dict(meta)
+    meta["convergence_episode"] = "none" if conv is None else conv
+    meta["convergence_threshold"] = threshold
     meta["smoothing_window"] = window
     meta["band"] = "min/max of raw reward over the trailing window"
     write_csv(path, meta, ["agent", "episode", "reward", "smoothed", "band_lo", "band_hi"], rows)
+    return conv
 
 
 def write_battery_csv(path, meta: dict, runs: list, unit_names) -> None:

@@ -109,14 +109,18 @@ def predicted_unit_delay(free_at: float, service_time: float, now: float) -> flo
 
 
 class BatteryModel:
-    """The constants a battery read needs, derived from ``EnergyParams`` once
-    (its properties recompute on each read).  The params are fleet-wide, so
-    one model serves every UAV."""
+    """The drain constants a battery read needs, derived once from the
+    published rates of ``EnergyParams`` times its ``power_scale``.  The
+    params are fleet-wide, so one model serves every UAV."""
 
     def __init__(self, params: EnergyParams):
+        scale = params.power_scale
         self.battery_capacity_wh = params.battery_capacity_wh
-        self.constant_power_w = params.constant_power_w
-        self.busy_extra_power_w = params.busy_extra_power_w
+        self.constant_power_w = (
+            params.hover_power_w + params.antenna_power_w + params.cpu_idle_power_w) * scale
+        self.busy_extra_power_w = (params.cpu_busy_power_w - params.cpu_idle_power_w) * scale
+        # Battery fraction drained per second of CPU-busy time (beyond idle).
+        self.busy_frac_per_sec = self.busy_extra_power_w / 3600.0 / self.battery_capacity_wh
 
 
 def remaining_battery_fractions(model: BatteryModel, elapsed: float, busy_done, running) -> tuple:
@@ -290,7 +294,7 @@ def run_episode(
     ]
     mec_batteries = (MEC_BATTERY_SENTINEL,) * sim.num_mecs
     iot_delay = sim.iot_to_uav_delay
-    busy_frac_per_sec = energy_params.busy_frac_per_sec
+    busy_frac_per_sec = battery.busy_frac_per_sec
     deferred = cfg.mdp.deferred_reward
 
     # Entries are (time, kind, task_id, task, unit); the horizon marker is

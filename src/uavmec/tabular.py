@@ -108,7 +108,6 @@ class QlAgent:
 
     def __init__(self, grid: DiscretizationGrid, rl: RlConfig, rng: np.random.Generator):
         self.grid = grid
-        self.num_actions = grid.num_units
         self.alpha = rl.learning_rate_tabular
         self.gamma = rl.discount
         self.rng = rng
@@ -119,7 +118,7 @@ class QlAgent:
     def frozen(cls, grid: DiscretizationGrid, table: dict) -> "QlAgent":
         """A greedy learner over ``table``: epsilon 0, no stream, nothing to train."""
         agent = cls.__new__(cls)
-        agent.grid, agent.num_actions, agent.table = grid, grid.num_units, table
+        agent.grid, agent.table = grid, table
         agent.rng, agent.epsilon, agent.wants_transitions = None, 0.0, False
         return agent
 
@@ -130,7 +129,7 @@ class QlAgent:
 
     def q_values(self, key: tuple) -> np.ndarray:
         row = self.table.get(key)
-        return row if row is not None else np.zeros(self.num_actions, dtype=np.float64)
+        return row if row is not None else np.zeros(self.grid.num_units, dtype=np.float64)
 
     def encode(self, snap: NetworkSnapshot) -> tuple:
         """The decision's state: its discretized key."""
@@ -146,7 +145,7 @@ class QlAgent:
             t.action,
             t.reward,
             t.next_state,
-            self.num_actions,
+            self.grid.num_units,
             self.alpha,
             self.gamma,
             terminal=t.terminal,
@@ -161,10 +160,10 @@ def dump_qtable(agents: list[QlAgent], path: str, metadata: dict | None = None) 
         # is its str, and "%.17g" of a float is format(x, ".17g"), 17 digits
         # that read back exactly.
         line_format = (",".join(["%d"] * agent.grid.key_width) + " | "
-                       + " ".join(["%.17g"] * agent.num_actions))
+                       + " ".join(["%.17g"] * agent.grid.num_units))
         table = agent.table
         body = [line_format % (*key, *table[key].tolist()) for key in sorted(table)]
-        blocks.append((f"actions {agent.num_actions} states {len(table)}", body))
+        blocks.append((f"actions {agent.grid.num_units} states {len(table)}", body))
     write_checkpoint(path, QTABLE_MAGIC, metadata, blocks)
 
 

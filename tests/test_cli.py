@@ -99,7 +99,7 @@ def test_train_writes_checkpoint_and_curve(tiny_config, tmp_path, capsys):
     assert rc == 0
     assert (out / "dql.ckpt").exists()
 
-    meta, header, rows = read_report(out / "convergence.csv")
+    meta, header, rows = read_report(out / "convergence_dql.csv")
     assert meta["policy"] == "dql"
     assert meta["episodes"] == "3"
     assert "convergence_episode" in meta
@@ -121,9 +121,20 @@ def test_train_episode_override_and_progress(tiny_config, tmp_path, capsys):
         "--out", str(out), "--episodes", "2",
     ])
     assert rc == 0
-    meta, _, rows = read_report(out / "convergence.csv")
+    meta, _, rows = read_report(out / "convergence_qlearning.csv")
     assert meta["episodes"] == "2"
     assert len(rows) == 3 * 2
+
+
+def test_train_keeps_each_learners_curve_in_one_out_dir(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    for policy in ("qlearning", "dql"):
+        assert run(["train", "--policy", policy, "--config", tiny_config, "--out", str(out),
+                    "--quiet"]) == 0
+        assert f"convergence curve: {out / f'convergence_{policy}.csv'}" in capsys.readouterr().out
+    for policy in ("qlearning", "dql"):
+        meta, _, _ = read_report(out / f"convergence_{policy}.csv")
+        assert meta["policy"] == policy
 
 
 def test_train_is_deterministic(tiny_config, tmp_path, monkeypatch):
@@ -138,7 +149,8 @@ def test_train_is_deterministic(tiny_config, tmp_path, monkeypatch):
             "train", "--policy", "dql", "--config", tiny_config, "--out", "run", "--quiet"
         ]) == 0
         outs.append(base / "run")
-    assert (outs[0] / "convergence.csv").read_bytes() == (outs[1] / "convergence.csv").read_bytes()
+    curve = "convergence_dql.csv"
+    assert (outs[0] / curve).read_bytes() == (outs[1] / curve).read_bytes()
     assert (outs[0] / "dql.ckpt").read_bytes() == (outs[1] / "dql.ckpt").read_bytes()
 
 
@@ -573,9 +585,10 @@ def test_inspect_checkpoint_prints_summary(tiny_checkpoints, capsys):
 
 
 def test_inspect_missing_file(tmp_path, capsys):
-    rc = run(["inspect-checkpoint", str(tmp_path / "missing.ckpt")])
+    path = tmp_path / "missing.ckpt"
+    rc = run(["inspect-checkpoint", str(path)])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: checkpoint not found: {path}\n"
 
 
 # --- wiring -----------------------------------------------------------------

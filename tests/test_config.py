@@ -14,6 +14,7 @@ from uavmec.config import (
     load_config,
     validate_config,
 )
+from uavmec.simulation import BatteryModel
 
 DESK_YAML = str(Path(__file__).resolve().parent.parent / "configs" / "desk.yaml")
 SECTIONS = ("sim", "energy", "mdp", "rl", "experiment")
@@ -42,8 +43,8 @@ def test_defaults_match_reference_deployment():
     assert cfg.energy.antenna_power_w == 17.0
     assert cfg.energy.cpu_idle_power_w == 4320.0
     assert cfg.energy.cpu_busy_power_w == 12960.0
-    assert cfg.energy.constant_power_w == 4548.0
-    assert cfg.energy.busy_extra_power_w == 8640.0
+    assert BatteryModel(cfg.energy).constant_power_w == 4548.0
+    assert BatteryModel(cfg.energy).busy_extra_power_w == 8640.0
 
     names = [(t.name, t.mean_interarrival, t.deadline, t.proc_time_uav, t.proc_time_mec)
              for t in cfg.tasks]

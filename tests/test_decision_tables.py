@@ -1,8 +1,9 @@
 """The kernel's per-episode decision tables change no decision's snapshot.
 
 Every snapshot a policy sees, over a desk and a paper episode of each
-heuristic, must equal the one ``helpers.reference_snapshots`` rebuilds field
-by field from the config and the event log.
+heuristic at power scales 1 and 2, must equal the one
+``helpers.reference_snapshots`` rebuilds field by field from the config and
+the event log.
 """
 
 from pathlib import Path
@@ -36,15 +37,17 @@ class RecordingPolicy:
 @pytest.mark.parametrize("policy", ["rr", "hef", "qhef"])
 def test_every_snapshot_matches_the_reference_builder(scale, policy):
     cfg = load_config(str(CONFIGS / f"{scale}.yaml"))
-    seen: list = []
-    policies = [RecordingPolicy(p, seen) for p in make_policies(policy, cfg, 801, 0)]
-    result = run_episode(cfg, policies, arrival_seed(801, 0), collect_events=True)
+    for power_scale in (1, 2):
+        cfg.energy.power_scale = power_scale
+        seen: list = []
+        policies = [RecordingPolicy(p, seen) for p in make_policies(policy, cfg, 801, 0)]
+        result = run_episode(cfg, policies, arrival_seed(801, 0), collect_events=True)
 
-    expected = reference_snapshots(cfg, result)
-    assert len(seen) == len(expected) == result.tasks_generated > 0
-    for i, (got, want) in enumerate(zip(seen, expected)):
-        assert type(got) is NetworkSnapshot
-        assert got == want, f"decision {i} differs"
-    # Within the episode, one tuple per task type and one per deciding UAV.
-    assert len({id(s.proc_times) for s in seen}) == len(cfg.tasks)
-    assert len({id(s.transfer_delays) for s in seen}) == cfg.sim.num_uavs
+        expected = reference_snapshots(cfg, result)
+        assert len(seen) == len(expected) == result.tasks_generated > 0
+        for i, (got, want) in enumerate(zip(seen, expected)):
+            assert type(got) is NetworkSnapshot
+            assert got == want, f"power_scale {power_scale}: decision {i} differs"
+        # Within the episode, one tuple per task type and one per deciding UAV.
+        assert len({id(s.proc_times) for s in seen}) == len(cfg.tasks)
+        assert len({id(s.transfer_delays) for s in seen}) == cfg.sim.num_uavs

@@ -123,9 +123,10 @@ def test_millisecond_integration_oracle():
     drained = 0.0
     for i in range(steps):
         t = i * dt
-        power = params.constant_power_w
+        power = params.hover_power_w + params.antenna_power_w + params.cpu_idle_power_w
         if any(s <= t < e for s, e in intervals):
-            power += params.busy_extra_power_w
+            power += params.cpu_busy_power_w - params.cpu_idle_power_w
+        power *= params.power_scale
         drained += power * dt
     oracle = params.battery_capacity_wh - drained / 3600.0
     got = remaining_battery_fraction(BatteryModel(params), elapsed, busy_of(intervals), None)

@@ -9,7 +9,6 @@ from uavmec import checkpoint
 from uavmec.metrics import (
     RunMetrics,
     convergence_episode,
-    convergence_summary,
     metrics_from_episodes,
     moving_average,
     objective_value,
@@ -147,14 +146,20 @@ def test_plateau_threshold_flat_series():
     assert plateau_threshold([4.0] * 10) == pytest.approx(4.0)
 
 
-def test_convergence_summary_uses_agent_mean():
+def test_convergence_summary_uses_agent_mean(tmp_path):
     # Two agents whose mean crosses 1.0 at episode 4 and holds.
     a = [0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0]
     b = [0.0] * 8
-    got = convergence_summary([a, b], window=1, threshold=1.0, patience=3)
-    assert got == 4
-    assert convergence_summary([a, b], window=1, threshold=5.0, patience=3) is None
-    assert convergence_summary([], window=1, threshold=1.0, patience=3) is None
+    path = str(tmp_path / "conv.csv")
+
+    def summary(rewards, threshold):
+        got = write_convergence_csv(path, {}, rewards, window=1, threshold=threshold, patience=3)
+        assert f"# convergence_episode: {'none' if got is None else got}" in read_lines(path)
+        return got
+
+    assert summary([a, b], threshold=1.0) == 4
+    assert summary([a, b], threshold=5.0) is None
+    assert summary([], threshold=1.0) is None
 
 
 def test_metrics_from_episodes_aggregates():
@@ -257,7 +262,7 @@ def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, write):
 def test_convergence_csv_rows(tmp_path):
     path = tmp_path / "conv.csv"
     rewards = [[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]
-    write_convergence_csv(str(path), {}, rewards, window=2)
+    write_convergence_csv(str(path), {}, rewards, window=2, threshold=1.0, patience=1)
     lines = read_lines(path)
     header_at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
     assert lines[header_at] == "agent,episode,reward,smoothed,band_lo,band_hi"

@@ -228,13 +228,18 @@ def test_latency_components_match_event_replay(cfg):
 
 
 def test_battery_matches_event_replay(cfg):
-    r = run_episode(cfg, hef_policies(cfg), arrival_seed=10, collect_events=True)
-    oracle = replay_battery(cfg, r)
-    for got, expected_wh in zip(r.battery_fraction, oracle):
-        assert got == pytest.approx(expected_wh / 570.0, rel=1e-12)
-    # Busy UAVs drained more than the idle floor alone.
-    idle_only = (570.0 - 4548.0 * cfg.sim.episode_duration / 3600.0) / 570.0
-    assert all(frac < idle_only for frac in r.battery_fraction)
+    p = cfg.energy
+    for power_scale in (1, 2):
+        p.power_scale = power_scale
+        r = run_episode(cfg, hef_policies(cfg), arrival_seed=10, collect_events=True)
+        oracle = replay_battery(cfg, r)
+        for got, expected_wh in zip(r.battery_fraction, oracle):
+            assert got == pytest.approx(expected_wh / p.battery_capacity_wh, rel=1e-12)
+        # Busy UAVs drained more than the idle floor alone.
+        idle_wh = ((p.hover_power_w + p.antenna_power_w + p.cpu_idle_power_w) * power_scale
+                   * cfg.sim.episode_duration / 3600.0)
+        idle_only = (p.battery_capacity_wh - idle_wh) / p.battery_capacity_wh
+        assert all(frac < idle_only for frac in r.battery_fraction)
 
 
 def test_local_delay_prediction_is_exact(cfg):

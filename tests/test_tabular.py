@@ -296,7 +296,7 @@ def test_dump_is_byte_equal_to_the_per_value_writer(tmp_path):
     agents = qtable_oracle_agents()
     meta = {"policy": "qlearning", "episodes": 3}
     dump_qtable(agents, str(tmp_path / "fast.qtab"), metadata=meta)
-    blocks = [(f"actions {a.num_actions} states {len(a.table)}", reference_qtable_body(a.table))
+    blocks = [(f"actions {a.grid.num_units} states {len(a.table)}", reference_qtable_body(a.table))
               for a in agents]
     write_checkpoint(str(tmp_path / "reference.qtab"), QTABLE_MAGIC, meta, blocks)
     assert (tmp_path / "fast.qtab").read_bytes() == (tmp_path / "reference.qtab").read_bytes()
