@@ -26,6 +26,9 @@ environment sets ``UAVMEC_EXPERIMENT__WORKERS``:
 - a 5-episode desk ``train`` of the deep learner on the extended state
   layout with a target network (about 437 steps per agent, so at least two
   target syncs);
+- a 5-episode desk ``train`` of the tabular learner with
+  ``experiment.checkpoint_every`` 2, which also writes the checkpoints of
+  episodes 2 and 4;
 - refusals: a paper ``evaluate`` of each learner and a paper ``compare`` of
   rr and that learner, each given a checkpoint path that must be refused (a
   missing file, a directory, the other learner's paper-train checkpoint, a
@@ -84,6 +87,8 @@ RUNS = [
     ("desk-train-dql-extended-target",
      {"UAVMEC_MDP__STATE_LAYOUT": "extended", "UAVMEC_RL__TARGET_NETWORK": "true"},
      ["train", "--config", DESK, "--policy", "dql", "--episodes", "5"]),
+    ("desk-train-qlearning-checkpoint-every", {"UAVMEC_EXPERIMENT__CHECKPOINT_EVERY": "2"},
+     ["train", "--config", DESK, "--policy", "qlearning", "--episodes", "5"]),
 ]
 
 

@@ -31,15 +31,15 @@ class TaskInstance:
     ``emission_time`` is when the IoT sensor produced it; it reaches its origin
     UAV at ``arrival_time``.  ``deadline_abs`` is emission plus the class
     deadline.  Times are absolute simulation seconds, delays relative.  The
-    other fields stay None until set: ``chosen_unit`` and ``predicted_delay``
-    (its queue + service estimate) at the decision; ``enqueue_time`` and
-    ``service_time`` at the enqueue, so a task still queued at the horizon
-    carries its service time; ``start_time`` at the start; ``finish_time`` at
-    the completion; and ``violated`` then, or at the horizon by the censoring
-    rule.  What follows from these is not stored: the queue wait is
-    ``start_time - enqueue_time``, and the transfer delay to the chosen unit
-    comes from the config.  ``build_task_table`` is the only producer and
-    checks every deadline.
+    other fields stay None until set: ``chosen_unit`` at the decision;
+    ``enqueue_time`` and ``service_time`` at the enqueue, so a task still
+    queued at the horizon carries its service time; ``start_time`` at the
+    start; ``finish_time`` at the completion; and ``violated`` then, or at
+    the horizon by the censoring rule.  What follows from these is not
+    stored: the queue wait is ``start_time - enqueue_time``, the predicted
+    delay is the decision snapshot's ``unit_delays[chosen_unit]``, and the
+    transfer delay to the chosen unit comes from the config.
+    ``build_task_table`` is the only producer and checks every deadline.
     """
 
     task_id: int
@@ -49,7 +49,6 @@ class TaskInstance:
     arrival_time: float
     deadline_abs: float
     chosen_unit: int | None = None
-    predicted_delay: float | None = None
     enqueue_time: float | None = None
     start_time: float | None = None
     finish_time: float | None = None

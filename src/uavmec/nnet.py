@@ -13,6 +13,8 @@ delta`` is the weight and the bias gradient in one product.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
@@ -110,19 +112,8 @@ class _Workspace:
 
 # Shared by every network of a shape (agents, target networks, their copies),
 # so no network carries scratch memory.  Single-threaded use only.  At most
-# _MAX_WORKSPACES shapes are kept; the one added first makes room for a new one.
-_WORKSPACES: dict = {}
-_MAX_WORKSPACES = 8
-
-
-def _workspace(dims: list, rows: int) -> _Workspace:
-    key = (tuple(dims), rows)
-    ws = _WORKSPACES.get(key)
-    if ws is None:
-        if len(_WORKSPACES) >= _MAX_WORKSPACES:
-            del _WORKSPACES[next(iter(_WORKSPACES))]
-        ws = _WORKSPACES[key] = _Workspace(key[0], rows)
-    return ws
+# eight shapes are kept; the least recently used makes room for a new one.
+_workspace = functools.lru_cache(maxsize=8)(_Workspace)
 
 
 def forward(net: MlpNetwork, x) -> np.ndarray:
@@ -145,7 +136,7 @@ def forward_cached(net: MlpNetwork, x: np.ndarray):
     rows, width = np.shape(x)
     if width != net.dims[0]:
         raise ValueError(f"input width {width} != network input {net.dims[0]}")
-    ws = _workspace(net.dims, rows)
+    ws = _workspace(tuple(net.dims), rows)
     inputs = ws.inputs
     ws.activations[0][...] = x
     for layer, block in enumerate(net.blocks[:-1]):
@@ -170,7 +161,7 @@ def loss_and_grads(net: MlpNetwork, states: np.ndarray, actions: np.ndarray, tar
         raise ValueError(f"an action exceeds the network's {net.dims[-1]} outputs")
     batch = states.shape[0]
     q = forward_cached(net, states)[-1]
-    ws = _workspace(net.dims, batch)
+    ws = _workspace(tuple(net.dims), batch)
     # Row i's taken Q-value sits at flat index i * outputs + a_i.
     taken = ws.row_offsets + actions
     err = q.take(taken) - targets

@@ -150,12 +150,10 @@ class _AgentPipeline:
     """Turns one learner's decision stream into ordered transitions.
 
     A decision's state is the policy's own, what its ``encode`` returned; the
-    pipeline never looks inside it.  Its successor state is the state of the
-    same agent's next decision, and transitions are ingested in decision
-    order.  With immediate rewards a decision's reward is known at once, so
-    only the last decision waits, for its successor.  In deferred mode a
-    decision is queued as the ``Transition`` it will ingest until its task
-    resolves and its successor is known.
+    pipeline never looks inside it.  Each decision is queued at once as the
+    ``Transition`` it will ingest.  Its successor state is the state of the
+    same agent's next decision; its reward is set at once, or in deferred
+    mode when its task resolves.  Transitions are ingested in decision order.
     """
 
     def __init__(self, policy, mdp_cfg, terminal_on_end: bool):
@@ -163,9 +161,7 @@ class _AgentPipeline:
         self.cfg = mdp_cfg
         self.deferred = mdp_cfg.deferred_reward
         self.terminal_on_end = terminal_on_end
-        # Immediate mode: (state, action, reward) of the last decision.
-        self.last: tuple | None = None
-        # Deferred mode: queued transitions, and each unresolved task's
+        # Queued transitions, and in deferred mode each unresolved task's
         # transition with its tier and penalty.
         self.pending: deque = deque()
         self.by_task: dict[int, tuple] = {}
@@ -173,16 +169,12 @@ class _AgentPipeline:
 
     def on_decision(self, snap: NetworkSnapshot, state, action: int, task_id: int) -> None:
         tier, v_hat, penalty = compute_reward_parts(action, snap, self.cfg)
-        if not self.deferred:
-            reward = assemble_reward(tier, v_hat, penalty)
-            self.cumulative_reward += reward
-            last = self.last
-            if last is not None:
-                self.policy.ingest(Transition(last[0], last[1], last[2], state, False))
-            self.last = (state, action, reward)
-            return
         t = Transition(state, action, None, None, False)
-        self.by_task[task_id] = (t, tier, penalty)
+        if self.deferred:
+            self.by_task[task_id] = (t, tier, penalty)
+        else:
+            t.reward = assemble_reward(tier, v_hat, penalty)
+            self.cumulative_reward += t.reward
         if self.pending and self.pending[-1].next_state is None:
             self.pending[-1].next_state = state
         self.pending.append(t)
@@ -200,11 +192,6 @@ class _AgentPipeline:
         nothing to bootstrap from, and its reward has already counted."""
         if self.by_task:
             raise SimulationError("unresolved deferred rewards at episode end")
-        if not self.deferred:
-            if self.last is not None and self.terminal_on_end:
-                state, action, reward = self.last
-                self.policy.ingest(Transition(state, action, reward, state, True))
-            return
         if self.pending and self.pending[-1].next_state is None:
             tail = self.pending[-1]
             if self.terminal_on_end:
@@ -344,7 +331,6 @@ def run_episode(
         if type(action) is not int:
             action = int(action)
         task.chosen_unit = action
-        task.predicted_delay = delays[action]
         if pipelines[uav]:
             pipelines[uav].on_decision(snap, state, action, task.task_id)
         if action == uav:

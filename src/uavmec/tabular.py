@@ -30,7 +30,6 @@ class DiscretizationGrid:
             raise ValueError("delay_bins must be >= 2")
         self.num_uavs = num_uavs
         self.num_units = num_units
-        self.num_types = num_types
         self.battery_bins = battery_bins
         # A key holds the task type, one delay bin per unit, one battery bin per UAV.
         self.key_width = 1 + num_units + num_uavs

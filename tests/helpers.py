@@ -50,8 +50,8 @@ same text oracle for ``uavmec.nnet.save_mlp``.
 ``ReferenceAgentPipeline`` is the original decision pipeline, kept
 unchanged: every decision is queued as a ``Transition`` in a deque, which a
 flush loop releases once its reward and successor are known.  It is the
-oracle for ``uavmec.simulation._AgentPipeline``, which in immediate-reward
-mode holds only the last decision.
+oracle for ``uavmec.simulation._AgentPipeline``, which has the same
+one-queue design in both reward modes and reads the mode once per pipeline.
 
 ``reference_battery_tier`` is the original tier rule, which copies the
 UAV batteries into a list, charges the chosen one and compares it against
@@ -531,12 +531,13 @@ def plateau_threshold(smoothed, fraction: float = 0.9, tail_fraction: float = 0.
     return start + fraction * (plateau - start)
 
 
-def reference_key(grid: DiscretizationGrid, snap: NetworkSnapshot) -> tuple:
-    """Discretize the base-layout vector [type, J+ delays, J batteries] of ``snap``."""
+def reference_key(grid: DiscretizationGrid, snap: NetworkSnapshot, num_types: int) -> tuple:
+    """Discretize the base-layout vector [type, J+ delays, J batteries] of
+    ``snap``, one of ``num_types`` task types."""
     state = encode_state(snap)
     if len(state) != grid.key_width:
         raise ValueError(f"expected base-layout state of width {grid.key_width}, got {len(state)}")
-    type_idx = int(round(state[0] * (grid.num_types - 1))) if grid.num_types > 1 else 0
+    type_idx = int(round(state[0] * (num_types - 1))) if num_types > 1 else 0
     edges = np.asarray(grid.delay_edges)
     delays = tuple(
         int(np.searchsorted(edges, d, side="right")) for d in state[1 : 1 + grid.num_units]

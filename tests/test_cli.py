@@ -7,6 +7,7 @@ from uavmec.cli import main
 from uavmec.config import load_config
 from uavmec.harness import load_policies
 from uavmec.nnet import load_mlp
+from uavmec.tabular import load_qtable
 
 # A deliberately tiny experiment so every CLI path runs in well under a
 # second: short episodes, small fleet, small network, minimal budgets.
@@ -156,17 +157,23 @@ def test_train_is_deterministic(tiny_config, tmp_path, monkeypatch):
 
 def test_train_writes_periodic_checkpoints(tiny_config, tmp_path, monkeypatch):
     monkeypatch.setenv("UAVMEC_EXPERIMENT__CHECKPOINT_EVERY", "2")
-    out = tmp_path / "out"
-    assert run([
-        "train", "--policy", "dql", "--config", tiny_config, "--out", str(out),
-        "--episodes", "5", "--quiet",
-    ]) == 0
-    assert sorted(p.name for p in out.glob("*.ckpt")) == ["dql.ckpt", "dql_ep2.ckpt", "dql_ep4.ckpt"]
     cfg = load_config(tiny_config)
-    for episodes in (2, 4):
-        path = str(out / f"dql_ep{episodes}.ckpt")
-        assert len(load_policies("dql", cfg, path, 1, 0)) == cfg.sim.num_uavs
-        assert load_mlp(path)[1]["episodes_trained"] == str(episodes)
+    for policy, load in (("dql", load_mlp), ("qlearning", load_qtable)):
+        out = tmp_path / policy
+        assert run([
+            "train", "--policy", policy, "--config", tiny_config, "--out", str(out),
+            "--episodes", "5", "--quiet",
+        ]) == 0
+        # The last episode is the final checkpoint's, so no _ep5 file.
+        assert sorted(p.name for p in out.glob("*.ckpt")) == [
+            f"{policy}.ckpt", f"{policy}_ep2.ckpt", f"{policy}_ep4.ckpt"]
+        for episodes in (2, 4):
+            path = str(out / f"{policy}_ep{episodes}.ckpt")
+            assert len(load_policies(policy, cfg, path, 1, 0)) == cfg.sim.num_uavs
+            assert load(path)[1]["episodes_trained"] == str(episodes)
+            assert run(["evaluate", "--policy", policy, "--config", tiny_config,
+                        "--checkpoint", path, "--out", str(out / f"eval{episodes}"),
+                        "--seeds", "1", "--episodes", "1"]) == 0
 
 
 def test_train_rejects_heuristic_policy(tiny_config, tmp_path, capsys):

@@ -4,7 +4,14 @@ import pickle
 import numpy as np
 import pytest
 
-from helpers import ReferenceAdamState, reference_adam_step, reference_tensor_line
+from helpers import (
+    ReferenceAdamState,
+    reference_adam_step,
+    reference_forward_cached,
+    reference_loss_and_grads,
+    reference_tensor_line,
+)
+from uavmec import nnet
 from uavmec.checkpoint import write_checkpoint
 from uavmec.nnet import (
     CHECKPOINT_MAGIC,
@@ -299,6 +306,26 @@ def test_workspace_gradients_equal_fresh_ones_and_are_reused():
     assert again[0].base is grads[0].base
     # The fresh result does not share the workspace.
     assert not np.shares_memory(fresh[0], again[0])
+
+
+def test_workspaces_evicted_and_rebuilt_stay_exact():
+    """Nine batch shapes pass through a cache of eight, then the first comes
+    back on a rebuilt workspace: every forward pass and gradient stays byte
+    equal to the allocating reference."""
+    rng = np.random.default_rng(16)
+    net = init_mlp([5, 7, 3], rng)
+    sizes = [3, 5, 6, 9, 10, 11, 12, 13, 14]
+    for rows in [*sizes, sizes[0]]:
+        states, actions = rng.normal(size=(rows, 5)), rng.integers(0, 3, size=rows)
+        targets = rng.normal(size=rows)
+        assert forward(net, states).tobytes() == reference_forward_cached(net, states)[-1].tobytes()
+        for in_workspace in (False, True):
+            loss, grads = loss_and_grads(net, states, actions, targets, in_workspace=in_workspace)
+            ref_loss, ref_grads = reference_loss_and_grads(net, states, actions, targets)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            for mine, theirs in zip(grads, ref_grads):
+                assert mine.tobytes() == theirs.tobytes()
+    assert nnet._workspace.cache_info().currsize == 8
 
 
 def test_training_drives_loss_down_on_frozen_batch():

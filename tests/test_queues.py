@@ -56,7 +56,6 @@ def make_record(**overrides):
         arrival_time=0.01,
         deadline_abs=0.3,
         chosen_unit=0,
-        predicted_delay=0.0,
     )
     base.update(overrides)
     return TaskInstance(**base)

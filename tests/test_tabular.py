@@ -151,7 +151,7 @@ def test_key_matches_the_state_vector_oracle(data):
         unit_batteries=tuple(batteries) + (math.inf,) * (num_units - num_uavs),  # MEC sentinel
         num_uavs=num_uavs,
     )
-    assert grid.key(snap) == reference_key(grid, snap)
+    assert grid.key(snap) == reference_key(grid, snap, num_types)
 
 
 def test_training_keys_match_the_state_vector_oracle(desk_cfg, monkeypatch):
@@ -166,7 +166,7 @@ def test_training_keys_match_the_state_vector_oracle(desk_cfg, monkeypatch):
     train_policy(desk_cfg, "qlearning", episodes=1, master_seed=1)
     assert len(recorded) > 100
     for grid, snap, key in recorded:
-        assert key == reference_key(grid, snap)
+        assert key == reference_key(grid, snap, len(desk_cfg.tasks))
 
 
 def test_delay_above_top_edge_clamps_to_last_bin():
