@@ -15,9 +15,14 @@ QUEUE_TIE_TOLERANCE = 1e-12
 
 
 class RoundRobinPolicy:
-    """Cycles one UAV's decisions through every unit in fixed index order."""
+    """Cycles one UAV's decisions through every unit in fixed index order.
+
+    It reads nothing of the network, so the kernel builds it no snapshot and
+    ``select`` is passed None.
+    """
 
     wants_transitions = False
+    wants_snapshot = False
 
     def __init__(self, num_units: int):
         if num_units < 1:
@@ -25,7 +30,7 @@ class RoundRobinPolicy:
         self.num_units = num_units
         self.counter = 0
 
-    def select(self, snap: NetworkSnapshot) -> int:
+    def select(self, snap: NetworkSnapshot | None) -> int:
         choice = self.counter
         self.counter = (self.counter + 1) % self.num_units
         return choice

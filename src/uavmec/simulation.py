@@ -245,9 +245,12 @@ def run_episode(
 
     ``policies`` holds one decision object per UAV.  Each decision's state is
     ``encode(snapshot)`` for a policy that has one, else the snapshot; it goes
-    to ``select`` and into the learner's transitions.  Arrival streams depend
-    only on (arrival_seed, episode_index), so different policies can be
-    compared on identical workloads.
+    to ``select`` and into the learner's transitions.  A policy whose
+    ``wants_snapshot`` is False (a missing attribute counts as True) reads
+    nothing of the network: no snapshot is built for it and ``select`` gets
+    None, so it may neither encode nor learn.  Arrival streams depend only on
+    (arrival_seed, episode_index), so different policies can be compared on
+    identical workloads.
     """
     sim, energy_params = cfg.sim, cfg.energy
     num_uavs, num_units = sim.num_uavs, sim.num_units
@@ -263,6 +266,11 @@ def run_episode(
     pipelines = [_AgentPipeline(p, cfg.mdp, cfg.rl.terminal_on_episode_end)
                  if getattr(p, "wants_transitions", False) else None for p in policies]
     encoders = [getattr(p, "encode", None) for p in policies]
+    wants_snapshot = [getattr(p, "wants_snapshot", True) for p in policies]
+    for uav in range(num_uavs):
+        if not wants_snapshot[uav] and (encoders[uav] is not None or pipelines[uav]):
+            raise SimulationError(f"policy for uav{uav} sets wants_snapshot = False but "
+                                  "encodes or learns, which reads the snapshot")
     # Each log site tests ``collect_events`` first, so an episode that keeps
     # no log builds no event tuples.
     events: list | None = [] if collect_events else None
@@ -308,19 +316,23 @@ def run_episode(
         heappush(heap, (now + service, _COMPLETE, task.task_id, task, unit))
 
     def decide(task, now):
-        uav, type_id = task.origin_uav, task.type_id
-        proc_times = proc_tables[type_id]
+        uav = task.origin_uav
         transfers = transfer_tables[uav]
-        delays = predicted_delays(free_at, proc_times, now)
-        batteries = remaining_battery_fractions(battery, now, busy_done, running)
-        # One tuple of the fields in order, made a NetworkSnapshot without
-        # the namedtuple's own __new__ frame; keywords would be ~3x slower.
-        snap = tuple.__new__(NetworkSnapshot, (
-            uav, type_id, type_codes[type_id], delays, batteries + mec_batteries, transfers,
-            proc_times, iot_delay, deadlines[type_id], busy_frac_per_sec, num_uavs,
-        ))
-        encode = encoders[uav]
-        state = snap if encode is None else encode(snap)
+        if wants_snapshot[uav]:
+            type_id = task.type_id
+            proc_times = proc_tables[type_id]
+            delays = predicted_delays(free_at, proc_times, now)
+            batteries = remaining_battery_fractions(battery, now, busy_done, running)
+            # One tuple of the fields in order, made a NetworkSnapshot without
+            # the namedtuple's own __new__ frame; keywords would be ~3x slower.
+            snap = tuple.__new__(NetworkSnapshot, (
+                uav, type_id, type_codes[type_id], delays, batteries + mec_batteries, transfers,
+                proc_times, iot_delay, deadlines[type_id], busy_frac_per_sec, num_uavs,
+            ))
+            encode = encoders[uav]
+            state = snap if encode is None else encode(snap)
+        else:
+            state = None
         action = policies[uav].select(state)
         # A plain int passes the type test at once; a bool is an int to
         # isinstance, but no unit.

@@ -75,6 +75,13 @@ def test_round_robin_cycles_all_units():
     assert picks == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1]
 
 
+@pytest.mark.parametrize("num_units", [1, 2, 5])
+def test_round_robin_reads_no_snapshot(num_units):
+    policy = RoundRobinPolicy(num_units)
+    assert policy.wants_snapshot is False
+    assert [policy.select(None) for _ in range(2 * num_units)] == list(range(num_units)) * 2
+
+
 def test_round_robin_rejects_empty_fleet():
     with pytest.raises(ValueError):
         RoundRobinPolicy(num_units=0)

@@ -30,7 +30,7 @@ from uavmec.harness import (
     arrival_seed, load_policies, make_policies, save_checkpoint, training_loop,
 )
 from uavmec.heuristics import HefPolicy, RoundRobinPolicy
-from uavmec.mdp import assemble_reward, compute_reward_parts, encode_state
+from uavmec.mdp import NetworkSnapshot, assemble_reward, compute_reward_parts, encode_state
 from uavmec.simulation import (
     EPISODE_END,
     TASK_ARRIVAL,
@@ -333,6 +333,33 @@ def test_numpy_integer_actions_accepted(cfg):
     assert started_local > 0
 
 
+def test_policy_without_snapshot_may_not_encode(cfg):
+    class EncodingRoundRobin(RoundRobinPolicy):
+        def encode(self, snap):
+            return snap
+
+    policies = rr_policies(cfg)
+    policies[2] = EncodingRoundRobin(cfg.sim.num_units)
+    with pytest.raises(SimulationError, match="uav2 sets wants_snapshot = False"):
+        run_episode(cfg, policies, arrival_seed=1)
+    # Refused before the first decision.
+    assert [p.counter for p in policies] == [0] * cfg.sim.num_uavs
+
+
+def test_policy_without_snapshot_may_not_learn(cfg):
+    class LearningRoundRobin(RoundRobinPolicy):
+        wants_transitions = True
+
+        def ingest(self, t):
+            pass
+
+    policies = rr_policies(cfg)
+    policies[1] = LearningRoundRobin(cfg.sim.num_units)
+    with pytest.raises(SimulationError, match="uav1 sets wants_snapshot = False"):
+        run_episode(cfg, policies, arrival_seed=1)
+    assert [p.counter for p in policies] == [0] * cfg.sim.num_uavs
+
+
 def test_learner_transitions_chain_and_sum_to_reward(desk_cfg):
     learners = [CollectingLearner() for _ in range(desk_cfg.sim.num_uavs)]
     r = run_episode(desk_cfg, learners, arrival_seed=13)
@@ -500,6 +527,50 @@ def test_kernel_invariants_over_generated_configs(case):
             quiet.tasks_in_queue, quiet.tasks_in_service) == (
         r.battery_fraction, r.violations_by_unit, r.tasks_completed, r.tasks_in_queue,
         r.tasks_in_service)
+
+
+class SnapshotRoundRobin(RoundRobinPolicy):
+    """Round robin that asks for the snapshot it does not read."""
+
+    wants_snapshot = True
+
+
+def recording_select(policy, seen: list):
+    """Wrap ``policy.select`` so that it appends each state it is passed to ``seen``."""
+    select = policy.select
+
+    def record(state):
+        seen.append(state)
+        return select(state)
+
+    policy.select = record
+    return policy
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=kernel_cases(policies=("rr",)))
+def test_round_robin_without_a_snapshot_decides_the_same(case):
+    """The shipped round robin is passed None at every decision, and its
+    episode equals, field by field and event by event, that of a round robin
+    that is built a snapshot it never reads."""
+    cfg, _, seed, arrivals = case
+
+    def run(policy_class):
+        seen: list = []
+        policies = [recording_select(policy_class(cfg.sim.num_units), seen)
+                    for _ in range(cfg.sim.num_uavs)]
+        if arrivals is None:
+            result = run_episode(cfg, policies, seed, collect_events=True)
+        else:
+            result = run_on_table(cfg, policies, task_table(cfg, arrivals))
+        return result, seen
+
+    blind, blind_seen = run(RoundRobinPolicy)
+    sighted, sighted_seen = run(SnapshotRoundRobin)
+    assert blind == sighted
+    assert len(blind_seen) == len(sighted_seen) == blind.tasks_generated
+    assert all(state is None for state in blind_seen)
+    assert all(type(state) is NetworkSnapshot for state in sighted_seen)
 
 
 def recording(agent):
