@@ -110,10 +110,8 @@ def _train(cfg: AppConfig, policy: str, episodes: int, out: Path,
     """Train ``policy``, save ``<policy>.ckpt`` and write the convergence curve
     to ``convergence_<policy>.csv``; returns (checkpoint path, curve path,
     convergence episode)."""
-    agents, rewards = train_policy(
-        cfg, policy, episodes, cfg.sim.seed, checkpoint_dir=out,
-        log_every=0 if quiet else max(1, episodes // 10),
-    )
+    agents, rewards = train_policy(cfg, policy, episodes, checkpoint_dir=out,
+                                   log_every=0 if quiet else max(1, episodes // 10))
     ckpt = out / f"{policy}.ckpt"
     save_checkpoint(policy, agents, ckpt, cfg, cfg.sim.seed, episodes)
     exp = cfg.experiment
@@ -194,9 +192,9 @@ def cmd_evaluate(args, parser) -> int:
 def _parse_checkpoint_args(pairs, policies, parser) -> dict:
     out = {}
     for pair in pairs:
-        if "=" not in pair:
+        policy, _, path = pair.partition("=")
+        if not path:
             parser.error(f"--checkpoint expects POLICY=PATH, got {pair!r}")
-        policy, path = pair.split("=", 1)
         if policy not in LEARNER_POLICIES:
             parser.error(f"--checkpoint: {policy!r} is not a learning policy")
         if policy not in policies:

@@ -200,15 +200,10 @@ def training_loop(cfg: AppConfig, agents: list, seed: int, episodes: int):
         yield eps, run_episode(cfg, agents, seed, episode_index=ep)
 
 
-def train_policy(
-    cfg: AppConfig,
-    policy: str,
-    episodes: int,
-    master_seed: int,
-    checkpoint_dir=None,
-    log_every: int = 0,
-):
-    """Train one learner for a fixed number of episodes.
+def train_policy(cfg: AppConfig, policy: str, episodes: int, checkpoint_dir=None,
+                 log_every: int = 0):
+    """Train one learner for a fixed number of episodes under the master seed
+    ``cfg.sim.seed``.
 
     Returns (agents, reward_series) where reward_series[agent][episode] is the
     agent's cumulative shaped reward in that episode.  Training runs on seed
@@ -219,6 +214,7 @@ def train_policy(
         raise ConfigError(f"policy {policy!r} does not train (expected one of {LEARNER_POLICIES})")
     if episodes < 1:
         raise ConfigError("training needs at least one episode")
+    master_seed = cfg.sim.seed
     agents = make_policies(policy, cfg, master_seed, 0)
     every = cfg.experiment.checkpoint_every
     per_episode = []

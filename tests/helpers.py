@@ -70,18 +70,21 @@ against the kernel's order of equal-time events.
 
 ``snapshot_is_sane`` and ``plateau_threshold`` are structural and
 convergence oracles that only tests use; ``make_snapshot`` builds a
-hand-made decision snapshot of the default 4 UAV + 1 MEC fleet.
+hand-made decision snapshot of the default 4 UAV + 1 MEC fleet, and
+``zero_net`` a network of zeros.  ``CONFIGS`` is the directory of the shipped
+configs; ``desk_config()`` loads its ``desk.yaml`` for every desk-scale test.
 """
 
 import math
 from collections import deque
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
 from uavmec import simulation
 from uavmec.arrivals import TaskInstance, arrival_rng
-from uavmec.config import AppConfig
+from uavmec.config import AppConfig, load_config
 from uavmec.heuristics import ENERGY_GAP_THRESHOLD, QUEUE_TIE_TOLERANCE, HefPolicy, QhefPolicy
 from uavmec.mdp import (
     NetworkSnapshot, Transition, assemble_reward, compute_reward_parts, encode_state, type_code,
@@ -91,6 +94,8 @@ from uavmec.simulation import (
     EPISODE_END, EpisodeResult, SimulationError, TASK_ARRIVAL, TASK_COMPLETE, TASK_START,
 )
 from uavmec.tabular import DiscretizationGrid
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 FIRE, PEST, GROWTH = 0, 1, 2
 PROC_UAV = {FIRE: 0.1, PEST: 0.5, GROWTH: 0.1}
@@ -130,6 +135,16 @@ def make_snapshot(
         busy_frac_per_sec=busy_frac_per_sec,
         num_uavs=num_uavs,
     )
+
+
+def desk_config() -> AppConfig:
+    return load_config(CONFIGS / "desk.yaml")
+
+
+def zero_net(dims) -> MlpNetwork:
+    weights = [np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])]
+    biases = [np.zeros(b) for b in dims[1:]]
+    return MlpNetwork(dims, weights, biases)
 
 
 def replay_delays(cfg: AppConfig, result: EpisodeResult) -> dict:

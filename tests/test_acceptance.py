@@ -10,18 +10,17 @@ that file for why the grid and budgets are what they are.
 
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from helpers import plateau_threshold, replay_battery, replay_delays
+from helpers import CONFIGS, desk_config, plateau_threshold, replay_battery, replay_delays
 from test_nnet import draw_clear_batch, numerical_grads
 
 from uavmec.arrivals import arrival_rng, generate_arrivals
 from uavmec.cli import main
-from uavmec.config import load_config
+from uavmec.config import LEARNER_POLICIES, load_config
 from uavmec.exploration import epsilon_greedy
 from uavmec.harness import (
     arrival_seed, evaluate_many, make_policies, save_checkpoint, training_loop,
@@ -31,24 +30,15 @@ from uavmec.metrics import convergence_episode, moving_average
 from uavmec.nnet import init_mlp, loss_and_grads
 from uavmec.simulation import MEC_BATTERY_SENTINEL, check_violation, run_episode
 
-DESK_YAML = Path(__file__).resolve().parent.parent / "configs" / "desk.yaml"
-MASTER_SEED = 1
 EVAL_INDICES = range(1000, 1010)
-EVAL_EPISODES = 30
 
 # Both learners train under the same absolute exploration schedule (decay
 # over episodes 0-100, then epsilon 0.05), so convergence speed reflects the
-# learner, not its schedule.  Budgets are generous enough that each curve
-# holds its plateau well before the end.
-TRAIN_BUDGETS = (("qlearning", 4000), ("dql", 500))
+# learner, not its schedule.  The budgets, smoothing window and patience are
+# desk.yaml's; the budgets are generous enough that each curve holds its
+# plateau well before the end.
 EPSILON_DECAY_EPISODES = 100
-SMOOTH_WINDOW = 25
-PATIENCE = 10
 SPEEDUP_SEEDS = 5
-
-
-def desk_config():
-    return load_config(str(DESK_YAML))
 
 
 # --- model oracles vs brute-force replay -------------------------------------
@@ -179,20 +169,21 @@ def plateau_training():
     evaluation orderings.
     """
     t0 = time.monotonic()
-    convergence = {policy: [] for policy, _ in TRAIN_BUDGETS}
+    convergence = {policy: [] for policy in LEARNER_POLICIES}
     seed0 = {}
-    for policy, budget in TRAIN_BUDGETS:
+    for policy in LEARNER_POLICIES:
         for seed_index in range(SPEEDUP_SEEDS):
             cfg = desk_config()
+            exp, budget = cfg.experiment, cfg.experiment.train_episodes(policy)
             cfg.rl.epsilon_decay_fraction = EPSILON_DECAY_EPISODES / budget
-            agents = make_policies(policy, cfg, MASTER_SEED, seed_index)
-            seed = arrival_seed(MASTER_SEED, seed_index)
+            agents = make_policies(policy, cfg, cfg.sim.seed, seed_index)
+            seed = arrival_seed(cfg.sim.seed, seed_index)
             rewards = [result.cumulative_reward
                        for _, result in training_loop(cfg, agents, seed, budget)]
             mean_curve = list(np.mean(np.asarray(rewards), axis=1))
-            smoothed, _, _ = moving_average(mean_curve, SMOOTH_WINDOW)
+            smoothed, _, _ = moving_average(mean_curve, exp.smoothing_window)
             threshold = plateau_threshold(smoothed, 0.9, 0.1)
-            episode = convergence_episode(smoothed, threshold, PATIENCE)
+            episode = convergence_episode(smoothed, threshold, exp.convergence_patience)
             convergence[policy].append(budget if episode is None else episode)
             if seed_index == 0:
                 seed0[policy] = (cfg, agents)
@@ -209,12 +200,12 @@ def policy_outcomes(plateau_training, tmp_path_factory):
     checkpoints = {}
     for policy, (cfg, agents) in plateau_training["seed0"].items():
         checkpoints[policy] = str(directory / f"{policy}.ckpt")
-        save_checkpoint(policy, agents, checkpoints[policy], cfg, MASTER_SEED,
-                        dict(TRAIN_BUDGETS)[policy])
-    policies = ("rr", "hef", "qhef", *checkpoints)
-    jobs = [(policy, MASTER_SEED, idx, EVAL_EPISODES, checkpoints.get(policy))
+        save_checkpoint(policy, agents, checkpoints[policy], cfg, cfg.sim.seed,
+                        cfg.experiment.train_episodes(policy))
+    cfg, policies = desk_config(), ("rr", "hef", "qhef", *checkpoints)
+    jobs = [(policy, cfg.sim.seed, idx, cfg.experiment.eval_episodes, checkpoints.get(policy))
             for policy in policies for idx in EVAL_INDICES]
-    runs = evaluate_many(desk_config(), jobs)
+    runs = evaluate_many(cfg, jobs)
     outcomes = {}
     for policy in policies:
         mine = [run for run in runs if run.policy == policy]
@@ -257,7 +248,7 @@ def test_compare_cli_runs_are_byte_identical(tmp_path, monkeypatch):
     checkpoint byte-identical.  Tiny training budgets; determinism does not
     depend on budget size."""
     t0 = time.monotonic()
-    merged = yaml.safe_load(DESK_YAML.read_text())
+    merged = yaml.safe_load((CONFIGS / "desk.yaml").read_text())
     merged["experiment"].update(
         {
             "train_episodes_qlearning": 5,

@@ -1,14 +1,11 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from helpers import reference_build_task_table, reference_generate_arrivals
+from helpers import CONFIGS, reference_build_task_table, reference_generate_arrivals
 from uavmec import arrivals
 from uavmec.arrivals import arrival_rng, build_task_table, generate_arrivals
 from uavmec.config import TaskTypeSpec, load_config
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FIRE = TaskTypeSpec("fire_detection", 0.25, 0.3, 0.1, 0.05)
 
 

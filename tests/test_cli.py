@@ -4,7 +4,7 @@ import pytest
 
 from uavmec import cli, harness
 from uavmec.cli import main
-from uavmec.config import load_config
+from uavmec.config import config_hash, load_config
 from uavmec.harness import load_policies
 from uavmec.nnet import load_mlp
 from uavmec.tabular import load_qtable
@@ -158,19 +158,24 @@ def test_train_is_deterministic(tiny_config, tmp_path, monkeypatch):
 def test_train_writes_periodic_checkpoints(tiny_config, tmp_path, monkeypatch):
     monkeypatch.setenv("UAVMEC_EXPERIMENT__CHECKPOINT_EVERY", "2")
     cfg = load_config(tiny_config)
+    cfg.sim.seed = 7
     for policy, load in (("dql", load_mlp), ("qlearning", load_qtable)):
         out = tmp_path / policy
         assert run([
             "train", "--policy", policy, "--config", tiny_config, "--out", str(out),
-            "--episodes", "5", "--quiet",
+            "--episodes", "5", "--quiet", "--seed", "7",
         ]) == 0
         # The last episode is the final checkpoint's, so no _ep5 file.
         assert sorted(p.name for p in out.glob("*.ckpt")) == [
             f"{policy}.ckpt", f"{policy}_ep2.ckpt", f"{policy}_ep4.ckpt"]
+        # Every checkpoint names the seed it trained under and that run's config.
+        for name, episodes in ((policy, 5), (f"{policy}_ep2", 2), (f"{policy}_ep4", 4)):
+            meta = load(str(out / f"{name}.ckpt"))[1]
+            assert (meta["episodes_trained"], meta["master_seed"], meta["config_hash"]) == (
+                str(episodes), "7", config_hash(cfg))
         for episodes in (2, 4):
             path = str(out / f"{policy}_ep{episodes}.ckpt")
             assert len(load_policies(policy, cfg, path, 1, 0)) == cfg.sim.num_uavs
-            assert load(path)[1]["episodes_trained"] == str(episodes)
             assert run(["evaluate", "--policy", policy, "--config", tiny_config,
                         "--checkpoint", path, "--out", str(out / f"eval{episodes}"),
                         "--seeds", "1", "--episodes", "1"]) == 0
@@ -522,12 +527,16 @@ def test_compare_rejects_unknown_policy(tiny_config, tmp_path, capsys):
 
 def test_compare_rejects_malformed_checkpoint_flag(tiny_config, tiny_checkpoints, tmp_path,
                                                    capsys):
-    with pytest.raises(SystemExit) as exc:
-        run([
-            "compare", "--policies", "dql", "--config", tiny_config,
-            "--out", str(tmp_path / "o"), "--checkpoint", "dql",
-        ])
-    assert exc.value.code == 2
+    # A flag without a path is refused before anything runs; ``Path("")``
+    # would name the working directory.
+    for flag in ("dql", "dql="):
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "compare", "--policies", "dql", "--config", tiny_config,
+                "--out", str(tmp_path / "o"), "--checkpoint", flag,
+            ])
+        assert exc.value.code == 2
+        assert f"--checkpoint expects POLICY=PATH, got {flag!r}" in capsys.readouterr().err
     # A file that will not load is refused as ``evaluate`` refuses it, before
     # the other learner trains and before the output directory is made.
     (tmp_path / "junk.ckpt").write_text("not a checkpoint\n")

@@ -1,12 +1,12 @@
 import dataclasses
 import math
-from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import CONFIGS
 from uavmec.config import (
     AppConfig,
     ConfigError,
@@ -16,7 +16,7 @@ from uavmec.config import (
 )
 from uavmec.simulation import BatteryModel
 
-DESK_YAML = str(Path(__file__).resolve().parent.parent / "configs" / "desk.yaml")
+DESK_YAML = CONFIGS / "desk.yaml"
 SECTIONS = ("sim", "energy", "mdp", "rl", "experiment")
 
 
@@ -362,12 +362,21 @@ def test_config_hash_ignores_output_dir_and_workers():
 
 @pytest.mark.parametrize("path, digest", [
     (None, "0e5496aad8059ed0"),
-    (str(Path(DESK_YAML).with_name("paper.yaml")), "c09e1c5b8124c015"),
+    (CONFIGS / "paper.yaml", "c09e1c5b8124c015"),
     (DESK_YAML, "9892e9dbacfc7d37"),
 ], ids=["default", "paper", "desk"])
 def test_config_hash_is_pinned(path, digest):
     # Every CSV and checkpoint carries this hash; a changed digest orphans them.
     assert config_hash(load_config(path, env={})) == digest
+
+
+def test_paper_yaml_restates_the_defaults():
+    # The file differs from the built-in defaults only in its training budgets.
+    paper = dataclasses.asdict(load_config(CONFIGS / "paper.yaml", env={}))
+    defaults = dataclasses.asdict(load_config(env={}))
+    for name in ("train_episodes_qlearning", "train_episodes_dql"):
+        assert paper["experiment"].pop(name) != defaults["experiment"].pop(name)
+    assert paper == defaults
 
 
 def test_empty_yaml_file_keeps_defaults(tmp_path):

@@ -6,17 +6,13 @@ heuristic at power scales 1 and 2, must equal the one
 the event log.
 """
 
-from pathlib import Path
-
 import pytest
 
-from helpers import reference_snapshots
+from helpers import CONFIGS, reference_snapshots
 from uavmec.config import load_config
 from uavmec.harness import arrival_seed, make_policies
 from uavmec.mdp import NetworkSnapshot
 from uavmec.simulation import run_episode
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class RecordingPolicy:

@@ -1,5 +1,4 @@
 import copy
-import math
 import pickle
 import tracemalloc
 
@@ -7,10 +6,11 @@ import numpy as np
 import pytest
 
 import helpers as oracle
+from helpers import make_snapshot, zero_net
 from uavmec.config import RlConfig
 from uavmec.deep import DqlAgent, ReplayBuffer, TransitionBatch, train_batch
-from uavmec.mdp import NetworkSnapshot, Transition, encode_state, type_code
-from uavmec.nnet import AdamState, MlpNetwork, forward, init_mlp
+from uavmec.mdp import Transition, encode_state
+from uavmec.nnet import AdamState, forward, init_mlp
 
 
 def make_transition(tag, state_width=4, action=0, reward=1.0, terminal=False):
@@ -22,12 +22,6 @@ def make_transition(tag, state_width=4, action=0, reward=1.0, terminal=False):
         next_state=state + 0.5,
         terminal=terminal,
     )
-
-
-def zero_net(dims):
-    weights = [np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])]
-    biases = [np.zeros(b) for b in dims[1:]]
-    return MlpNetwork(dims, weights, biases)
 
 
 def batch_of(transitions):
@@ -297,23 +291,6 @@ def test_bootstrap_uses_target_network_when_given():
     loss = train_batch(net, AdamState(net.flat.size), batch, gamma=0.5, target_net=frozen)
     # target = 3 + 0.5 * max over the FROZEN net = 3 + 1 = 4; prediction = 1.
     assert loss == pytest.approx(3.0**2)
-
-
-def make_snapshot():
-    """A fire-task decision of uav0 in a 4-UAV + 1-MEC network (10-wide state)."""
-    return NetworkSnapshot(
-        deciding_uav=0,
-        task_type=0,
-        type_code=type_code(0, 3),
-        unit_delays=(0.1, 0.1, 0.1, 0.1, 0.05),
-        unit_batteries=(1.0, 1.0, 1.0, 1.0, math.inf),
-        transfer_delays=(0.0, 0.015, 0.015, 0.015, 0.015),
-        proc_times=(0.1, 0.1, 0.1, 0.1, 0.05),
-        iot_delay=0.01,
-        deadline=0.3,
-        busy_frac_per_sec=0.0042105,
-        num_uavs=4,
-    )
 
 
 def agent_acting_with(net, epsilon, seed):

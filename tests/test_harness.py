@@ -76,18 +76,18 @@ def test_make_policies_types_and_counts(cfg):
 
 
 def test_train_policy_reward_series_shape(desk_cfg):
-    agents, rewards = train_policy(desk_cfg, "qlearning", episodes=4, master_seed=1)
+    agents, rewards = train_policy(desk_cfg, "qlearning", episodes=4)
     assert len(agents) == desk_cfg.sim.num_uavs
     assert len(rewards) == desk_cfg.sim.num_uavs
     assert all(len(series) == 4 for series in rewards)
     # Training populated the tables.
     assert all(len(a.table) > 0 for a in agents)
     with pytest.raises(ConfigError, match="policy 'rr' does not train"):
-        train_policy(desk_cfg, "rr", episodes=1, master_seed=1)
+        train_policy(desk_cfg, "rr", episodes=1)
     with pytest.raises(ConfigError, match="policy 'rr' does not train"):
         desk_cfg.experiment.train_episodes("rr")
     with pytest.raises(ConfigError, match="training needs at least one episode"):
-        train_policy(desk_cfg, "qlearning", episodes=0, master_seed=1)
+        train_policy(desk_cfg, "qlearning", episodes=0)
     with pytest.raises(ConfigError, match="policy 'rr' has no checkpoint format"):
         save_checkpoint("rr", agents, "unused.ckpt", desk_cfg, 1, 4)
 
@@ -115,7 +115,7 @@ def test_training_encodes_and_keys_each_decision_once(desk_cfg, monkeypatch, pol
         encodes = count_calls(monkeypatch, tabular.DiscretizationGrid, "key")
     else:
         encodes = count_calls(monkeypatch, deep, "encode_state")
-    agents, _ = train_policy(desk_cfg, policy, episodes=1, master_seed=1)
+    agents, _ = train_policy(desk_cfg, policy, episodes=1)
     decisions = len(episodes[0].placements)
     assert decisions > 100
     assert len(encodes) == decisions
@@ -127,17 +127,18 @@ def test_training_encodes_and_keys_each_decision_once(desk_cfg, monkeypatch, pol
 
 
 def test_training_is_reproducible(desk_cfg):
-    _, r1 = train_policy(desk_cfg, "qlearning", episodes=3, master_seed=1)
-    _, r2 = train_policy(desk_cfg, "qlearning", episodes=3, master_seed=1)
+    _, r1 = train_policy(desk_cfg, "qlearning", episodes=3)
+    _, r2 = train_policy(desk_cfg, "qlearning", episodes=3)
     assert r1 == r2
-    _, r3 = train_policy(desk_cfg, "qlearning", episodes=3, master_seed=2)
+    desk_cfg.sim.seed = 2
+    _, r3 = train_policy(desk_cfg, "qlearning", episodes=3)
     assert r1 != r3
 
 
 def test_checkpoint_roundtrip_preserves_greedy_behavior(desk_cfg, tmp_path):
     for policy in ("qlearning", "dql"):
         episodes = 3
-        agents, _ = train_policy(desk_cfg, policy, episodes, master_seed=1)
+        agents, _ = train_policy(desk_cfg, policy, episodes)
         path = tmp_path / f"{policy}.ckpt"
         save_checkpoint(policy, agents, path, desk_cfg, 1, episodes)
         assert checkpoint_kind(path) == policy
@@ -187,7 +188,7 @@ def test_truncated_checkpoint_is_refused(desk_cfg, desk_checkpoints, tmp_path):
 
 
 def test_checkpoint_cut_inside_its_last_number_is_refused(desk_cfg, tmp_path):
-    agents, _ = train_policy(desk_cfg, "qlearning", 2, master_seed=1)
+    agents, _ = train_policy(desk_cfg, "qlearning", 2)
     last = agents[-1]
     last.table[max(last.table)][-1] = -3.1415926535897931  # the file's last value
     path = tmp_path / "q.ckpt"
@@ -331,7 +332,7 @@ def test_checkpoint_kind_rejects_other_files(tmp_path):
 
 
 def test_inspect_checkpoint_summarizes(desk_cfg, tmp_path):
-    agents, _ = train_policy(desk_cfg, "dql", 2, master_seed=1)
+    agents, _ = train_policy(desk_cfg, "dql", 2)
     path = tmp_path / "dql.ckpt"
     save_checkpoint("dql", agents, path, desk_cfg, 1, 2)
     text = inspect_checkpoint(path)
@@ -345,7 +346,7 @@ def test_inspect_checkpoint_summarizes(desk_cfg, tmp_path):
                 f"weight min {values.min():.4f} max {values.max():.4f} "
                 f"mean {values.mean():.4f}") in text.splitlines()
     # A q-table checkpoint, one of whose agents has never visited a state.
-    agents, _ = train_policy(desk_cfg, "qlearning", 2, master_seed=1)
+    agents, _ = train_policy(desk_cfg, "qlearning", 2)
     agents[1].table.clear()
     path = tmp_path / "qlearning.ckpt"
     save_checkpoint("qlearning", agents, path, desk_cfg, 1, 2)
@@ -441,7 +442,8 @@ def test_evaluation_reads_a_rewritten_checkpoint(desk_cfg, tmp_path):
     path = tmp_path / "q.ckpt"
     runs = []
     for master in (1, 2):
-        agents, _ = train_policy(desk_cfg, "qlearning", 3, master_seed=master)
+        desk_cfg.sim.seed = master
+        agents, _ = train_policy(desk_cfg, "qlearning", 3)
         save_checkpoint("qlearning", agents, path, desk_cfg, master, 3)
         runs.append(evaluate(desk_cfg, "qlearning", range(2), checkpoint=str(path)))
     assert runs[0] != runs[1]  # the two checkpoints act differently

@@ -1,6 +1,4 @@
-import math
 from dataclasses import astuple
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ReferenceHefPolicy, ReferenceQhefPolicy
+from helpers import CONFIGS, ReferenceHefPolicy, ReferenceQhefPolicy, make_snapshot
 from uavmec import harness
 from uavmec.config import load_config
 from uavmec.harness import arrival_seed, make_policies
@@ -19,53 +17,20 @@ from uavmec.heuristics import (
     QhefPolicy,
     RoundRobinPolicy,
 )
-from uavmec.mdp import NetworkSnapshot, type_code
 from uavmec.simulation import run_episode
 
-PAPER_YAML = str(Path(__file__).resolve().parent.parent / "configs" / "paper.yaml")
 
-FIRE, PEST, GROWTH = 0, 1, 2
-PROC_UAV = {FIRE: 0.1, PEST: 0.5, GROWTH: 0.1}
-PROC_MEC = {FIRE: 0.05, PEST: 0.25, GROWTH: 0.05}
-DEADLINE = {FIRE: 0.3, PEST: 0.8, GROWTH: 5.0}
-
-
-def make_snapshot(
-    task_type=FIRE,
-    deciding_uav=0,
-    backlogs=(0.0, 0.0, 0.0, 0.0, 0.0),
-    batteries=(1.0, 1.0, 1.0, 1.0),
-    num_uavs=4,
-):
-    num_units = len(backlogs)
-    proc = [
-        PROC_MEC[task_type] if u >= num_uavs else PROC_UAV[task_type]
-        for u in range(num_units)
-    ]
-    delays = tuple(b + p for b, p in zip(backlogs, proc))
-    return NetworkSnapshot(
-        deciding_uav=deciding_uav,
-        task_type=task_type,
-        type_code=type_code(task_type, 3),
-        unit_delays=delays,
-        unit_batteries=tuple(batteries) + (math.inf,) * (num_units - num_uavs),
-        transfer_delays=tuple(0.0 if u == deciding_uav else 0.015 for u in range(num_units)),
-        proc_times=tuple(proc),
-        iot_delay=0.01,
-        deadline=DEADLINE[task_type],
-        busy_frac_per_sec=0.0042105,
-        num_uavs=num_uavs,
-    )
-
-
-class FixedRng:
-    """Stub stream that replays scripted uniform draws."""
+class ScriptedUniforms:
+    """A uniform stream: ``values``, then a seeded generator's draws, served
+    one at a time by ``random()`` or ``n`` at a time by ``random(n)``."""
 
     def __init__(self, values):
-        self.values = list(values)
+        self.values = np.concatenate([values, np.random.default_rng(0).random(1024)])
+        self.used = 0
 
-    def random(self):
-        return self.values.pop(0)
+    def random(self, size=None):
+        start, self.used = self.used, self.used + (1 if size is None else size)
+        return float(self.values[start]) if size is None else self.values[start:self.used]
 
 
 def test_round_robin_cycles_all_units():
@@ -88,14 +53,14 @@ def test_round_robin_rejects_empty_fleet():
 
 
 def test_hef_stays_local_on_equal_batteries():
-    policy = HefPolicy(rng=FixedRng([0.9]))  # roll misses the MEC band
+    policy = HefPolicy(rng=ScriptedUniforms([0.9]))  # roll misses the MEC band
     snap = make_snapshot(deciding_uav=2)
     assert policy.select(snap) == 2
 
 
 def test_hef_small_gap_not_worth_offloading():
     # 0.82 vs 0.80 is a 2 point gap: above the 1 point threshold, offload.
-    policy = HefPolicy(rng=FixedRng([0.9, 0.9]))
+    policy = HefPolicy(rng=ScriptedUniforms([0.9, 0.9]))
     snap = make_snapshot(deciding_uav=0, batteries=(0.80, 0.82, 0.79, 0.78))
     assert policy.select(snap) == 1
     # 0.805 vs 0.80 is half a point: stay local.
@@ -105,7 +70,7 @@ def test_hef_small_gap_not_worth_offloading():
 
 def test_hef_tie_for_highest_battery_goes_to_lower_index():
     # UAVs 1 and 3 tie at the top, both well above the deciding UAV 2.
-    policy = HefPolicy(rng=FixedRng([0.9, 0.9]))
+    policy = HefPolicy(rng=ScriptedUniforms([0.9, 0.9]))
     snap = make_snapshot(deciding_uav=2, batteries=(0.5, 0.9, 0.6, 0.9))
     assert policy.select(snap) == 1
     snap = make_snapshot(deciding_uav=0, batteries=(0.5, 0.7, 0.9, 0.9))
@@ -114,7 +79,7 @@ def test_hef_tie_for_highest_battery_goes_to_lower_index():
 
 def test_hef_forced_mec_roll():
     # 5 units, 1 MEC: draws below 1/5 select the MEC slot.
-    policy = HefPolicy(rng=FixedRng([0.19]))
+    policy = HefPolicy(rng=ScriptedUniforms([0.19]))
     snap = make_snapshot(batteries=(0.1, 0.2, 0.3, 0.4))
     assert policy.select(snap) == 4
 
@@ -129,10 +94,14 @@ def test_hef_mec_frequency_matches_roll_band():
 
 
 def test_hef_one_draw_per_decision():
-    policy = FixedRng([0.5])
-    hef = HefPolicy(rng=policy)
-    hef.select(make_snapshot())
-    assert policy.values == []  # exactly one value consumed
+    # Decision k rolls the k-th uniform of the policy's stream.  With 4 UAVs
+    # and 2 MECs a roll under 2/6 picks MEC 4 + int(6 * roll); any other roll
+    # offloads to UAV 1, the best charged.
+    rolls = np.random.default_rng(9).random(300)
+    policy = HefPolicy(rng=np.random.default_rng(9))
+    snap = make_snapshot(backlogs=(0.0,) * 6, batteries=(0.5, 0.9, 0.6, 0.7))
+    assert [policy.select(snap) for _ in rolls] == [
+        4 + int(6 * u) if u < 2 / 6 else 1 for u in rolls]
 
 
 def test_qhef_empty_queues_prefer_mec():
@@ -227,9 +196,12 @@ def tie_snapshots(draw):
                                             st.floats(0.0, 1.0, exclude_max=True)))
 def test_one_pass_selects_pick_the_reference_unit(snap, roll):
     assert QhefPolicy().select(snap) == ReferenceQhefPolicy().select(snap)
-    hef, reference = FixedRng([roll]), FixedRng([roll])
-    assert HefPolicy(hef).select(snap) == ReferenceHefPolicy(reference).select(snap)
-    assert hef.values == reference.values
+    # Decision k of the one-pass HEF picks what the reference picks on the
+    # stream's k-th uniform.
+    hef = HefPolicy(ScriptedUniforms([roll]))
+    picks = [hef.select(snap) for _ in range(4)]
+    rolls = ScriptedUniforms([roll]).random(4)
+    assert picks == [ReferenceHefPolicy(ScriptedUniforms([u])).select(snap) for u in rolls]
 
 
 @pytest.mark.parametrize("policy, name, reference", [
@@ -237,7 +209,7 @@ def test_one_pass_selects_pick_the_reference_unit(snap, roll):
     ("qhef", "QhefPolicy", ReferenceQhefPolicy),
 ])
 def test_paper_episodes_match_the_reference_policies(policy, name, reference):
-    cfg = load_config(PAPER_YAML)
+    cfg = load_config(CONFIGS / "paper.yaml")
     for seed_index in (0, 1):
         seed = arrival_seed(cfg.sim.seed, seed_index)
         result = run_episode(cfg, make_policies(policy, cfg, cfg.sim.seed, seed_index), seed)

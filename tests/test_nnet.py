@@ -10,6 +10,7 @@ from helpers import (
     reference_forward_cached,
     reference_loss_and_grads,
     reference_tensor_line,
+    zero_net,
 )
 from uavmec import nnet
 from uavmec.checkpoint import write_checkpoint
@@ -24,12 +25,6 @@ from uavmec.nnet import (
     loss_and_grads,
     save_mlp,
 )
-
-
-def zero_net(dims):
-    weights = [np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])]
-    biases = [np.zeros(b) for b in dims[1:]]
-    return MlpNetwork(dims, weights, biases)
 
 
 def tiny_net():

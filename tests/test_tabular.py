@@ -163,7 +163,7 @@ def test_training_keys_match_the_state_vector_oracle(desk_cfg, monkeypatch):
         return recorded[-1][2]
 
     monkeypatch.setattr(tabular.DiscretizationGrid, "key", recording_key)
-    train_policy(desk_cfg, "qlearning", episodes=1, master_seed=1)
+    train_policy(desk_cfg, "qlearning", episodes=1)
     assert len(recorded) > 100
     for grid, snap, key in recorded:
         assert key == reference_key(grid, snap, len(desk_cfg.tasks))
